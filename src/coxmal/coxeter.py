@@ -704,16 +704,15 @@ def windows_two_sided(kind: str, W: np.ndarray) -> np.ndarray:
 
 
 def windows_lengths(kind: str, W: np.ndarray) -> np.ndarray:
-    """Lengths for a batch of windows; quadratic in n, fine at desk scale."""
+    """Lengths for a batch of windows; quadratic in n, one numpy pass per column."""
     count, n = W.shape
     out = np.zeros(count, dtype=np.int64)
-    for i in range(n):
-        wi = W[:, i]
-        for j in range(i + 1, n):
-            wj = W[:, j]
-            out += wi > wj
-            if kind in ("B", "D"):
-                out += (wi + wj) < 0
-        if kind == "B":
-            out += wi < 0
+    for i in range(n - 1):
+        wi = W[:, i : i + 1]
+        rest = W[:, i + 1 :]
+        out += np.count_nonzero(wi > rest, axis=1)
+        if kind in ("B", "D"):
+            out += np.count_nonzero(rest < -wi, axis=1)
+    if kind == "B":
+        out += np.count_nonzero(W < 0, axis=1)
     return out

@@ -8,6 +8,10 @@ signed choices.  Type D towers stop at stage 2 (the four sign/swap choices
 there are the whole D2 base) and the first window entry is forced by the
 remaining label.  Dihedral factors are sampled directly from their 2m
 element table.
+
+Batch draws take each stage's choices for a whole chunk at once and turn
+them into windows with one decoder shared by A, B and D (q = 1 draws
+uniformly instead); sample_one is the independent single-draw walk.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .reports import CheckResult
 
 Q_ONE_WINDOW = 1e-6  # |q-1| below this: evaluate q-integers by direct summation
 SAMPLE_CHUNK = 16384
+DECODE_BLOCK = 1024  # _decode_rows rows per block; bounds its Python int list
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +326,52 @@ def _chunk_windows(kind: str, n: int, q: float, cnt: int, child) -> np.ndarray:
     rng = np.random.default_rng(child)
     if q == 1.0:
         return _uniform_windows(kind, n, cnt, rng)
-    if kind == "A" and q < 1.0:
-        return _a_geometric_windows(n, q, cnt, rng)
     stages = list(_tower_stages(kind, n))
-    ks = np.empty((cnt, len(stages)), dtype=np.int64)
-    tabs = []
+    pops = np.empty((cnt, len(stages)), dtype=np.int32)
+    signs = np.empty((cnt, len(stages)), dtype=np.int8)
     for t, m in enumerate(stages):
         a_arr, s_arr, cum = _stage_arrays(kind, m, q)
         u = rng.random(cnt) * cum[-1]
         col = np.searchsorted(cum, u, side="right")
         np.minimum(col, len(cum) - 1, out=col)
-        ks[:, t] = col
-        tabs.append((a_arr.tolist(), s_arr.tolist()))
-    return _decode_rows(kind, n, stages, ks, tabs)
+        pops[:, t] = a_arr[col] - 1
+        signs[:, t] = s_arr[col]
+    return _decode_rows(kind, n, pops, signs)
 
 
-def _decode_rows(kind, n, stages, ks, tabs) -> np.ndarray:
-    isD = kind == "D"
-    W = np.empty((len(ks), n), dtype=np.int64)
-    for r, row in enumerate(ks.tolist()):
-        labels = list(range(1, n + 1))
-        for t, m in enumerate(stages):
-            a_list, s_list = tabs[t]
-            k = row[t]
-            a, s = a_list[k], s_list[k]
-            W[r, m - 1] = s * labels.pop(a - 1)
-            if isD and s < 0:
-                labels[0] = -labels[0]
-        if isD:
-            W[r, 0] = labels[0]
+def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Windows from tower choices; column t of pops and signs is stage n - t.
+
+    Stage m pops the pops[:, t]-th smallest remaining label into position m
+    with sign signs[:, t]; type D's last label fills position 1.  Magnitudes
+    are decoded DECODE_BLOCK rows at a time to bound the Python int list.
+    """
+    cnt = len(pops)
+    W = np.empty((cnt, n), dtype=np.int64)
+    base = list(range(1, n + 1))
+    for lo in range(0, cnt, DECODE_BLOCK):
+        flat = []
+        for row in pops[lo : lo + DECODE_BLOCK].tolist():
+            labels = base.copy()
+            flat.extend(map(labels.pop, row))
+            flat.extend(labels)
+        W[lo : lo + DECODE_BLOCK, ::-1] = np.array(flat, dtype=np.int64).reshape(-1, n)
+    S = np.ones((cnt, n), dtype=np.int8)
+    S[:, n - signs.shape[1] :] = signs[:, ::-1]
+    if kind == "D":
+        # A negative choice at stage m also negates the smallest label left,
+        # i.e. flips S at the argmin of W over positions 1..m-1.  Flips land
+        # left of their stage, so S[:, j] is still the stage sign when read.
+        rows = np.arange(cnt)
+        amin = np.zeros(cnt, dtype=np.intp)
+        cur = W[:, 0].copy()
+        for j in range(1, n):
+            neg = S[:, j] < 0
+            S[rows[neg], amin[neg]] *= -1
+            better = W[:, j] < cur
+            cur[better] = W[better, j]
+            amin[better] = j
+    W *= S
     return W
 
 
@@ -363,27 +385,6 @@ def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
         # over the even-weight sign vectors
         signs[:, -1] = np.prod(signs[:, :-1], axis=1)
     return perm * signs
-
-
-def _a_geometric_windows(n: int, q: float, cnt: int, rng) -> np.ndarray:
-    """Type A fast path for q < 1: truncated-geometric inversion counts.
-
-    Stage m contributes c in 0..m-1 with P(c) proportional to q^c; the
-    value placed at position m is the (m-c)-th smallest remaining label.
-    """
-    logq = math.log(q)
-    cs = np.empty((cnt, n), dtype=np.int64)
-    for t, m in enumerate(range(n, 0, -1)):
-        u = rng.random(cnt)
-        c = np.floor(np.log1p(-u * (1.0 - q**m)) / logq).astype(np.int64)
-        np.clip(c, 0, m - 1, out=c)
-        cs[:, t] = c
-    W = np.empty((cnt, n), dtype=np.int64)
-    for r, row in enumerate(cs.tolist()):
-        labels = list(range(1, n + 1))
-        for t, m in enumerate(range(n, 0, -1)):
-            W[r, m - 1] = labels.pop(m - 1 - row[t])
-    return W
 
 
 def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:

@@ -6,7 +6,9 @@ import pytest
 
 from coxmal.coxeter import SignedPermutation, enumerate_group, length, parse_group
 from coxmal.mallows import (
+    SAMPLE_CHUNK,
     MallowsSpec,
+    _decode_rows,
     _tower_stages,
     normalization_constant,
     normalization_enumeration_check,
@@ -129,13 +131,59 @@ def test_stage_products_telescope_to_normalization():
         assert math.isclose(prod, normalization_constant(g, q), rel_tol=1e-12)
 
 
-def test_sample_windows_deterministic_across_threads():
-    g = parse_group("B4")
-    a = sample_windows(g, 0.5, 5000, seed=42, threads=1)
-    b = sample_windows(g, 0.5, 5000, seed=42, threads=3)
+@pytest.mark.parametrize("name,q", [("A4", 0.5), ("B4", 0.5), ("D4", 2.0)])
+def test_sample_windows_deterministic_across_threads(name, q):
+    """More than two chunks, so threads=3 really splits the work."""
+    g = parse_group(name)
+    count = 2 * SAMPLE_CHUNK + 1
+    a = sample_windows(g, q, count, seed=42, threads=1)
+    b = sample_windows(g, q, count, seed=42, threads=3)
     assert np.array_equal(a, b)
-    c = sample_windows(g, 0.5, 5000, seed=43, threads=1)
+    c = sample_windows(g, q, count, seed=43, threads=1)
     assert not np.array_equal(a, c)
+
+
+def _reference_decode(kind, n, pops, signs, d_flip=True):
+    """The per-row, per-entry tower decode: the batch decoder's reference."""
+    stages = list(_tower_stages(kind, n))
+    W = np.empty((len(pops), n), dtype=np.int64)
+    for r, (prow, srow) in enumerate(zip(pops.tolist(), signs.tolist())):
+        labels = list(range(1, n + 1))
+        for t, m in enumerate(stages):
+            s = srow[t]
+            W[r, m - 1] = s * labels.pop(prow[t])
+            if kind == "D" and s < 0 and d_flip:
+                labels[0] = -labels[0]
+        if kind == "D":
+            W[r, 0] = labels[0]
+    return W
+
+
+def _random_choices(kind, n, count, rng):
+    stages = list(_tower_stages(kind, n))
+    pops = np.stack([rng.integers(0, m, count) for m in stages], axis=1).astype(np.int32)
+    signs = np.ones(pops.shape, dtype=np.int8)
+    if kind != "A":
+        signs[rng.random(pops.shape) < 0.5] = -1
+    return pops, signs
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("n", [4, 7, 50])
+def test_decode_rows_matches_reference(kind, n):
+    """Random stage choices over more than one decode block."""
+    rng = np.random.default_rng(1000 * n + ord(kind))
+    pops, signs = _random_choices(kind, n, 2500, rng)
+    W = _decode_rows(kind, n, pops, signs)
+    assert W.dtype == np.int64
+    assert np.array_equal(W, _reference_decode(kind, n, pops, signs))
+    assert np.array_equal(np.sort(np.abs(W), axis=1), np.tile(np.arange(1, n + 1), (len(W), 1)))
+    if kind == "A":
+        assert (W > 0).all()
+    if kind == "D":
+        assert ((W < 0).sum(axis=1) % 2 == 0).all()
+        # negative control: the comparison sees a decode without the D flip
+        assert not np.array_equal(W, _reference_decode(kind, n, pops, signs, d_flip=False))
 
 
 def test_sample_statistic_deterministic_for_products():
@@ -175,10 +223,10 @@ def test_uniform_shortcut_matches_tower():
         assert p > 1e-3
 
 
-def test_a_type_geometric_path_matches_tower():
-    """For type A with q < 1 batch sampling goes through truncated
-    geometrics, while sample_one always walks the generic tower; the two
-    routes must produce the same law."""
+def test_a_type_batch_decoder_matches_single_draw_walk():
+    """For type A with q < 1, batch sampling goes through the stage draws
+    and the blocked batch decoder, while sample_one walks the tower one
+    label at a time; the two routes must produce the same law."""
     g = parse_group("A4")
     spec = MallowsSpec.make(g, 0.5)
     fast = sample_statistic(spec, "t", 20000, seed=3)
