@@ -629,10 +629,10 @@ def longest_element_in(subset: ParabolicSubset, g):
 # enumeration
 
 
-def _enum_cap(cap) -> int:
-    if cap is not None:
-        return int(cap)
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+def _check_enum_cap(g, cap) -> None:
+    limit = int(cap) if cap is not None else int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    if g.order() > limit:
+        raise EnumerationCapError(f"{g} has {g.order()} elements, above the cap {limit}")
 
 
 def enumerate_group(g, cap=None):
@@ -641,11 +641,31 @@ def enumerate_group(g, cap=None):
     Signed permutations come out as permutation-times-sign-choices; type D
     keeps only windows with an even number of negative entries.
     """
-    if g.order() > _enum_cap(cap):
-        raise EnumerationCapError(
-            f"{g} has {g.order()} elements, above the cap {_enum_cap(cap)}"
-        )
+    _check_enum_cap(g, cap)
     yield from _enumerate_uncapped(g)
+
+
+def enumerate_windows(g, cap=None) -> np.ndarray:
+    """Every element of an A, B or D group as an (order, n) int64 window array.
+
+    Rows come in the order enumerate_group yields the elements, under the
+    same cap.
+    """
+    if isinstance(g, ProductDescriptor) or g.kind == "I2":
+        raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
+    _check_enum_cap(g, cap)
+    n = g.window_size
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
+        dtype=np.int64,
+        count=math.factorial(n) * n,
+    ).reshape(-1, n)
+    if g.kind == "A":
+        return perms
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
+    if g.kind == "D":
+        signs = signs[np.count_nonzero(signs < 0, axis=1) % 2 == 0]
+    return (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)
 
 
 def _enumerate_uncapped(g):
@@ -685,16 +705,23 @@ def windows_invert(W: np.ndarray) -> np.ndarray:
     return V
 
 
+def windows_descents(kind: str, W: np.ndarray) -> np.ndarray:
+    """(rows, generators) booleans: whether each window descends at s_i on the right."""
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"no window descents for kind {kind!r}")
+    s0 = int(kind != "A")  # B and D have s_0 in front of the adjacent swaps
+    out = np.empty((len(W), W.shape[1] - 1 + s0), dtype=bool)
+    np.greater(W[:, :-1], W[:, 1:], out=out[:, s0:])
+    if kind == "B":
+        out[:, 0] = W[:, 0] < 0
+    elif kind == "D":
+        out[:, 0] = W[:, 0] + W[:, 1] < 0
+    return out
+
+
 def windows_descent_counts(kind: str, W: np.ndarray) -> np.ndarray:
     """Right-descent numbers for a batch of windows."""
-    base = np.count_nonzero(W[:, :-1] > W[:, 1:], axis=1)
-    if kind == "B":
-        base = base + (W[:, 0] < 0)
-    elif kind == "D":
-        base = base + (W[:, 0] + W[:, 1] < 0)
-    elif kind != "A":
-        raise ValueError(f"no window descents for kind {kind!r}")
-    return base.astype(np.int64)
+    return np.count_nonzero(windows_descents(kind, W), axis=1).astype(np.int64)
 
 
 def windows_two_sided(kind: str, W: np.ndarray) -> np.ndarray:

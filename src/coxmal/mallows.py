@@ -25,14 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from .coxeter import (
-    DihedralElement,
     GroupDescriptor,
     ProductDescriptor,
     SignedPermutation,
     _dihedral_length_table,
     _window_length,
     descriptor_factors,
-    enumerate_group,
+    enumerate_windows,
     length,
     parse_group,
     windows_descent_counts,
@@ -78,15 +77,18 @@ def normalization_constant(g, q: float) -> float:
     if isinstance(g, ProductDescriptor):
         return math.prod(normalization_constant(f, q) for f in g.factors)
     _check_q(q)
-    if g.kind == "A":
-        z = q_factorial(g.rank + 1, q)
-    elif g.kind == "B":
-        z = q_even_double_factorial(g.rank, q)
-    elif g.kind == "D":
-        z = q_integer(g.rank, q) * q_even_double_factorial(g.rank - 1, q)
-    else:
-        m = g.rank
-        z = 1.0 + 2.0 * q * q_integer(m - 1, q) + q**m
+    try:  # a float power raises OverflowError where products reach inf
+        if g.kind == "A":
+            z = q_factorial(g.rank + 1, q)
+        elif g.kind == "B":
+            z = q_even_double_factorial(g.rank, q)
+        elif g.kind == "D":
+            z = q_integer(g.rank, q) * q_even_double_factorial(g.rank - 1, q)
+        else:
+            m = g.rank
+            z = 1.0 + 2.0 * q * q_integer(m - 1, q) + q**m
+    except OverflowError:
+        z = math.inf
     if not math.isfinite(z):
         raise ValueError(f"normalization constant for {g} at q={q} overflows a double")
     return z
@@ -148,6 +150,23 @@ class MallowsSpec:
             f"{q:g}" for q in self.qs
         )
         return f"{self.group} {qtxt}"
+
+
+def _length_weights(g, q: float, lengths):
+    """Mallows weights q^(L - ref) for an array of lengths L, and ref.
+
+    ref is l(w0) when q > 1 and 0 otherwise, so every weight lies in
+    (0, 1] and none overflows at q far from 1; the true weight is the
+    scaled one times q^ref.
+    """
+    ref = g.longest_length() if q > 1.0 else 0
+    return np.power(q, np.asarray(lengths, dtype=np.float64) - ref), ref
+
+
+def _windows_and_weights(g: GroupDescriptor, q: float):
+    """Every window of an A, B or D group with its scaled weight (_length_weights)."""
+    W = enumerate_windows(g)
+    return W, _length_weights(g, q, windows_lengths(g.kind, W))[0]
 
 
 def pmf(w, spec: MallowsSpec) -> float:
@@ -244,7 +263,7 @@ def sample_one(spec: MallowsSpec, rng: np.random.Generator):
 
 def _sample_one_factor(g: GroupDescriptor, q: float, rng):
     if g.kind == "I2":
-        elems, probs = _dihedral_table(g.rank, q)
+        elems, probs = _dihedral_table(g, q)
         return elems[rng.choice(len(elems), p=probs)]
     kind, n = g.kind, g.window_size
     win = [0] * n
@@ -271,9 +290,9 @@ def _dihedral_elements(m: int):
     return tuple(elems), lengths
 
 
-def _dihedral_table(m: int, q: float):
-    elems, lengths = _dihedral_elements(m)
-    w = np.power(q, lengths - (lengths.max() if q > 1.0 else 0.0))
+def _dihedral_table(g: GroupDescriptor, q: float):
+    elems, lengths = _dihedral_elements(g.rank)
+    w, _ = _length_weights(g, q, lengths)
     return elems, w / w.sum()
 
 
@@ -434,7 +453,7 @@ def sample_statistic(
 
 
 def _sample_dihedral_indices(g, q, count, seq, threads, vals) -> np.ndarray:
-    _, probs = _dihedral_table(g.rank, q)
+    _, probs = _dihedral_table(g, q)
     sizes = _chunk_sizes(count) if count else []
     children = seq.spawn(len(sizes)) if sizes else []
 
@@ -474,10 +493,13 @@ def sample_elements(spec: MallowsSpec, count: int, seed, threads: int = 1) -> li
 
 def normalization_enumeration_check(g, q: float) -> CheckResult:
     """Closed-form Z(q) against the brute-force sum of q^length."""
-    brute = 0.0
-    for w in enumerate_group(g):
-        brute += q ** length(w, g)
     closed = normalization_constant(g, q)
+    if g.kind == "I2":
+        lengths = _dihedral_elements(g.rank)[1]
+    else:
+        lengths = windows_lengths(g.kind, enumerate_windows(g))
+    w, ref = _length_weights(g, q, lengths)
+    brute = float(w.sum()) * q**ref
     rel = abs(brute - closed) / closed
     tol = 1e-10
     return CheckResult(
@@ -575,18 +597,11 @@ def pattern_probability_bound_check(
         win[free_pos[0] - 1] = -win[free_pos[0] - 1]
     witness = SignedPermutation(tuple(win))
 
-    num = 0.0
-    den = 0.0
-    hit_witness = False
-    for w in enumerate_group(g):
-        wt = q ** length(w, g)
-        den += wt
-        if all(w.window[c - 1] == v for c, v in zip(positions, values)):
-            num += wt
-            hit_witness = hit_witness or w == witness
-    if not hit_witness:
+    W, wt = _windows_and_weights(g, q)
+    match = np.all(W[:, np.array(positions) - 1] == values, axis=1)
+    if not np.all(W[match] == win, axis=1).any():
         raise RuntimeError(f"witness {witness} does not match its own pattern")
-    exact = num / den
+    exact = float(wt[match].sum() / wt.sum())
 
     lw = length(witness, g)
     if g.kind == "B":

@@ -8,17 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .coxeter import (
-    descent_number,
-    descriptor_factors,
-    enumerate_group,
-    length,
-    two_sided_descent,
-)
+from .coxeter import windows_descents, windows_invert
 from .mallows import (
     MallowsSpec,
-    _dihedral_elements,
     _dihedral_stat_values,
+    _dihedral_table,
+    _windows_and_weights,
+    _windows_stat,
     q_integer,
     sample_statistic,
 )
@@ -50,10 +46,16 @@ class DiscreteDistribution:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
 
     @classmethod
-    def from_weights(cls, weights: dict, provenance=None) -> "DiscreteDistribution":
-        vals = sorted(weights)
-        w = np.array([weights[v] for v in vals], dtype=np.float64)
-        return cls(np.array(vals), w / w.sum(), provenance or {})
+    def from_values(cls, values, weights, provenance=None) -> "DiscreteDistribution":
+        """Law of non-negative integer values, each carrying its weight.
+
+        Every value that occurs is in the support, even when its weight
+        underflows to 0; the weights need not sum to 1.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        mass = np.bincount(values, weights=weights)
+        seen = np.bincount(values) > 0
+        return cls(np.flatnonzero(seen), mass[seen] / mass.sum(), provenance or {})
 
     @classmethod
     def from_samples(cls, xs: np.ndarray, provenance=None) -> "DiscreteDistribution":
@@ -177,35 +179,21 @@ class MomentSummary:
 # exact and empirical laws
 
 
-def _statistic_value(w, g, statistic: str) -> int:
-    if statistic == "t":
-        return two_sided_descent(w, g)
-    if statistic == "des":
-        return descent_number(w, g)
-    if statistic == "des_inv":
-        return descent_number(w, g, side="left")
-    if statistic == "length":
-        return length(w, g)
-    raise ValueError(f"unknown statistic {statistic!r}")
-
-
 def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistribution:
     """Law of the statistic under the spec, by enumeration (plus convolution
-    across product factors, all the statistics here being additive)."""
+    across product factors, all the statistics here being additive).
+
+    Windows are enumerated into one array and run through the kernels that
+    sample_statistic uses; dihedral factors use their 2m-element table.
+    """
     out = None
     for g, q in spec.factor_specs():
         if g.kind == "I2":
-            elems, lens = _dihedral_elements(g.rank)
-            stat_vals = _dihedral_stat_values(g, statistic)
-            weights = {}
-            for ell, sv in zip(lens, stat_vals):
-                weights[int(sv)] = weights.get(int(sv), 0.0) + q ** float(ell)
+            values, weights = _dihedral_stat_values(g, statistic), _dihedral_table(g, q)[1]
         else:
-            weights = {}
-            for w in enumerate_group(g):
-                sv = _statistic_value(w, g, statistic)
-                weights[sv] = weights.get(sv, 0.0) + q ** length(w, g)
-        dist = DiscreteDistribution.from_weights(weights)
+            W, weights = _windows_and_weights(g, q)
+            values = _windows_stat(g.kind, W, statistic)
+        dist = DiscreteDistribution.from_values(values, weights)
         out = dist if out is None else out.convolve(dist)
     out.provenance = {
         "group": str(spec.group),
@@ -328,23 +316,12 @@ def cube_moment_bound_check(
 
 def descent_indicator_mean_check(g, q: float) -> CheckResult:
     """P(des_i(w) = 1) must be exactly q/(1+q), every generator, both sides."""
-    from .coxeter import descent_indicator
-
     target = q / (1.0 + q)
-    worst = 0.0
-    weights_total = 0.0
-    hits = {}
-    for w in enumerate_group(g):
-        wt = q ** length(w, g)
-        weights_total += wt
-        for i in range(g.num_generators):
-            for side in ("right", "left"):
-                if descent_indicator(w, i, g, side):
-                    hits[(i, side)] = hits.get((i, side), 0.0) + wt
-    for i in range(g.num_generators):
-        for side in ("right", "left"):
-            p = hits.get((i, side), 0.0) / weights_total
-            worst = max(worst, abs(p - target) / target)
+    W, wt = _windows_and_weights(g, q)
+    sides = np.hstack(
+        (windows_descents(g.kind, W), windows_descents(g.kind, windows_invert(W)))
+    )
+    worst = float(np.max(np.abs(wt @ sides / wt.sum() - target)) / target)
     tol = 1e-10
     return CheckResult(
         name="descent-indicator-mean",

@@ -146,7 +146,8 @@ def test_c04_reversal_symmetry():
 
 def test_c05_size_bias_law():
     worst = 0.0
-    for name in ("A2", "A3", "B2", "B3", "D4"):
+    names = ("A2", "A3", "A5", "B2", "B3", "B5", "D4", "D5")
+    for name in names:
         g = parse_group(name)
         for q in (0.5, 1.0, 2.0):
             c = size_bias_law_check(g, q)
@@ -154,15 +155,19 @@ def test_c05_size_bias_law():
     emit(
         "c05",
         worst <= 1e-12,
-        f"law(t(w*)) vs size-bias of law(t), 15 cells, worst TV {worst:.2e}"
-        f" (tol 1e-12)",
+        f"law(t(w*)) vs size-bias of law(t), {3 * len(names)} cells, worst TV"
+        f" {worst:.2e} (tol 1e-12)",
     )
 
 
 def test_c06_coupling_boundedness():
     ok = True
     triples = []
-    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4"):
+    for name in (
+        "A1", "A2", "A3", "A4", "A5", "A6",
+        "B2", "B3", "B4", "B5", "B6",
+        "D4", "D5", "D6",
+    ):
         c = coupling_boundedness_check(parse_group(name))
         ok &= bool(c.passed)
         triples.append(
@@ -176,7 +181,7 @@ def test_c06_coupling_boundedness():
     emit(
         "c06",
         ok,
-        f"exhaustive coupling shifts at rank <= 4: max |des right| {worst[0]}"
+        f"exhaustive coupling shifts at rank <= 6: max |des right| {worst[0]}"
         f" (<=3), left {worst[1]} (<=1), |t - t*| {worst[2]} (<=4)",
     )
 

@@ -114,6 +114,21 @@ def test_exact_dist_csv(capsys):
     assert [int(r.split(",")[0]) for r in body] == [0, 2, 3, 4, 6]
 
 
+@pytest.mark.parametrize("q", ["1e31", "1e200"])
+def test_exact_dist_far_q_puts_all_mass_on_longest(q, capsys):
+    rc, out, _ = run(["exact-dist", "--group", "A4", "--q", q], capsys)
+    assert rc == 0
+    law = dict(l.split(",") for l in out.splitlines() if l[:1].isdigit())
+    assert float(law["8"]) == 1.0  # t(w0) = 2n, and w0 carries all the mass
+
+
+@pytest.mark.parametrize("q", ["1e31", "1e200"])
+def test_verify_far_q_is_usage_error(q, capsys):
+    rc, _, err = run(["verify", "--group", "A4", "--q", q], capsys)
+    assert rc == 2
+    assert "overflows a double" in err
+
+
 def test_moments_exact_table(capsys):
     rc, out, _ = run(["moments", "--group", "B4", "--q", "1", "--mode", "exact"], capsys)
     assert rc == 0

@@ -20,6 +20,7 @@ from coxmal.coxeter import (
     element_from_text,
     element_to_text,
     enumerate_group,
+    enumerate_windows,
     generator_element,
     generators_commute,
     identity_element,
@@ -33,6 +34,7 @@ from coxmal.coxeter import (
     parse_group,
     two_sided_descent,
     windows_descent_counts,
+    windows_descents,
     windows_invert,
     windows_lengths,
     windows_two_sided,
@@ -247,11 +249,17 @@ def test_enumeration_cap(monkeypatch):
     g = parse_group("B3")
     with pytest.raises(EnumerationCapError):
         list(enumerate_group(g, cap=10))
+    with pytest.raises(EnumerationCapError):
+        enumerate_windows(g, cap=10)
     monkeypatch.setenv("COXMAL_ENUM_CAP", "10")
     with pytest.raises(EnumerationCapError):
         list(enumerate_group(g))
+    with pytest.raises(EnumerationCapError):
+        enumerate_windows(g)
     monkeypatch.setenv("COXMAL_ENUM_CAP", "100")
     assert len(list(enumerate_group(g))) == 48
+    assert enumerate_windows(g).shape == (48, 3)
+    assert enumerate_windows(g, cap=48).shape == (48, 3)
 
 
 def test_enumerate_product():
@@ -267,23 +275,29 @@ def test_enumerate_product():
     assert t_sum == fb.order() * ta + fa.order() * tb
 
 
-@pytest.mark.parametrize("name", ["A3", "B4", "D4"])
+@pytest.mark.parametrize("name", ["A3", "B4", "D4", "A5", "B5", "D5"])
 def test_vectorized_window_ops(name):
     g = parse_group(name)
     kind = g.kind
     elems = list(enumerate_group(g))
-    W = np.array([w.window for w in elems], dtype=np.int64)
+    W = enumerate_windows(g)
+    assert W.dtype == np.int64
+    assert np.array_equal(W, np.array([w.window for w in elems]))
     lens = windows_lengths(kind, W)
     V = windows_invert(W)
     des = windows_descent_counts(kind, W)
     des_inv = windows_descent_counts(kind, V)
     two = windows_two_sided(kind, W)
+    ind = windows_descents(kind, W)
     for row, w in enumerate(elems):
         assert lens[row] == length(w, g)
         assert des[row] == descent_number(w, g)
         assert des_inv[row] == descent_number(w, g, side="left")
         assert two[row] == two_sided_descent(w, g)
         assert tuple(V[row]) == invert(w).window
+        assert [bool(x) for x in ind[row]] == [
+            is_right_descent(w, i, g) for i in range(g.num_generators)
+        ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from coxmal.coxeter import enumerate_group, parse_group, two_sided_descent
+from coxmal.coxeter import (
+    descent_number,
+    enumerate_group,
+    length,
+    parse_group,
+    two_sided_descent,
+)
 from coxmal.mallows import MallowsSpec, pmf
 from coxmal.moments import (
     DiscreteDistribution,
@@ -87,15 +93,26 @@ def test_from_samples_and_csv_round_trip(tmp_path):
     assert back.provenance["origin"] == "test"
 
 
-def test_exact_distribution_agrees_with_direct_enumeration():
-    """Cross-route oracle: accumulate pmf() element by element."""
-    g = parse_group("B3")
-    spec = MallowsSpec.make(g, 0.7)
+OBJECT_STATISTICS = {
+    "t": two_sided_descent,
+    "des": descent_number,
+    "des_inv": lambda w, g: descent_number(w, g, side="left"),
+    "length": length,
+}
+
+
+@pytest.mark.parametrize("statistic", sorted(OBJECT_STATISTICS))
+@pytest.mark.parametrize("name", ["A4", "B4", "D5", "I2(5)"])
+@pytest.mark.parametrize("q", [0.3, 2.0])
+def test_exact_distribution_agrees_with_direct_enumeration(statistic, name, q):
+    """Cross-route oracle: accumulate pmf() element by element over objects."""
+    g = parse_group(name)
+    spec = MallowsSpec.make(g, q)
     law = {}
     for w in enumerate_group(g):
-        t = two_sided_descent(w, g)
-        law[t] = law.get(t, 0.0) + pmf(w, spec)
-    dist = exact_distribution(spec, "t")
+        v = OBJECT_STATISTICS[statistic](w, g)
+        law[v] = law.get(v, 0.0) + pmf(w, spec)
+    dist = exact_distribution(spec, statistic)
     assert dist.support() == sorted(law)
     for v, p in zip(dist.values, dist.probs):
         assert math.isclose(p, law[int(v)], rel_tol=1e-12)

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from coxmal import sizebias
 from coxmal.coxeter import (
     ParabolicSubset,
+    descent_number,
     enumerate_group,
+    enumerate_windows,
     invert,
     is_left_descent,
     is_right_descent,
@@ -34,6 +37,8 @@ from coxmal.sizebias import (
     stein_error_terms,
     type1_pairwise_covariances,
 )
+
+ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
 
 
 def test_ensure_descent_idempotent():
@@ -82,6 +87,52 @@ def test_size_bias_law(name, q):
     assert check.observed <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["A4", "B4", "D4"])
+def test_coupling_kernel_matches_objects(name):
+    """Per-row S1..S4 and mean squared t-shift against the object stars."""
+    g = parse_group(name)
+    n = g.num_generators
+    des, star_des = sizebias.coupling_descents(g.kind, enumerate_windows(g))
+    _, S, sq = sizebias._sigma_rows(des, star_des)
+    for row, w in enumerate(enumerate_group(g)):
+        dw, dv = descent_number(w, g), descent_number(invert(w), g)
+        sums = [0, 0, 0, 0]
+        sq_sum = 0
+        for i in range(n):
+            a = ensure_right_descent(w, i, g)
+            b = ensure_left_descent(w, i, g)
+            da, dai = descent_number(a, g), descent_number(invert(a), g)
+            db, dbi = descent_number(b, g), descent_number(invert(b), g)
+            for k, d in enumerate((dw - da, dw - db, dv - dai, dv - dbi)):
+                sums[k] += d
+            sq_sum += (dw + dv - da - dai) ** 2 + (dw + dv - db - dbi) ** 2
+        assert S[row].tolist() == sums
+        assert sq[row] == sq_sum / (2 * n)
+
+
+def _star_without_gen0_sign(kind, W, i):
+    """The batch star with the sign flip of generator 0 dropped (B and D)."""
+    S = ENSURE_RIGHT_BATCH(kind, W, i)
+    if i == 0 and kind != "A":
+        moved = (S != W).any(axis=1)
+        S[moved, : 1 if kind == "B" else 2] *= -1
+    return S
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [lambda kind, W, i: W.copy(), _star_without_gen0_sign],
+    ids=["no-op", "gen0-unsigned"],
+)
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_size_bias_law_rejects_broken_star(monkeypatch, broken, name):
+    """Negative control: the law check must catch a wrong coupling kernel."""
+    monkeypatch.setattr(sizebias, "_ensure_right_batch", broken)
+    check = size_bias_law_check(parse_group(name), 0.5)
+    assert check.passed is False
+    assert check.observed > 1e-3
+
+
 def test_conditional_star_law():
     for name, i, side in (("B3", 0, "right"), ("B3", 2, "left"), ("D4", 1, "right")):
         check = conditional_star_law_check(parse_group(name), 0.7, i, side)
@@ -96,6 +147,11 @@ def test_coupling_boundedness(name):
     assert d["max_right_des_shift"] <= 3
     assert d["max_left_des_shift"] <= 1
     assert d["max_t_shift"] <= 4
+    limits = {"max_right_des_shift": 3, "max_left_des_shift": 1, "max_t_shift": 4}
+    used = {k: d[k] / b for k, b in limits.items()}
+    assert check.bound == 1.0
+    assert check.observed == max(used.values())
+    assert max(used, key=used.get) in check.note
 
 
 def test_left_star_shift_is_tight():
