@@ -10,14 +10,23 @@ remaining label.  Dihedral factors are sampled directly from their 2m
 element table.
 
 Batch draws take each stage's choices for a whole chunk at once and turn
-them into windows with one decoder shared by A, B and D (q = 1 draws
-uniformly instead); sample_one is the independent single-draw walk.
+them into windows with one small C decoder shared by A, B and D (q = 1 draws
+uniformly instead); sample_one is the independent single-draw walk.  The
+decoder is compiled with the system C compiler on the first batch draw at
+q != 1, once per process, and runs without the GIL, so sampler threads
+overlap.
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +52,6 @@ from .reports import CheckResult
 
 Q_ONE_WINDOW = 1e-6  # |q-1| below this: evaluate q-integers by direct summation
 SAMPLE_CHUNK = 16384
-DECODE_BLOCK = 1024  # _decode_rows rows per block; bounds its Python int list
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +178,17 @@ def _windows_and_weights(g: GroupDescriptor, q: float):
 
 
 def pmf(w, spec: MallowsSpec) -> float:
-    """mu_q(w); exact-scale use only (overflows at large rank and q far from 1)."""
+    """mu_q(w), finite at q far from 1.
+
+    For q > 1 each factor is reflected as in _length_weights:
+    q^l / Z(q) = (1/q)^(l(w0) - l) / Z(1/q).
+    """
     factors = descriptor_factors(spec.group)
     ws = w if isinstance(w, tuple) and len(factors) > 1 else (w,)
     out = 1.0
     for wf, (f, q) in zip(ws, spec.factor_specs()):
-        out *= q ** length(wf, f) / normalization_constant(f, q)
+        weight, _ = _length_weights(f, q, length(wf, f))
+        out *= float(weight) / normalization_constant(f, min(q, 1.0 / q))
     return out
 
 
@@ -331,6 +344,8 @@ def sample_windows(
     n = g.window_size
     if count == 0:
         return np.empty((0, n), dtype=np.int64)
+    if q != 1.0:
+        _decode_lib()  # build before the pool starts, so threads never race to compile
     sizes = _chunk_sizes(count)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(sizes))
@@ -362,36 +377,94 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.n
     """Windows from tower choices; column t of pops and signs is stage n - t.
 
     Stage m pops the pops[:, t]-th smallest remaining label into position m
-    with sign signs[:, t]; type D's last label fills position 1.  Magnitudes
-    are decoded DECODE_BLOCK rows at a time to bound the Python int list.
+    with sign signs[:, t]; type D's last label fills position 1.  Runs the C
+    kernel _DECODE_C, which releases the GIL for the whole call.
     """
-    cnt = len(pops)
+    cnt, stages = pops.shape
+    need = len(_tower_stages(kind, n))
+    if signs.shape != pops.shape or stages != need:
+        raise ValueError(f"type {kind} windows of size {n} need {need} choice columns")
+    pops = np.ascontiguousarray(pops, dtype=np.int32)
+    signs = np.ascontiguousarray(signs, dtype=np.int8)
     W = np.empty((cnt, n), dtype=np.int64)
-    base = list(range(1, n + 1))
-    for lo in range(0, cnt, DECODE_BLOCK):
-        flat = []
-        for row in pops[lo : lo + DECODE_BLOCK].tolist():
-            labels = base.copy()
-            flat.extend(map(labels.pop, row))
-            flat.extend(labels)
-        W[lo : lo + DECODE_BLOCK, ::-1] = np.array(flat, dtype=np.int64).reshape(-1, n)
-    S = np.ones((cnt, n), dtype=np.int8)
-    S[:, n - signs.shape[1] :] = signs[:, ::-1]
-    if kind == "D":
-        # A negative choice at stage m also negates the smallest label left,
-        # i.e. flips S at the argmin of W over positions 1..m-1.  Flips land
-        # left of their stage, so S[:, j] is still the stage sign when read.
-        rows = np.arange(cnt)
-        amin = np.zeros(cnt, dtype=np.intp)
-        cur = W[:, 0].copy()
-        for j in range(1, n):
-            neg = S[:, j] < 0
-            S[rows[neg], amin[neg]] *= -1
-            better = W[:, j] < cur
-            cur[better] = W[better, j]
-            amin[better] = j
-    W *= S
+    labels = np.empty(n, dtype=np.int32)  # per-call scratch: threads share no buffer
+    bad = _decode_lib().decode_rows(
+        cnt, n, stages, kind == "D",
+        pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, W.ctypes.data,
+    )
+    if bad:
+        raise ValueError(f"pop index out of range in choice row {bad - 1}")
     return W
+
+
+_DECODE_C = r"""
+#include <stdint.h>
+#include <string.h>
+
+/* Row r of pops and signs holds the tower choices of window r; column t is
+   stage m = n - t, which pops the pops[t]-th smallest remaining label into
+   position m with sign signs[t].  Under type D a negative choice also
+   negates the smallest label left.  Labels no stage pops fill the leftmost
+   positions.  lab is scratch for n labels.  Returns 0, or 1 + the first row
+   with a pop index out of range. */
+int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
+                    const int32_t *pops, const int8_t *signs,
+                    int32_t *lab, int64_t *out)
+{
+    for (int64_t r = 0; r < cnt; r++) {
+        const int32_t *p = pops + r * stages;
+        const int8_t *s = signs + r * stages;
+        int64_t *w = out + r * n, left = n;
+        for (int64_t i = 0; i < n; i++)
+            lab[i] = (int32_t)(i + 1);
+        for (int64_t t = 0; t < stages; t++) {
+            int64_t k = p[t];
+            if (k < 0 || k >= left)
+                return r + 1;
+            w[n - 1 - t] = s[t] * lab[k];
+            left--;
+            memmove(lab + k, lab + k + 1, (size_t)(left - k) * sizeof *lab);
+            if (type_d && s[t] < 0)
+                lab[0] = -lab[0];
+        }
+        for (int64_t i = 0; i < left; i++)
+            w[i] = lab[i];
+    }
+    return 0;
+}
+"""
+_DECODE_FLAGS = ("-O2", "-shared", "-fPIC", "-Wall", "-Wextra")
+
+
+def _compile_decoder(directory: str) -> tuple[str, str]:
+    """Compile _DECODE_C in directory; returns the library path and the compiler's stderr."""
+    src, lib = os.path.join(directory, "decode.c"), os.path.join(directory, "decode.so")
+    with open(src, "w") as f:
+        f.write(_DECODE_C)
+    cmd = shlex.split(sysconfig.get_config_var("CC") or "cc") + [*_DECODE_FLAGS, "-o", lib, src]
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot run the C compiler: {shlex.join(cmd)}: {exc}") from exc
+    if done.returncode != 0:
+        raise RuntimeError(f"the C compiler failed: {shlex.join(cmd)}\n{done.stderr}")
+    return lib, done.stderr
+
+
+@lru_cache(maxsize=None)
+def _decode_lib() -> ctypes.CDLL:
+    """The compiled tower decoder, built once per process on first use.
+
+    The library stays mapped after its private build directory is removed.
+    """
+    with tempfile.TemporaryDirectory() as d:
+        lib = ctypes.CDLL(_compile_decoder(d)[0])
+    lib.decode_rows.argtypes = (
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    )
+    lib.decode_rows.restype = ctypes.c_int64
+    return lib
 
 
 def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:

@@ -1,15 +1,27 @@
 import itertools
 import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+import sysconfig
+import tempfile
 
 import numpy as np
 import pytest
 
+import coxmal
 from coxmal.coxeter import SignedPermutation, enumerate_group, length, parse_group
 from coxmal.mallows import (
+    _DECODE_FLAGS,
     SAMPLE_CHUNK,
     MallowsSpec,
+    _compile_decoder,
+    _decode_lib,
     _decode_rows,
     _tower_stages,
+    _windows_and_weights,
     normalization_constant,
     normalization_enumeration_check,
     pattern_probability_bound_check,
@@ -81,6 +93,23 @@ def test_pmf_identity_and_ratio():
     assert math.isclose(total, 1.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["A4", "B3", "D4"])
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_pmf_matches_enumerated_weights(name, q):
+    g = parse_group(name)
+    W, wt = _windows_and_weights(g, q)
+    spec = MallowsSpec.make(g, q)
+    got = np.array([pmf(SignedPermutation(tuple(row)), spec) for row in W.tolist()])
+    assert np.abs(got - wt / wt.sum()).max() <= 1e-14
+
+
+def test_pmf_finite_far_from_one():
+    """At q = 1e31 the longest element carries all the mass; q^l overflows."""
+    spec = MallowsSpec.make("A4", 1e31)
+    assert math.isclose(pmf(SignedPermutation((5, 4, 3, 2, 1)), spec), 1.0, rel_tol=1e-14)
+    assert pmf(SignedPermutation.identity(5), spec) < 1e-300
+
+
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 def test_stage_tables_agree(kind):
     """The enumerated stage table and its closed form must be identical."""
@@ -131,9 +160,12 @@ def test_stage_products_telescope_to_normalization():
         assert math.isclose(prod, normalization_constant(g, q), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("name,q", [("A4", 0.5), ("B4", 0.5), ("D4", 2.0)])
+@pytest.mark.parametrize(
+    "name,q", [("A4", 0.5), ("B4", 0.5), ("D4", 2.0), ("B200", 0.5), ("D200", 2.0)]
+)
 def test_sample_windows_deterministic_across_threads(name, q):
-    """More than two chunks, so threads=3 really splits the work."""
+    """More than two chunks, so threads=3 really splits the work; at rank 200
+    the decoder runs long enough without the GIL for the threads to overlap."""
     g = parse_group(name)
     count = 2 * SAMPLE_CHUNK + 1
     a = sample_windows(g, q, count, seed=42, threads=1)
@@ -169,9 +201,10 @@ def _random_choices(kind, n, count, rng):
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
-@pytest.mark.parametrize("n", [4, 7, 50])
+@pytest.mark.parametrize("n", [2, 4, 7, 50, 300])
 def test_decode_rows_matches_reference(kind, n):
-    """Random stage choices over more than one decode block."""
+    """Random stage choices; n = 2 is type D's smallest tower, n = 300 has
+    labels above 255."""
     rng = np.random.default_rng(1000 * n + ord(kind))
     pops, signs = _random_choices(kind, n, 2500, rng)
     W = _decode_rows(kind, n, pops, signs)
@@ -184,6 +217,65 @@ def test_decode_rows_matches_reference(kind, n):
         assert ((W < 0).sum(axis=1) % 2 == 0).all()
         # negative control: the comparison sees a decode without the D flip
         assert not np.array_equal(W, _reference_decode(kind, n, pops, signs, d_flip=False))
+
+
+def test_decode_rows_rejects_bad_choices():
+    pops, signs = _random_choices("B", 5, 10, np.random.default_rng(0))
+    for bad in (5, -1):  # stage 5 offers pop indices 0..4
+        p = pops.copy()
+        p[3, 0] = bad
+        with pytest.raises(ValueError, match="row 3"):
+            _decode_rows("B", 5, p, signs)
+    with pytest.raises(ValueError):
+        _decode_rows("D", 5, pops, signs)  # D5 has four stages, not five
+    with pytest.raises(ValueError):
+        _decode_rows("B", 5, pops, signs[:, :4])
+
+
+def test_decoder_compiles_without_warnings():
+    assert {"-Wall", "-Wextra"} <= set(_DECODE_FLAGS)
+    with tempfile.TemporaryDirectory() as d:
+        lib, stderr = _compile_decoder(d)
+        assert os.path.isfile(lib)
+    assert stderr == ""
+
+
+def test_import_does_not_compile():
+    src = os.path.dirname(os.path.dirname(coxmal.__file__))
+    code = (
+        "import coxmal.cli; from coxmal.mallows import _decode_lib; "
+        "assert _decode_lib.cache_info().currsize == 0"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _missing_compiler(cmd, **kwargs):
+    raise FileNotFoundError(2, "No such file or directory", cmd[0])
+
+
+def _failing_compiler(cmd, **kwargs):
+    return subprocess.CompletedProcess(cmd, 1, "", "fatal error: no input")
+
+
+@pytest.mark.parametrize("run", [_missing_compiler, _failing_compiler])
+def test_compiler_failure_raises(monkeypatch, run):
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    _decode_lib.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(subprocess, "run", run)
+            with pytest.raises(RuntimeError, match=re.escape(compiler)) as err:
+                sample_windows(parse_group("B3"), 0.5, 10, seed=1)
+        if run is _failing_compiler:
+            assert "fatal error: no input" in str(err.value)
+    finally:
+        _decode_lib.cache_clear()
+    _decode_lib()
+    assert _decode_lib.cache_info().currsize == 1
 
 
 def test_sample_statistic_deterministic_for_products():
