@@ -9,12 +9,13 @@ there are the whole D2 base) and the first window entry is forced by the
 remaining label.  Dihedral factors are sampled directly from their 2m
 element table.
 
-Batch draws take each stage's choices for a whole chunk at once and turn
-them into windows with one small C decoder shared by A, B and D (q = 1 draws
-uniformly instead); sample_one is the independent single-draw walk.  The
-decoder is compiled with the system C compiler on the first batch draw at
-q != 1, once per process, and runs without the GIL, so sampler threads
-overlap.
+Batch draws at q != 1 run two small C kernels per chunk, shared by A, B
+and D: draw_choices turns one uniform per stage into that stage's choice by
+indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
+decode_rows turns the choices into windows (q = 1 draws uniformly instead);
+sample_one is the independent single-draw walk.  The kernels are compiled
+with the system C compiler on the first batch draw at q != 1, once per
+process, and run without the GIL, so sampler threads overlap.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .reports import CheckResult
 
 Q_ONE_WINDOW = 1e-6  # |q-1| below this: evaluate q-integers by direct summation
 SAMPLE_CHUNK = 16384
+STAGE_BLOCK = 16  # stages whose uniforms are drawn at once: bounds the buffer
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +239,48 @@ def _tower_stages(kind: str, n: int):
     return range(n, 1 if kind == "D" else 0, -1)
 
 
-_STAGE_ARRAYS: dict = {}
-
-
 def _stage_arrays(kind: str, m: int, q: float):
-    """(a, s, cumweight) numpy arrays for one stage; weights scaled to <= 1."""
-    key = (kind, m, q)
-    hit = _STAGE_ARRAYS.get(key)
-    if hit is not None:
-        return hit
+    """(a, s, cumweight) numpy arrays for one stage; weights scaled to <= 1.
+
+    Not cached: _tower_tables keeps every stage's arrays, concatenated.
+    """
     cands = stage_contributions(kind, m)
     a = np.array([c[0] for c in cands], dtype=np.int64)
     s = np.array([c[1] for c in cands], dtype=np.int64)
     contrib = np.array([c[2] for c in cands], dtype=np.float64)
     if q > 1.0:
         contrib = contrib - contrib.max()
-    cum = np.cumsum(np.power(q, contrib))
-    _STAGE_ARRAYS[key] = (a, s, cum)
-    return a, s, cum
+    return a, s, np.cumsum(np.power(q, contrib))
+
+
+@lru_cache(maxsize=None)
+def _tower_tables(kind: str, n: int, q: float):
+    """Every stage table of the tower, concatenated for the draw_choices kernel.
+
+    Returns (off, cum, guide, pop, sgn).  Stage n - t owns entries
+    off[t]:off[t + 1] of the others: its cumulative weights, its guide table
+    and each choice's pop index (a - 1) and sign.  guide[off[t] + j] is the
+    first choice whose cumulative weight exceeds j/len of the stage total, so
+    a uniform v starts its search at guide entry floor(v * len) (Chen and
+    Asau's indexed search).  The arrays are read-only: the cache hands them
+    to every caller.
+    """
+    stages = [_stage_arrays(kind, m, q) for m in _tower_stages(kind, n)]
+    guides = []
+    for _, _, cum in stages:
+        size = len(cum)
+        start = np.searchsorted(cum, np.arange(size) / size * cum[-1], side="right")
+        guides.append(np.minimum(start, size - 1))
+    tables = (
+        np.cumsum([0] + [len(cum) for _, _, cum in stages], dtype=np.int64),
+        np.concatenate([cum for _, _, cum in stages]),
+        np.concatenate(guides).astype(np.int32),
+        np.concatenate([a for a, _, _ in stages]).astype(np.int32) - 1,
+        np.concatenate([s for _, s, _ in stages]).astype(np.int8),
+    )
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def stage_distribution(kind: str, m: int, q: float) -> np.ndarray:
@@ -279,15 +305,16 @@ def _sample_one_factor(g: GroupDescriptor, q: float, rng):
         elems, probs = _dihedral_table(g, q)
         return elems[rng.choice(len(elems), p=probs)]
     kind, n = g.kind, g.window_size
+    off, cums, _, pops, signs = _tower_tables(kind, n, q)
     win = [0] * n
     labels = list(range(1, n + 1))
-    for m in _tower_stages(kind, n):
-        a_arr, s_arr, cum = _stage_arrays(kind, m, q)
+    for t, m in enumerate(_tower_stages(kind, n)):
+        cum = cums[off[t] : off[t + 1]]
         u = rng.random() * cum[-1]
         k = int(np.searchsorted(cum, u, side="right"))
-        k = min(k, len(cum) - 1)
-        a, s = int(a_arr[k]), int(s_arr[k])
-        win[m - 1] = s * labels.pop(a - 1)
+        k = off[t] + min(k, len(cum) - 1)
+        s = int(signs[k])
+        win[m - 1] = s * labels.pop(int(pops[k]))
         if kind == "D" and s < 0:
             labels[0] = -labels[0]
     if kind == "D":
@@ -360,17 +387,36 @@ def _chunk_windows(kind: str, n: int, q: float, cnt: int, child) -> np.ndarray:
     rng = np.random.default_rng(child)
     if q == 1.0:
         return _uniform_windows(kind, n, cnt, rng)
-    stages = list(_tower_stages(kind, n))
-    pops = np.empty((cnt, len(stages)), dtype=np.int32)
-    signs = np.empty((cnt, len(stages)), dtype=np.int8)
-    for t, m in enumerate(stages):
-        a_arr, s_arr, cum = _stage_arrays(kind, m, q)
-        u = rng.random(cnt) * cum[-1]
-        col = np.searchsorted(cum, u, side="right")
-        np.minimum(col, len(cum) - 1, out=col)
-        pops[:, t] = a_arr[col] - 1
-        signs[:, t] = s_arr[col]
-    return _decode_rows(kind, n, pops, signs)
+    return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+
+
+def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
+    """Tower choices (pops, signs) of cnt windows, as _decode_rows takes them.
+
+    Stage n - t of every window takes the t-th run of cnt uniforms v from
+    rng, and its choice is the first whose cumulative weight exceeds
+    v * total: exactly np.searchsorted(cum, v * cum[-1], side="right")
+    clamped to the last choice.  The uniforms are drawn STAGE_BLOCK stages
+    at a time into one buffer, the same stream as one rng.random(cnt) per
+    stage, and each block runs the C kernel draw_choices, which releases
+    the GIL for the whole call.
+    """
+    off, cum, guide, pop, sgn = _tower_tables(kind, n, q)
+    stages = len(off) - 1
+    pops = np.empty((cnt, stages), dtype=np.int32)
+    signs = np.empty((cnt, stages), dtype=np.int8)
+    buf = np.empty((min(stages, STAGE_BLOCK), cnt))
+    draw = _decode_lib().draw_choices
+    for first in range(0, stages, STAGE_BLOCK):
+        u = rng.random(out=buf[: min(STAGE_BLOCK, stages - first)])
+        bad = draw(
+            cnt, stages, first, first + len(u), u.ctypes.data,
+            off.ctypes.data, cum.ctypes.data, guide.ctypes.data, pop.ctypes.data,
+            sgn.ctypes.data, pops.ctypes.data, signs.ctypes.data,
+        )
+        if bad:
+            raise ValueError(f"uniform outside [0, 1) for choice row {bad - 1}")
+    return pops, signs
 
 
 def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -432,8 +478,51 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
     }
     return 0;
 }
+
+/* Columns first to last - 1 of the row-major (cnt, stages) tower choices
+   pops and signs, from stage-major uniforms: u[(t - first) * cnt + r]
+   drives column t of row r.  Column t's choice table is entries off[t] to
+   off[t + 1] - 1 of cum (cumulative weights), guide, pop and sgn.  A
+   uniform v starts at guide entry floor(v * len) and steps to the first
+   choice k with cum[k] > v * total, or the last choice, which is exactly
+   numpy's searchsorted(cum, v * total, side="right") clamped to len - 1,
+   flat runs of cum included.  Rows go in blocks so the row-major outputs
+   are written while their cache lines are held.  Returns 0, or 1 + a row
+   with a uniform outside [0, 1). */
+int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
+                     const double *u, const int64_t *off, const double *cum,
+                     const int32_t *guide, const int32_t *pop, const int8_t *sgn,
+                     int32_t *pops, int8_t *signs)
+{
+    for (int64_t r0 = 0; r0 < cnt; r0 += 64) {
+        int64_t r1 = r0 + 64 < cnt ? r0 + 64 : cnt;
+        for (int64_t t = first; t < last; t++) {
+            const double *c = cum + off[t], *ut = u + (t - first) * cnt;
+            const int32_t *g = guide + off[t], *p = pop + off[t];
+            const int8_t *s = sgn + off[t];
+            int64_t len = off[t + 1] - off[t];
+            double total = c[len - 1];
+            for (int64_t r = r0; r < r1; r++) {
+                double v = ut[r], x = v * total;
+                if (!(v >= 0.0 && v < 1.0))
+                    return r + 1;
+                int64_t j = (int64_t)(v * len);
+                int64_t k = g[j < len ? j : len - 1];
+                while (k > 0 && c[k - 1] > x)
+                    k--;
+                while (k < len - 1 && c[k] <= x)
+                    k++;
+                pops[r * stages + t] = p[k];
+                signs[r * stages + t] = s[k];
+            }
+        }
+    }
+    return 0;
+}
 """
-_DECODE_FLAGS = ("-O2", "-shared", "-fPIC", "-Wall", "-Wextra")
+# -O1: every batch draw at q != 1 pays the build once per process, and -O2
+# builds about a quarter slower while both kernels run no faster (gcc 12).
+_DECODE_FLAGS = ("-O1", "-shared", "-fPIC", "-Wall", "-Wextra")
 
 
 def _compile_decoder(directory: str) -> tuple[str, str]:
@@ -453,7 +542,7 @@ def _compile_decoder(directory: str) -> tuple[str, str]:
 
 @lru_cache(maxsize=None)
 def _decode_lib() -> ctypes.CDLL:
-    """The compiled tower decoder, built once per process on first use.
+    """The compiled tower kernels, built once per process on first use.
 
     The library stays mapped after its private build directory is removed.
     """
@@ -464,6 +553,8 @@ def _decode_lib() -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     )
     lib.decode_rows.restype = ctypes.c_int64
+    lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
+    lib.draw_choices.restype = ctypes.c_int64
     return lib
 
 

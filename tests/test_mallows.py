@@ -17,9 +17,12 @@ from coxmal.mallows import (
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
     MallowsSpec,
+    _chunk_windows,
     _compile_decoder,
     _decode_lib,
     _decode_rows,
+    _draw_choices,
+    _stage_arrays,
     _tower_stages,
     _windows_and_weights,
     normalization_constant,
@@ -161,7 +164,8 @@ def test_stage_products_telescope_to_normalization():
 
 
 @pytest.mark.parametrize(
-    "name,q", [("A4", 0.5), ("B4", 0.5), ("D4", 2.0), ("B200", 0.5), ("D200", 2.0)]
+    "name,q",
+    [("A4", 0.5), ("B4", 0.5), ("D4", 2.0), ("A200", 0.5), ("B200", 0.5), ("D200", 2.0)],
 )
 def test_sample_windows_deterministic_across_threads(name, q):
     """More than two chunks, so threads=3 really splits the work; at rank 200
@@ -230,6 +234,90 @@ def test_decode_rows_rejects_bad_choices():
         _decode_rows("D", 5, pops, signs)  # D5 has four stages, not five
     with pytest.raises(ValueError):
         _decode_rows("B", 5, pops, signs[:, :4])
+
+
+def _reference_choices(kind, n, q, cnt, uniforms, side="right"):
+    """The per-stage numpy inverse-CDF draws: the draw_choices kernel's
+    reference.  uniforms yields one array of cnt uniforms per stage, stage n
+    first."""
+    stages = list(_tower_stages(kind, n))
+    pops = np.empty((cnt, len(stages)), dtype=np.int32)
+    signs = np.empty((cnt, len(stages)), dtype=np.int8)
+    for t, (m, u) in enumerate(zip(stages, uniforms)):
+        a_arr, s_arr, cum = _stage_arrays(kind, m, q)
+        col = np.searchsorted(cum, u * cum[-1], side=side)
+        np.minimum(col, len(cum) - 1, out=col)
+        pops[:, t] = a_arr[col] - 1
+        signs[:, t] = s_arr[col]
+    return pops, signs
+
+
+def _tie_uniforms(kind, n, q, cnt, rng):
+    """Stage-major uniforms whose first entries put u * total on, or a few
+    ulps beside, every cumulative weight and every guide boundary of the
+    stage, where a search that breaks ties the wrong way or stops at its
+    guide entry picks another choice; the rest are random."""
+    stages = list(_tower_stages(kind, n))
+    u = rng.random((len(stages), cnt))
+    for t, m in enumerate(stages):
+        cum = _stage_arrays(kind, m, q)[2]
+        near = [np.concatenate([cum / cum[-1], np.arange(len(cum)) / len(cum)])]
+        for _ in range(2):
+            near += [np.nextafter(near[-1], 0.0), np.nextafter(near[-1], 1.0)]
+        r = np.unique(np.concatenate(near))
+        r = r[r < 1.0]
+        u[t, : len(r)] = r
+    return u
+
+
+class _Rows:
+    """Stands in for the generator: random(out=...) hands out the rows of u
+    in order."""
+
+    def __init__(self, u):
+        self.u, self.next = u, 0
+
+    def random(self, out):
+        out[...] = self.u[self.next : self.next + len(out)]
+        self.next += len(out)
+        return out
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("n", [2, 4, 7, 50, 200, 300])
+@pytest.mark.parametrize("q", [1e-3, 0.3, 0.97, 1.03, 3.0, 1e3])
+def test_stage_choices_match_reference(kind, n, q):
+    """The C stage draws equal numpy's searchsorted walk bit for bit, on the
+    seeded stream and on uniforms that land on ties.  Row counts are no
+    multiple of the kernel's row block, and stage counts span several
+    STAGE_BLOCKs and part of one."""
+    stages = len(_tower_stages(kind, n))
+    cnt = 20 * n + 37
+    seed = 1000 * n + ord(kind)
+    got = _draw_choices(kind, n, q, cnt, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = _reference_choices(kind, n, q, cnt, (rng.random(cnt) for _ in range(stages)))
+    assert got[0].dtype == np.int32 and got[1].dtype == np.int8
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    W = _chunk_windows(kind, n, q, cnt, np.random.SeedSequence(seed))
+    assert np.array_equal(W, _decode_rows(kind, n, *want))
+
+    u = _tie_uniforms(kind, n, q, cnt, np.random.default_rng(seed))
+    got = _draw_choices(kind, n, q, cnt, _Rows(u))
+    want = _reference_choices(kind, n, q, cnt, u)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # negative control: the ties are there, and the comparison sees them
+    left = _reference_choices(kind, n, q, cnt, u, side="left")
+    assert not (np.array_equal(got[0], left[0]) and np.array_equal(got[1], left[1]))
+
+
+def test_draw_choices_rejects_bad_uniforms():
+    u = np.random.default_rng(0).random((5, 10))
+    for bad in (1.0, -0.25, np.nan):
+        v = u.copy()
+        v[2, 3] = bad
+        with pytest.raises(ValueError, match="row 3"):
+            _draw_choices("B", 5, 0.5, 10, _Rows(v))
 
 
 def test_decoder_compiles_without_warnings():
