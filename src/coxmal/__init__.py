@@ -11,17 +11,13 @@ from .coxeter import (
     DihedralElement,
     EnumerationCapError,
     GroupDescriptor,
-    ParabolicSubset,
     ProductDescriptor,
     SignedPermutation,
     apply_left_generator,
     apply_right_generator,
     compose,
-    coxeter_graph_neighbors,
     descent_number,
     descriptor_factors,
-    element_from_text,
-    element_to_text,
     enumerate_group,
     generator_element,
     identity_element,
@@ -29,8 +25,6 @@ from .coxeter import (
     is_left_descent,
     is_right_descent,
     length,
-    longest_element_in,
-    parabolic_decompose,
     parse_group,
     two_sided_descent,
 )
@@ -41,7 +35,6 @@ from .mallows import (
     pattern_probability_bound_check,
     pmf,
     reversal_identity_check,
-    sample_elements,
     sample_one,
     sample_statistic,
     sample_windows,
@@ -72,20 +65,16 @@ from .normal import (
 )
 from .reports import CheckResult, ExperimentReport
 from .sizebias import (
-    CouplingSample,
     conditional_star_law_check,
     coupling_boundedness_check,
     covariance_type_sums,
-    coxeter_graph_distances,
     ensure_left_descent,
     ensure_right_descent,
     generic_stein_bound,
-    sample_coupled,
     size_bias_law_check,
     star,
     stein_bound_rhs,
     stein_error_terms,
-    type1_pairwise_covariances,
 )
 
 __version__ = "0.1.0"

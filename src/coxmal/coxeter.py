@@ -183,25 +183,6 @@ class SignedPermutation:
     def identity(cls, n: int) -> "SignedPermutation":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_text(cls, text: str) -> "SignedPermutation":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"element text must look like [2,-1,3], got {text!r}")
-        entries = [s.strip() for s in body[1:-1].split(",") if s.strip()]
-        return cls(tuple(int(s) for s in entries))
-
-    def value_at(self, i: int) -> int:
-        """w(i) for a signed position i, using w(-i) = -w(i)."""
-        if i > 0:
-            return self.window[i - 1]
-        if i < 0:
-            return -self.window[-i - 1]
-        raise ValueError("position 0 does not exist")
-
-    def negative_count(self) -> int:
-        return sum(1 for v in self.window if v < 0)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.window) + "]"
 
@@ -227,49 +208,8 @@ class DihedralElement:
     def identity(cls, m: int) -> "DihedralElement":
         return cls(m, 0, 1)
 
-    @classmethod
-    def from_text(cls, m: int, text: str) -> "DihedralElement":
-        body = text.strip()
-        m2 = re.match(r"^r(\d+)(f?)$", body)
-        if m2 is None:
-            raise ValueError(f"dihedral element text must look like r3 or r3f, got {text!r}")
-        return cls(m, int(m2.group(1)), -1 if m2.group(2) else 1)
-
     def __str__(self) -> str:
         return f"r{self.shift}" + ("f" if self.sign < 0 else "")
-
-
-def element_to_text(w) -> str:
-    if isinstance(w, tuple):
-        return " x ".join(element_to_text(f) for f in w)
-    return str(w)
-
-
-def element_from_text(text: str, g):
-    factors = descriptor_factors(g)
-    parts = [p.strip() for p in text.strip().split(" x ")]
-    if len(parts) != len(factors):
-        raise ValueError(f"expected {len(factors)} factors in {text!r}")
-    elems = []
-    for part, f in zip(parts, factors):
-        if f.kind == "I2":
-            elems.append(DihedralElement.from_text(f.rank, part))
-        else:
-            w = SignedPermutation.from_text(part)
-            _check_window(w, f)
-            elems.append(w)
-    if len(elems) == 1:
-        return elems[0]
-    return tuple(elems)
-
-
-def _check_window(w: SignedPermutation, g: GroupDescriptor):
-    if w.n != g.window_size:
-        raise ValueError(f"window size {w.n} does not match {g}")
-    if g.kind == "A" and any(v < 0 for v in w.window):
-        raise ValueError(f"type A window must be positive: {w.window}")
-    if g.kind == "D" and w.negative_count() % 2 != 0:
-        raise ValueError(f"type D window needs an even number of negatives: {w.window}")
 
 
 def identity_element(g):
@@ -311,14 +251,6 @@ def invert(w):
         else:
             out[-val - 1] = -pos
     return SignedPermutation(tuple(out))
-
-
-def negate(w: SignedPermutation) -> SignedPermutation:
-    """The window -w, i.e. (-w)(i) = -w(i).
-
-    Stays inside type B always; stays inside type D only for even rank.
-    """
-    return SignedPermutation(tuple(-v for v in w.window))
 
 
 # ---------------------------------------------------------------------------
@@ -494,135 +426,6 @@ def descent_number(w, g, side: str = "right") -> int:
 def two_sided_descent(w, g) -> int:
     """t(w) = des(w) + des(w^{-1})."""
     return descent_number(w, g, "right") + descent_number(w, g, "left")
-
-
-# ---------------------------------------------------------------------------
-# Coxeter graph and parabolic subsets
-
-
-def coxeter_graph_neighbors(g: GroupDescriptor) -> dict[int, frozenset[int]]:
-    """Adjacency of the Coxeter graph (pairs of non-commuting generators)."""
-    if isinstance(g, ProductDescriptor):
-        raise ValueError("graph helpers work on irreducible descriptors")
-    n = g.num_generators
-    edges = set()
-    if g.kind in ("A", "B", "I2"):
-        edges = {(i, i + 1) for i in range(n - 1)}
-    else:  # D: generator 0 hangs off generator 2
-        edges = {(i, i + 1) for i in range(1, n - 1)}
-        edges.add((0, 2))
-    out = {i: set() for i in range(n)}
-    for a, b in edges:
-        out[a].add(b)
-        out[b].add(a)
-    return {i: frozenset(v) for i, v in out.items()}
-
-
-def generators_commute(i: int, j: int, g: GroupDescriptor) -> bool:
-    return i == j or j not in coxeter_graph_neighbors(g)[i]
-
-
-@dataclass(frozen=True)
-class ParabolicSubset:
-    """A subset S of the generators of an irreducible group."""
-
-    group: GroupDescriptor
-    generators: frozenset
-
-    def __post_init__(self):
-        if isinstance(self.group, ProductDescriptor):
-            raise ValueError("parabolic subsets are defined on irreducible factors")
-        object.__setattr__(self, "generators", frozenset(self.generators))
-        for i in self.generators:
-            if not 0 <= i < self.group.num_generators:
-                raise ValueError(f"generator index {i} out of range for {self.group}")
-
-    def components(self) -> tuple[frozenset, ...]:
-        """Connected components of S inside the Coxeter graph."""
-        nbrs = coxeter_graph_neighbors(self.group)
-        left = set(self.generators)
-        comps = []
-        while left:
-            seed = left.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                x = frontier.pop()
-                for y in nbrs[x]:
-                    if y in left:
-                        left.remove(y)
-                        comp.add(y)
-                        frontier.append(y)
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=min))
-
-    def support(self) -> frozenset:
-        """The set of signed values moved by the subgroup generated by S.
-
-        For type A, generator i touches values i+1 and i+2.  For B and D,
-        generator i >= 1 touches +-i and +-(i+1) (only the positive pair is
-        reported unless forced below), generator 0 touches -1, 1 for B and
-        -2, -1, 1, 2 for D, and any chain-connected component containing
-        generator 0 drags in the negatives of its values.
-        """
-        g = self.group
-        if g.kind == "I2":
-            raise ValueError("no window support for I2")
-        vals = set()
-        if g.kind == "A":
-            for i in self.generators:
-                vals.update((i + 1, i + 2))
-            return frozenset(vals)
-        for i in self.generators:
-            if i >= 1:
-                vals.update((i, i + 1))
-            elif g.kind == "B":
-                vals.update((-1, 1))
-            else:
-                vals.update((-2, -1, 1, 2))
-        if 0 in self.generators:
-            for comp in self.components():
-                if 0 in comp:
-                    for k in comp:
-                        if k >= 1:
-                            vals.update((-k, -k - 1))
-        return frozenset(vals)
-
-
-def parabolic_decompose(w, subset: ParabolicSubset, g):
-    """Split w = u * v with v in W_S and u the minimal coset representative.
-
-    Greedy: strip right descents lying in S.  Lengths add up, and the pair
-    is unique.
-    """
-    gens = sorted(subset.generators)
-    u = w
-    v = identity_element(g)
-    while True:
-        hit = None
-        for i in gens:
-            if is_right_descent(u, i, g):
-                hit = i
-                break
-        if hit is None:
-            return u, v
-        u = apply_right_generator(u, hit, g)
-        v = compose(generator_element(hit, g), v)
-
-
-def longest_element_in(subset: ParabolicSubset, g):
-    """Longest element of the standard parabolic subgroup W_S."""
-    gens = sorted(subset.generators)
-    w = identity_element(g)
-    while True:
-        hit = None
-        for i in gens:
-            if not is_right_descent(w, i, g):
-                hit = i
-                break
-        if hit is None:
-            return w
-        w = apply_right_generator(w, hit, g)
 
 
 # ---------------------------------------------------------------------------

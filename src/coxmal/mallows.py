@@ -571,20 +571,17 @@ def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
 
 
 def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
-    from .coxeter import descent_number, two_sided_descent
+    """Statistic values of the I2(m) elements, read off their lengths.
 
-    elems, lengths = _dihedral_elements(g.rank)
-    if statistic == "length":
-        return lengths.astype(np.int64)
-    if statistic == "t":
-        return np.array([two_sided_descent(w, g) for w in elems], dtype=np.int64)
-    if statistic == "des":
-        return np.array([descent_number(w, g) for w in elems], dtype=np.int64)
-    if statistic == "des_inv":
-        return np.array(
-            [descent_number(w, g, side="left") for w in elems], dtype=np.int64
-        )
-    raise ValueError(f"unknown statistic {statistic!r}")
+    The identity has no descent, the longest element (length m) descends
+    at both generators, every other element at one, on either side.
+    """
+    lengths = _dihedral_elements(g.rank)[1].astype(np.int64)
+    des = (lengths > 0) + (lengths == g.rank).astype(np.int64)
+    values = {"length": lengths, "des": des, "des_inv": des, "t": 2 * des}
+    if statistic not in values:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    return values[statistic]
 
 
 def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
@@ -629,26 +626,6 @@ def _sample_dihedral_indices(g, q, count, seq, threads, vals) -> np.ndarray:
     if not sizes:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(_run_chunks(worker, sizes, children, threads))
-
-
-def sample_elements(spec: MallowsSpec, count: int, seed, threads: int = 1) -> list:
-    """Element-valued draws (desk scale); same stream as sample_statistic."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    factor_seeds = seq.spawn(len(descriptor_factors(spec.group)))
-    cols = []
-    for (g, q), child in zip(spec.factor_specs(), factor_seeds):
-        if g.kind == "I2":
-            elems, _ = _dihedral_elements(g.rank)
-            idx = _sample_dihedral_indices(
-                g, q, count, child, threads, np.arange(len(elems))
-            )
-            cols.append([elems[i] for i in idx])
-        else:
-            W = sample_windows(g, q, count, child, threads)
-            cols.append([SignedPermutation(tuple(map(int, row))) for row in W])
-    if len(cols) == 1:
-        return cols[0]
-    return [tuple(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -136,26 +136,6 @@ class DiscreteDistribution:
             if fh is not path_or_file:
                 fh.close()
 
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteDistribution":
-        prov = {}
-        vals, probs = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    prov[key.strip()] = val.strip()
-                    continue
-                if line.startswith("value"):
-                    continue
-                v, p = line.split(",")
-                vals.append(int(v))
-                probs.append(float(p))
-        return cls(np.array(vals), np.array(probs), prov)
-
 
 @dataclass
 class MomentSummary:
@@ -387,24 +367,8 @@ def two_sample_chi_square(xs: np.ndarray, ys: np.ndarray, min_total: float = 10.
     support = np.unique(np.concatenate([xs, ys]))
     cx = np.array([(xs == v).sum() for v in support], dtype=float)
     cy = np.array([(ys == v).sum() for v in support], dtype=float)
-    totals = cx + cy
-    bx, by = [], []
-    acc_x = acc_y = acc_t = 0.0
-    for a, b, t in zip(cx, cy, totals):
-        acc_x += a
-        acc_y += b
-        acc_t += t
-        if acc_t >= min_total:
-            bx.append(acc_x)
-            by.append(acc_y)
-            acc_x = acc_y = acc_t = 0.0
-    if acc_t > 0 and bx:
-        bx[-1] += acc_x
-        by[-1] += acc_y
-    elif acc_t > 0:
-        bx.append(acc_x)
-        by.append(acc_y)
-    table = np.array([bx, by])
+    bx, bt = _merge_bins(cx, cx + cy, min_total)
+    table = np.array([bx, bt - bx])
     if table.shape[1] < 2:
         return 0.0, 0, 1.0
     stat, p, dof, _ = sps.chi2_contingency(table)

@@ -33,6 +33,7 @@ from coxmal.normal import (
     wasserstein_from_samples,
 )
 from coxmal.sizebias import (
+    conditional_star_law_check,
     coupling_boundedness_check,
     covariance_type_sums,
     size_bias_law_check,
@@ -152,11 +153,18 @@ def test_c05_size_bias_law():
         for q in (0.5, 1.0, 2.0):
             c = size_bias_law_check(g, q)
             worst = max(worst, abs(c.observed))
+    worst_cond = 0.0
+    cond_names = ("A3", "A5", "B3", "B5", "D4", "D5")
+    for name in cond_names:
+        for q in (0.5, 2.0):
+            c = conditional_star_law_check(parse_group(name), q)
+            worst_cond = max(worst_cond, c.observed)
     emit(
         "c05",
-        worst <= 1e-12,
+        worst <= 1e-12 and worst_cond <= 1e-12,
         f"law(t(w*)) vs size-bias of law(t), {3 * len(names)} cells, worst TV"
-        f" {worst:.2e} (tol 1e-12)",
+        f" {worst:.2e}; law(w_i*) vs law(w | descent at s_i), every i and side,"
+        f" {2 * len(cond_names)} cells, worst TV {worst_cond:.2e} (tol 1e-12)",
     )
 
 

@@ -9,28 +9,20 @@ from hypothesis import strategies as st
 from coxmal.coxeter import (
     EnumerationCapError,
     GroupDescriptor,
-    ParabolicSubset,
     ProductDescriptor,
     SignedPermutation,
     apply_left_generator,
     apply_right_generator,
     compose,
-    coxeter_graph_neighbors,
     descent_number,
-    element_from_text,
-    element_to_text,
     enumerate_group,
     enumerate_windows,
     generator_element,
-    generators_commute,
     identity_element,
     invert,
     is_left_descent,
     is_right_descent,
     length,
-    longest_element_in,
-    negate,
-    parabolic_decompose,
     parse_group,
     two_sided_descent,
     windows_descent_counts,
@@ -95,18 +87,8 @@ def test_group_orders_and_longest():
     assert parse_group("I2(7)").longest_length() == 7
 
 
-def test_window_text_round_trip():
-    w = SignedPermutation.from_text("[2,-1,3]")
-    assert str(w) == "[2,-1,3]"
-    assert w.value_at(1) == 2 and w.value_at(-1) == -2
-    g = parse_group("B3")
-    assert element_from_text(element_to_text(w), g) == w
-    prod = parse_group("B2 x I2(4)")
-    e = identity_element(prod)
-    assert element_from_text(element_to_text(e), prod) == e
-
-
 def test_signed_permutation_validation():
+    assert str(SignedPermutation((2, -1, 3))) == "[2,-1,3]"
     with pytest.raises(ValueError):
         SignedPermutation((1, 1))
     with pytest.raises(ValueError):
@@ -115,12 +97,12 @@ def test_signed_permutation_validation():
 
 def test_specific_lengths():
     b2 = parse_group("B2")
-    assert length(SignedPermutation.from_text("[-1,2]"), b2) == 1
+    assert length(SignedPermutation((-1, 2)), b2) == 1
     d4 = parse_group("D4")
-    assert length(SignedPermutation.from_text("[-2,-1,3,4]"), d4) == 1
+    assert length(SignedPermutation((-2, -1, 3, 4)), d4) == 1
     # the fully reversed window is longest in B
     b3 = parse_group("B3")
-    w0 = SignedPermutation.from_text("[-1,-2,-3]")
+    w0 = SignedPermutation((-1, -2, -3))
     assert length(w0, b3) == b3.longest_length()
 
 
@@ -169,80 +151,31 @@ def test_two_sided_descent_extremes():
 def test_negation_flips_descents():
     g = parse_group("B3")
     for w in enumerate_group(g):
-        assert descent_number(negate(w), g) == 3 - descent_number(w, g)
-        assert length(w, g) + length(negate(w), g) == 9
-
-
-def test_coxeter_graph_shapes():
-    a = coxeter_graph_neighbors(parse_group("A4"))
-    assert a[0] == frozenset({1}) and a[2] == frozenset({1, 3})
-    d = coxeter_graph_neighbors(parse_group("D4"))
-    assert d[2] == frozenset({0, 1, 3})
-    assert d[0] == frozenset({2})
-    d5 = coxeter_graph_neighbors(parse_group("D5"))
-    assert d5[3] == frozenset({2, 4})
-    i2 = coxeter_graph_neighbors(parse_group("I2(9)"))
-    assert i2[0] == frozenset({1})
+        neg = SignedPermutation(tuple(-v for v in w.window))
+        assert descent_number(neg, g) == 3 - descent_number(w, g)
+        assert length(w, g) + length(neg, g) == 9
 
 
 @pytest.mark.parametrize("name", ["A4", "B4", "D4", "D5", "I2(6)"])
 def test_commutation_matches_composition(name):
-    """Graph adjacency means exactly: the two generators do not commute."""
+    """Generators are involutions, and the pairs that do not commute form a
+    tree on the generators (the Coxeter graph of an irreducible group)."""
     g = parse_group(name)
     e = identity_element(g)
-    for i in range(g.num_generators):
-        for j in range(g.num_generators):
-            if i == j:
-                continue
-            si, sj = generator_element(i, g), generator_element(j, g)
-            commutes = compose(si, sj) == compose(sj, si)
-            assert generators_commute(i, j, g) == commutes
-            assert (j in coxeter_graph_neighbors(g)[i]) == (not commutes)
-            assert compose(si, si) == e
-
-
-@pytest.mark.parametrize(
-    "name,gens",
-    [("B4", (0, 2)), ("B4", (1, 2)), ("D4", (0, 1)), ("D4", (1, 2, 3)), ("A4", (0, 3))],
-)
-def test_parabolic_decomposition(name, gens):
-    """w = u * v with v in the subgroup, lengths additive, u descent-free in S,
-    and the pair unique with those properties."""
-    g = parse_group(name)
-    subset = ParabolicSubset(g, frozenset(gens))
-    subgroup = {identity_element(g)}
-    frontier = list(subgroup)
-    while frontier:
-        w = frontier.pop()
-        for i in gens:
-            nxt = apply_right_generator(w, i, g)
-            if nxt not in subgroup:
-                subgroup.add(nxt)
-                frontier.append(nxt)
-    for w in itertools.islice(enumerate_group(g), 0, None, 7):
-        u, v = parabolic_decompose(w, subset, g)
-        assert compose(u, v) == w
-        assert length(u, g) + length(v, g) == length(w, g)
-        assert not any(is_right_descent(u, i, g) for i in gens)
-        assert v in subgroup
-        matches = 0
-        for v2 in subgroup:
-            u2 = compose(w, invert(v2))
-            if length(u2, g) + length(v2, g) == length(w, g) and not any(
-                is_right_descent(u2, i, g) for i in gens
-            ):
-                matches += 1
-        assert matches == 1
-
-
-def test_longest_element_in_parabolic():
-    g = parse_group("B4")
-    subset = ParabolicSubset(g, frozenset({0, 1, 3}))
-    w0 = longest_element_in(subset, g)
-    # all of S are descents, nothing outside S needs to be
-    assert all(is_right_descent(w0, i, g) for i in (0, 1, 3))
-    # components {0,1} (a B2) and {3} (an A1) contribute 4 + 1
-    assert length(w0, g) == 5
+    n = g.num_generators
+    gens = [generator_element(i, g) for i in range(n)]
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if compose(gens[i], gens[j]) != compose(gens[j], gens[i])
+    ]
+    assert all(compose(s, s) == e for s in gens)
+    assert len(edges) == n - 1
+    both_ways = edges + [(j, i) for i, j in edges]
+    reached = {0}
+    for _ in range(n):
+        reached |= {j for i, j in both_ways if i in reached}
+    assert reached == set(range(n))
 
 
 def test_enumeration_cap(monkeypatch):
@@ -307,7 +240,8 @@ def test_window_involutions_property(perm, signs):
     w = SignedPermutation(win)
     g = parse_group("B5")
     assert invert(invert(w)) == w
-    assert negate(negate(w)) == w
+    neg = SignedPermutation(tuple(-v for v in win))
+    assert SignedPermutation(tuple(-v for v in neg.window)) == w
     assert length(invert(w), g) == length(w, g)
     n_desc = descent_number(w, g) + descent_number(invert(w), g)
     assert two_sided_descent(w, g) == n_desc

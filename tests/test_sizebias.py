@@ -6,36 +6,29 @@ import pytest
 
 from coxmal import sizebias
 from coxmal.coxeter import (
-    ParabolicSubset,
     descent_number,
     enumerate_group,
     enumerate_windows,
     invert,
     is_left_descent,
     is_right_descent,
-    length,
-    parabolic_decompose,
     parse_group,
     two_sided_descent,
 )
 from coxmal.mallows import MallowsSpec
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
-    CouplingSample,
     TYPE_MULTIPLICITIES,
     conditional_star_law_check,
     coupling_boundedness_check,
     covariance_type_sums,
-    coxeter_graph_distances,
     ensure_left_descent,
     ensure_right_descent,
     generic_stein_bound,
-    sample_coupled,
     size_bias_law_check,
     star,
     stein_bound_rhs,
     stein_error_terms,
-    type1_pairwise_covariances,
 )
 
 ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
@@ -64,18 +57,6 @@ def test_star_routes_to_sides():
             assert star(w, i, "left", g) == ensure_left_descent(w, i, g)
     with pytest.raises(ValueError):
         star(next(iter(enumerate_group(g))), 0, "up", g)
-
-
-def test_sample_coupled_fields():
-    spec = MallowsSpec.make("B4", 0.5)
-    s = sample_coupled(spec, seed=3)
-    assert isinstance(s, CouplingSample)
-    g = spec.group
-    assert s.t_value == two_sided_descent(s.element, g)
-    assert s.t_star == two_sided_descent(s.starred, g)
-    assert abs(s.t_value - s.t_star) <= 4
-    with pytest.raises(ValueError):
-        sample_coupled(MallowsSpec.make("I2(5)", 0.5), seed=0)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "D4"])
@@ -131,12 +112,32 @@ def test_size_bias_law_rejects_broken_star(monkeypatch, broken, name):
     check = size_bias_law_check(parse_group(name), 0.5)
     assert check.passed is False
     assert check.observed > 1e-3
+    cond = conditional_star_law_check(parse_group(name), 0.5)
+    assert cond.passed is False
+    assert cond.observed > 1e-3
 
 
-def test_conditional_star_law():
-    for name, i, side in (("B3", 0, "right"), ("B3", 2, "left"), ("D4", 1, "right")):
-        check = conditional_star_law_check(parse_group(name), 0.7, i, side)
+def test_conditional_star_law(monkeypatch):
+    """law(w_i*) = law(w | descent at s_i) at every generator and side; a
+    starred window outside the group fails the check instead of crashing it,
+    and dihedral groups and products are refused."""
+    for name in ("A3", "B3", "D4"):
+        check = conditional_star_law_check(parse_group(name), 0.7)
         assert check.passed, check.line()
+        assert check.observed <= 1e-12 and check.note.startswith("worst i=")
+    for name in ("I2(5)", "B3 x A2"):
+        with pytest.raises(ValueError):
+            conditional_star_law_check(parse_group(name), 0.7)
+
+    def off_the_group(kind, W, i):
+        S = ENSURE_RIGHT_BATCH(kind, W, i)
+        S[0] = W.shape[1] + 1
+        return S
+
+    monkeypatch.setattr(sizebias, "_ensure_right_batch", off_the_group)
+    check = conditional_star_law_check(parse_group("B3"), 0.7)
+    assert check.passed is False
+    assert "outside the group" in check.note
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4", "D4"])
@@ -195,10 +196,14 @@ def test_covariance_bound_values():
 
 def test_type1_covariance_vanishes_far_apart():
     """Generators at Coxeter-graph distance above 3 give exactly zero
-    covariance; B5 is the smallest B where such pairs exist."""
+    covariance; B5 is the smallest B where such pairs exist.  B's graph is a
+    path, so the distance between s_i and s_j is |i - j|."""
     g = parse_group("B5")
-    cov = type1_pairwise_covariances(g, 0.5)
-    dist = coxeter_graph_distances(g)
+    p, des, star_des = sizebias._exact_coupling(g, 0.5)
+    D = des[:, :1] - star_des[:, 0, :, 0]
+    centered = D - p @ D
+    cov = (centered * p[:, None]).T @ centered
+    dist = np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
     far = dist > 3
     assert far.any()
     assert np.abs(cov[far]).max() < 1e-14
@@ -266,68 +271,3 @@ def test_generic_stein_bound_shape():
     )
     with pytest.raises(ValueError):
         generic_stein_bound(terms, "w7")
-
-
-def exact_law_over(g, q, elems=None):
-    elems = list(enumerate_group(g)) if elems is None else elems
-    weights = {w: q ** length(w, g) for w in elems}
-    z = sum(weights.values())
-    return {w: wt / z for w, wt in weights.items()}
-
-
-def test_parabolic_factor_independence():
-    """For disjoint commuting generator sets with disjoint supports, the two
-    parabolic components of w are independent, each Mallows distributed."""
-    g = parse_group("B4")
-    q = 0.6
-    s_a = ParabolicSubset(g, frozenset({0}))
-    s_b = ParabolicSubset(g, frozenset({2, 3}))
-    joint = {}
-    for w in enumerate_group(g):
-        wt = q ** length(w, g)
-        _, va = parabolic_decompose(w, s_a, g)
-        _, vb = parabolic_decompose(w, s_b, g)
-        joint[(va, vb)] = joint.get((va, vb), 0.0) + wt
-    total = sum(joint.values())
-    joint = {k: v / total for k, v in joint.items()}
-    pa = {}
-    pb = {}
-    for (va, vb), p in joint.items():
-        pa[va] = pa.get(va, 0.0) + p
-        pb[vb] = pb.get(vb, 0.0) + p
-    for (va, vb), p in joint.items():
-        assert math.isclose(p, pa[va] * pb[vb], rel_tol=1e-10)
-    # each marginal is Mallows with the same q on its subgroup
-    for marg in (pa, pb):
-        z = sum(q ** length(v, g) for v in marg)
-        for v, p in marg.items():
-            assert math.isclose(p, q ** length(v, g) / z, rel_tol=1e-10)
-
-
-def test_inverse_component_independence_conditional():
-    """w restricted to S and w^{-1} restricted to S' become independent once
-    the support-value overlaps are conditioned to be at most singletons."""
-    g = parse_group("B3")
-    q = 0.5
-    s = ParabolicSubset(g, frozenset({0, 1}))
-    sp = ParabolicSubset(g, frozenset({1, 2}))
-    supp_s = {abs(v) for v in s.support()}
-    supp_sp = {abs(v) for v in sp.support()}
-    joint = {}
-    for w in enumerate_group(g):
-        vals = {abs(w.value_at(i)) for i in supp_s}
-        overlap = len(vals & supp_sp)
-        if overlap > 1:
-            continue
-        wt = q ** length(w, g)
-        _, vs = parabolic_decompose(w, s, g)
-        _, vsp = parabolic_decompose(invert(w), sp, g)
-        joint[(vs, vsp)] = joint.get((vs, vsp), 0.0) + wt
-    total = sum(joint.values())
-    joint = {k: v / total for k, v in joint.items()}
-    pa, pb = {}, {}
-    for (a, b), p in joint.items():
-        pa[a] = pa.get(a, 0.0) + p
-        pb[b] = pb.get(b, 0.0) + p
-    for (a, b), p in joint.items():
-        assert math.isclose(p, pa[a] * pb[b], rel_tol=1e-9)
