@@ -9,7 +9,6 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -35,7 +34,6 @@ from .moments import (
     variance_bounds_two_sided,
 )
 from .normal import (
-    NormalizedStatistic,
     exact_w2_floor,
     smooth_bound_checks,
     tail_bound_check,
@@ -43,7 +41,6 @@ from .normal import (
     w2_bound_check,
     w2_with_se,
     wasserstein_from_samples,
-    wasserstein_p_to_normal,
 )
 from .reports import CheckResult, ExperimentReport
 from .sizebias import coupling_boundedness_check, covariance_type_sums, size_bias_law_check

@@ -526,23 +526,3 @@ def windows_descent_counts(kind: str, W: np.ndarray) -> np.ndarray:
     """Right-descent numbers for a batch of windows."""
     return np.count_nonzero(windows_descents(kind, W), axis=1).astype(np.int64)
 
-
-def windows_two_sided(kind: str, W: np.ndarray) -> np.ndarray:
-    return windows_descent_counts(kind, W) + windows_descent_counts(
-        kind, windows_invert(W)
-    )
-
-
-def windows_lengths(kind: str, W: np.ndarray) -> np.ndarray:
-    """Lengths for a batch of windows; quadratic in n, one numpy pass per column."""
-    count, n = W.shape
-    out = np.zeros(count, dtype=np.int64)
-    for i in range(n - 1):
-        wi = W[:, i : i + 1]
-        rest = W[:, i + 1 :]
-        out += np.count_nonzero(wi > rest, axis=1)
-        if kind in ("B", "D"):
-            out += np.count_nonzero(rest < -wi, axis=1)
-    if kind == "B":
-        out += np.count_nonzero(W < 0, axis=1)
-    return out

@@ -13,14 +13,17 @@ Batch draws at q != 1 run two small C kernels per chunk, shared by A, B
 and D: draw_choices turns one uniform per stage into that stage's choice by
 indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
 decode_rows turns the choices into windows (q = 1 draws uniformly instead);
-sample_one is the independent single-draw walk.  The kernels are compiled
-with the system C compiler on the first batch draw at q != 1, once per
-process, and run without the GIL, so sampler threads overlap.
+sample_one is the independent single-draw walk.  A third kernel,
+window_stats, reduces window rows to t, des, des_inv or length.  It serves
+sample_statistic, which reduces each chunk in the thread that drew it, so
+no (count, n) window array is built, and the exact laws and weights over
+enumerated windows.  The kernels are compiled with the system C compiler
+on first use, once per process (about 0.12 s with gcc 12), and run without
+the GIL, so sampler threads overlap.
 """
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import math
 import os
@@ -44,10 +47,6 @@ from .coxeter import (
     enumerate_windows,
     length,
     parse_group,
-    windows_descent_counts,
-    windows_invert,
-    windows_lengths,
-    windows_two_sided,
 )
 from .reports import CheckResult
 
@@ -176,7 +175,7 @@ def _length_weights(g, q: float, lengths):
 def _windows_and_weights(g: GroupDescriptor, q: float):
     """Every window of an A, B or D group with its scaled weight (_length_weights)."""
     W = enumerate_windows(g)
-    return W, _length_weights(g, q, windows_lengths(g.kind, W))[0]
+    return W, _length_weights(g, q, _windows_stat(g.kind, W, "length"))[0]
 
 
 def pmf(w, spec: MallowsSpec) -> float:
@@ -357,30 +356,34 @@ def _run_chunks(worker, sizes, children, threads: int):
 def sample_windows(
     g: GroupDescriptor, q: float, count: int, seed, threads: int = 1
 ) -> np.ndarray:
-    """(count, n) array of windows, deterministic in (g, q, count, seed).
+    """(count, n) array of windows, deterministic in (g, q, count, seed)."""
+    chunks = _map_window_chunks(g, q, count, seed, threads, lambda W: W)
+    return np.concatenate(chunks) if chunks else np.empty((0, g.window_size), dtype=np.int64)
 
-    The chunk layout is fixed, each chunk gets its own spawned seed, and
-    results are concatenated in chunk order, so the thread count never
-    changes the output.
+
+def _map_window_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, finish):
+    """finish(windows) for each chunk of the count seeded windows, in chunk order.
+
+    The chunk layout is fixed and each chunk gets its own spawned seed, so
+    the thread count never changes the results.  finish runs in the thread
+    that drew the chunk, so only one chunk of windows per thread is alive.
     """
     _check_q(q)
     if g.kind == "I2":
         raise ValueError("dihedral factors have no windows; sample stats instead")
     if count < 0:
         raise ValueError("count must be >= 0")
-    n = g.window_size
     if count == 0:
-        return np.empty((0, n), dtype=np.int64)
-    if q != 1.0:
-        _decode_lib()  # build before the pool starts, so threads never race to compile
+        return []
+    _decode_lib()  # build before the pool starts, so threads never race to compile
     sizes = _chunk_sizes(count)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(sizes))
 
     def worker(cnt, child):
-        return _chunk_windows(g.kind, n, q, cnt, child)
+        return finish(_chunk_windows(g.kind, g.window_size, q, cnt, child))
 
-    return np.concatenate(_run_chunks(worker, sizes, children, threads), axis=0)
+    return _run_chunks(worker, sizes, children, threads)
 
 
 def _chunk_windows(kind: str, n: int, q: float, cnt: int, child) -> np.ndarray:
@@ -519,9 +522,64 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
     }
     return 0;
 }
+
+static int64_t row_descents(const int64_t *w, int64_t n, int type)
+{
+    int64_t d = type == 1 ? w[0] < 0 : type == 2 ? w[0] + w[1] < 0 : 0;
+    for (int64_t i = 0; i + 1 < n; i++)
+        d += w[i] > w[i + 1];
+    return d;
+}
+
+/* One statistic of each row of the row-major (cnt, n) windows W; type is
+   0, 1 or 2 for A, B or D.  which 0, 1, 2 gives t, des, des_inv: right
+   descents count adjacent drops w[i] > w[i+1], plus w[0] < 0 under B and
+   w[0] + w[1] < 0 under D, and des_inv counts them on the inverse, which
+   inv (n slots) holds.  which 3 gives the length: inversions, plus under B
+   and D the pairs i < j with w[i] + w[j] < 0, by a Fenwick count over the
+   values -n..n in fen (2n + 2 slots), plus under B the negative entries.
+   Returns 0, or 1 + the first row that is not a signed permutation of
+   1..n: an entry 0 or outside [-n, n], or a magnitude seen twice. */
+int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
+                     const int64_t *W, int64_t *inv, int64_t *fen, int64_t *out)
+{
+    for (int64_t r = 0; r < cnt; r++) {
+        const int64_t *w = W + r * n;
+        memset(inv, 0, (size_t)n * sizeof *inv);
+        for (int64_t i = 0; i < n; i++) {
+            int64_t v = w[i], a = v < 0 ? -v : v;
+            if (a < 1 || a > n || inv[a - 1])
+                return r + 1;
+            inv[a - 1] = v < 0 ? -(i + 1) : i + 1;
+        }
+        if (which < 3) {
+            int64_t d = which == 2 ? 0 : row_descents(w, n, type);
+            out[r] = which == 1 ? d : d + row_descents(inv, n, type);
+            continue;
+        }
+        int64_t len = 0;
+        memset(fen, 0, (size_t)(2 * n + 2) * sizeof *fen);
+        for (int64_t j = 0; j < n; j++) {
+            /* fen[k] counts the earlier entries in a Fenwick range ending at
+               value k - n - 1; le and neg count those <= w[j] and < -w[j] */
+            int64_t le = 0, neg = 0;
+            for (int64_t k = w[j] + n + 1; k > 0; k -= k & -k)
+                le += fen[k];
+            if (type)
+                for (int64_t k = n - w[j]; k > 0; k -= k & -k)
+                    neg += fen[k];
+            len += j - le + neg + (type == 1 && w[j] < 0);
+            for (int64_t k = w[j] + n + 1; k <= 2 * n + 1; k += k & -k)
+                fen[k]++;
+        }
+        out[r] = len;
+    }
+    return 0;
+}
 """
-# -O1: every batch draw at q != 1 pays the build once per process, and -O2
-# builds about a quarter slower while both kernels run no faster (gcc 12).
+# -O1: every process that draws or reduces windows pays the build once, and
+# -O2 builds about a quarter slower while the tower kernels run no faster and
+# window_stats saves about 0.03 s per 1e5 rows of B200 (gcc 12).
 _DECODE_FLAGS = ("-O1", "-shared", "-fPIC", "-Wall", "-Wextra")
 
 
@@ -542,7 +600,7 @@ def _compile_decoder(directory: str) -> tuple[str, str]:
 
 @lru_cache(maxsize=None)
 def _decode_lib() -> ctypes.CDLL:
-    """The compiled tower kernels, built once per process on first use.
+    """The compiled tower and statistic kernels, built once per process on first use.
 
     The library stays mapped after its private build directory is removed.
     """
@@ -555,6 +613,10 @@ def _decode_lib() -> ctypes.CDLL:
     lib.decode_rows.restype = ctypes.c_int64
     lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
     lib.draw_choices.restype = ctypes.c_int64
+    lib.window_stats.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int) + (
+        ctypes.c_void_p,
+    ) * 4
+    lib.window_stats.restype = ctypes.c_int64
     return lib
 
 
@@ -570,36 +632,60 @@ def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
     return perm * signs
 
 
+STATISTICS = ("t", "des", "des_inv", "length")  # window_stats's `which` codes, in order
+
+
+def _check_statistic(statistic: str) -> None:
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+
+
 def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
     """Statistic values of the I2(m) elements, read off their lengths.
 
     The identity has no descent, the longest element (length m) descends
     at both generators, every other element at one, on either side.
     """
+    _check_statistic(statistic)
     lengths = _dihedral_elements(g.rank)[1].astype(np.int64)
     des = (lengths > 0) + (lengths == g.rank).astype(np.int64)
-    values = {"length": lengths, "des": des, "des_inv": des, "t": 2 * des}
-    if statistic not in values:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return values[statistic]
+    return {"length": lengths, "des": des, "des_inv": des, "t": 2 * des}[statistic]
 
 
 def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
-    if statistic == "t":
-        return windows_two_sided(kind, W)
-    if statistic == "des":
-        return windows_descent_counts(kind, W)
-    if statistic == "des_inv":
-        return windows_descent_counts(kind, windows_invert(W))
-    if statistic == "length":
-        return windows_lengths(kind, W)
-    raise ValueError(f"unknown statistic {statistic!r}")
+    """The statistic of every row of an (rows, n) window array of type kind.
+
+    Runs the C kernel window_stats, which releases the GIL for the whole
+    call; the scratch buffers belong to this call, so threads share none.
+    """
+    _check_statistic(statistic)
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"no window statistics for kind {kind!r}")
+    W = np.ascontiguousarray(W, dtype=np.int64)
+    if W.ndim != 2 or W.shape[1] < 2:
+        raise ValueError(f"need a (rows, n >= 2) window array, got shape {W.shape}")
+    cnt, n = W.shape
+    out = np.empty(cnt, dtype=np.int64)
+    inv = np.empty(n, dtype=np.int64)
+    fen = np.empty(2 * n + 2, dtype=np.int64)
+    bad = _decode_lib().window_stats(
+        cnt, n, "ABD".index(kind), STATISTICS.index(statistic),
+        W.ctypes.data, inv.ctypes.data, fen.ctypes.data, out.ctypes.data,
+    )
+    if bad:
+        raise ValueError(f"window row {bad - 1} is not a signed permutation of 1..{n}")
+    return out
 
 
 def sample_statistic(
     spec: MallowsSpec, statistic: str, count: int, seed, threads: int = 1
 ) -> np.ndarray:
-    """Seeded batch of statistic values; sums over product factors."""
+    """Seeded batch of statistic values; sums over product factors.
+
+    Window factors draw the same chunks as sample_windows, and each chunk
+    is reduced to its statistic in the thread that drew it.
+    """
+    _check_statistic(statistic)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     factor_seeds = seq.spawn(len(descriptor_factors(spec.group)))
     total = np.zeros(count, dtype=np.int64)
@@ -607,9 +693,11 @@ def sample_statistic(
         if g.kind == "I2":
             vals = _dihedral_stat_values(g, statistic)
             total += _sample_dihedral_indices(g, q, count, child, threads, vals)
-        else:
-            W = sample_windows(g, q, count, child, threads)
-            total += _windows_stat(g.kind, W, statistic)
+        elif count:
+            chunks = _map_window_chunks(
+                g, q, count, child, threads, lambda W, k=g.kind: _windows_stat(k, W, statistic)
+            )
+            total += np.concatenate(chunks)
     return total
 
 
@@ -638,7 +726,7 @@ def normalization_enumeration_check(g, q: float) -> CheckResult:
     if g.kind == "I2":
         lengths = _dihedral_elements(g.rank)[1]
     else:
-        lengths = windows_lengths(g.kind, enumerate_windows(g))
+        lengths = _windows_stat(g.kind, enumerate_windows(g), "length")
     w, ref = _length_weights(g, q, lengths)
     brute = float(w.sum()) * q**ref
     rel = abs(brute - closed) / closed

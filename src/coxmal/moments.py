@@ -11,6 +11,7 @@ from scipy import stats as sps
 from .coxeter import windows_descents, windows_invert
 from .mallows import (
     MallowsSpec,
+    _check_statistic,
     _dihedral_stat_values,
     _dihedral_table,
     _windows_and_weights,
@@ -163,9 +164,10 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
     """Law of the statistic under the spec, by enumeration (plus convolution
     across product factors, all the statistics here being additive).
 
-    Windows are enumerated into one array and run through the kernels that
+    Windows are enumerated into one array and run through the kernel that
     sample_statistic uses; dihedral factors use their 2m-element table.
     """
+    _check_statistic(statistic)
     out = None
     for g, q in spec.factor_specs():
         if g.kind == "I2":

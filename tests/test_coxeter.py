@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from coxmal.coxeter import (
     EnumerationCapError,
-    GroupDescriptor,
     ProductDescriptor,
     SignedPermutation,
     apply_left_generator,
@@ -28,9 +27,8 @@ from coxmal.coxeter import (
     windows_descent_counts,
     windows_descents,
     windows_invert,
-    windows_lengths,
-    windows_two_sided,
 )
+from window_reference import windows_lengths, windows_two_sided
 
 
 def bfs_word_lengths(g):

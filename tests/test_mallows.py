@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import coxmal
-from coxmal.coxeter import SignedPermutation, enumerate_group, length, parse_group
+from coxmal.coxeter import (
+    SignedPermutation,
+    descent_number,
+    enumerate_group,
+    enumerate_windows,
+    length,
+    parse_group,
+    two_sided_descent,
+)
 from coxmal.mallows import (
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
@@ -25,6 +33,7 @@ from coxmal.mallows import (
     _stage_arrays,
     _tower_stages,
     _windows_and_weights,
+    _windows_stat,
     normalization_constant,
     normalization_enumeration_check,
     pattern_probability_bound_check,
@@ -41,7 +50,9 @@ from coxmal.mallows import (
     stage_distribution,
 )
 from coxmal.moments import exact_distribution, goodness_of_fit, two_sample_chi_square
-from coxmal.coxeter import two_sided_descent, windows_two_sided
+from window_reference import windows_statistic
+
+STATS = ("t", "des", "des_inv", "length")
 
 
 def test_q_analogues():
@@ -317,6 +328,103 @@ def test_draw_choices_rejects_bad_uniforms():
         v[2, 3] = bad
         with pytest.raises(ValueError, match="row 3"):
             _draw_choices("B", 5, 0.5, 10, _Rows(v))
+
+
+@pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
+def test_window_stats_matches_references_on_enumerations(name):
+    """Every element: the C kernel equals the numpy references and the object
+    model bit for bit, for all four statistics."""
+    g = parse_group(name)
+    W = enumerate_windows(g)
+    got = {stat: _windows_stat(g.kind, W, stat) for stat in STATS}
+    for stat in STATS:
+        assert got[stat].dtype == np.int64
+        assert np.array_equal(got[stat], windows_statistic(g.kind, W, stat)), stat
+    elems = list(enumerate_group(g))
+    assert np.array_equal(got["length"], [length(w, g) for w in elems])
+    assert np.array_equal(got["des"], [descent_number(w, g) for w in elems])
+    assert np.array_equal(got["des_inv"], [descent_number(w, g, "left") for w in elems])
+    assert np.array_equal(got["t"], [two_sided_descent(w, g) for w in elems])
+
+
+@pytest.mark.parametrize("name", ["A200", "B200", "D200"])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_window_stats_matches_references_on_samples(name, q):
+    g = parse_group(name)
+    W = sample_windows(g, q, 4096, seed=11)
+    for stat in STATS:
+        want = windows_statistic(g.kind, W, stat)
+        assert np.array_equal(_windows_stat(g.kind, W, stat), want), stat
+        if g.kind == "D" and stat != "des_inv":
+            # negative control: the comparison sees the type-B s_0 and length rules
+            assert not np.array_equal(_windows_stat("B", W, stat), want), stat
+
+
+def test_window_stats_rejects_bad_windows():
+    W = enumerate_windows(parse_group("B3"))[:10].copy()
+    for bad in (0, 4, -4):
+        V = W.copy()
+        V[7, 1] = bad
+        for stat in STATS:
+            with pytest.raises(ValueError, match="row 7"):
+                _windows_stat("B", V, stat)
+    V = W.copy()
+    V[5] = (1, -1, 2)  # magnitude 1 twice
+    with pytest.raises(ValueError, match="row 5"):
+        _windows_stat("B", V, "des")
+    with pytest.raises(ValueError, match="unknown statistic"):
+        _windows_stat("B", W, "foo")
+    with pytest.raises(ValueError):
+        _windows_stat("I2", W, "t")
+
+
+def _factor_windows(spec, count, seed):
+    """The windows sample_statistic draws for each factor of spec."""
+    children = np.random.SeedSequence(seed).spawn(len(spec.qs))
+    return [
+        (g.kind, sample_windows(g, q, count, child))
+        for (g, q), child in zip(spec.factor_specs(), children)
+    ]
+
+
+@pytest.mark.parametrize(
+    "group,q", [("A200", 2.0), ("B200", 0.5), ("D200", 0.5), ("B50 x B50 x A49", 1.0)]
+)
+def test_sample_statistic_equals_reference_on_sampled_windows(monkeypatch, group, q):
+    """The fused draw-and-reduce path changes no output: it equals the numpy
+    reference on sample_windows' rows, at any thread count.  A small chunk
+    keeps several chunks, and a partial last one, cheap at rank 200."""
+    monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
+    spec = MallowsSpec.make(group, q)
+    count = 3 * 256 + 5
+    windows = _factor_windows(spec, count, seed=21)
+    for stat in STATS:
+        want = sum(windows_statistic(kind, W, stat) for kind, W in windows)
+        for threads in (1, 3):
+            got = sample_statistic(spec, stat, count, seed=21, threads=threads)
+            assert np.array_equal(got, want), (stat, threads)
+
+
+def test_sample_statistic_equals_reference_at_full_chunks():
+    spec = MallowsSpec.make("B200", 0.5)
+    count = 2 * SAMPLE_CHUNK + 5
+    [(kind, W)] = _factor_windows(spec, count, seed=22)
+    want = windows_statistic(kind, W, "t")
+    for threads in (1, 3):
+        assert np.array_equal(sample_statistic(spec, "t", count, seed=22, threads=threads), want)
+
+
+def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
+    def no_windows(*args, **kwargs):
+        raise AssertionError("built windows for an unknown statistic")
+
+    monkeypatch.setattr(coxmal.mallows, "_chunk_windows", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "enumerate_windows", no_windows)
+    for group in ("B200", "I2(5)", "B4 x I2(5)"):
+        with pytest.raises(ValueError, match="unknown statistic 'foo'"):
+            sample_statistic(MallowsSpec.make(group, 0.5), "foo", 50_000, seed=1)
+    with pytest.raises(ValueError, match="unknown statistic 'foo'"):
+        exact_distribution(MallowsSpec.make("B4 x I2(5)", 0.5), "foo")
 
 
 def test_decoder_compiles_without_warnings():

@@ -1,0 +1,44 @@
+"""Numpy references for the window_stats kernel.
+
+These are the array kernels the package used before the statistics moved
+into C; the tests keep them to check the kernel bit for bit, the way
+_reference_decode checks the tower decoder.
+"""
+
+import numpy as np
+
+from coxmal.coxeter import windows_descent_counts, windows_invert
+
+
+def windows_two_sided(kind: str, W: np.ndarray) -> np.ndarray:
+    return windows_descent_counts(kind, W) + windows_descent_counts(
+        kind, windows_invert(W)
+    )
+
+
+def windows_lengths(kind: str, W: np.ndarray) -> np.ndarray:
+    """Lengths for a batch of windows; quadratic in n, one numpy pass per column."""
+    count, n = W.shape
+    out = np.zeros(count, dtype=np.int64)
+    for i in range(n - 1):
+        wi = W[:, i : i + 1]
+        rest = W[:, i + 1 :]
+        out += np.count_nonzero(wi > rest, axis=1)
+        if kind in ("B", "D"):
+            out += np.count_nonzero(rest < -wi, axis=1)
+    if kind == "B":
+        out += np.count_nonzero(W < 0, axis=1)
+    return out
+
+
+def windows_statistic(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
+    """The reference value of t, des, des_inv or length for each row."""
+    if statistic == "t":
+        return windows_two_sided(kind, W)
+    if statistic == "des":
+        return windows_descent_counts(kind, W)
+    if statistic == "des_inv":
+        return windows_descent_counts(kind, windows_invert(W))
+    if statistic == "length":
+        return windows_lengths(kind, W)
+    raise ValueError(f"unknown statistic {statistic!r}")
