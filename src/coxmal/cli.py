@@ -156,13 +156,17 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     qs = pick(args.q, "q", None)
     if qs is None:
         qs = section.get("qs")
+    # only moments has a choice; the other commands record the mode they run
+    mode = "mc" if args.command in ("clt", "sample") else "exact"
+    if args.command == "moments":
+        mode = str(pick(args.mode, "mode", mode))
     cfg = ExperimentConfig(
         command=args.command,
         group=pick(args.group, "group", None),
         qs=_as_float_list(qs) if qs is not None else [],
         seed=int(pick(args.seed, "seed", 0)),
         samples=int(pick(args.samples, "samples", 100_000)),
-        mode=str(pick(args.mode, "mode", _default_mode(args.command))),
+        mode=mode,
         out=pick(args.out, "out", None),
         threads=int(pick(args.threads, "threads", 1)),
         tolerances={k: section[k] for k in DEFAULT_TOLERANCES if k in section},
@@ -174,10 +178,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if cfg.threads < 1:
         raise UsageError("--threads must be at least 1")
     return cfg
-
-
-def _default_mode(command: str) -> str:
-    return "mc" if command in ("clt", "sample") else "exact"
 
 
 def _parse_groups(text: str) -> list[str]:
@@ -212,8 +212,8 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
             if g.kind in ("A", "B", "D"):
                 report.add(_variance_check(g, q))
                 report.add(_retol(descent_indicator_mean_check(g, q), rel_tol))
-                report.add(cube_moment_bound_check(g, q, mode="exact"))
-                report.add(tail_bound_check(g, q, mode="exact"))
+                report.add(cube_moment_bound_check(g, q))
+                report.add(tail_bound_check(g, q))
                 _, cov_checks = covariance_type_sums(g, q)
                 report.add(_retol(cov_checks[0], recon_tol))
                 for c in cov_checks[1:]:
@@ -230,8 +230,8 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
             for q in qs:
                 for c in smooth_bound_checks(g, q):
                     report.add(c)
-                report.add(w1_bound_check(g, q, mode="exact"))
-                report.add(w2_bound_check(g, q, mode="exact"))
+                report.add(w1_bound_check(g, q))
+                report.add(w2_bound_check(g, q))
 
     rng_seed = cfg.seed
     for name in GOF_GROUPS:
@@ -349,8 +349,8 @@ def _clt_one(cfg: ExperimentConfig, report: ExperimentReport, desc: str, out_dir
     factors = descriptor_factors(spec.group)
     if len(factors) == 1 and factors[0].kind in ("A", "B", "D"):
         q = spec.q
-        report.add(w1_bound_check(factors[0], q, mode="mc", count=cfg.samples, seed=cfg.seed, threads=cfg.threads))
-        report.add(w2_bound_check(factors[0], q, mode="mc", count=cfg.samples, seed=cfg.seed, threads=cfg.threads))
+        report.add(w1_bound_check(factors[0], q, xs))
+        report.add(w2_bound_check(factors[0], q, xs))
     if out_dir:
         _histogram_csv(os.path.join(out_dir, f"hist_{_sanitize(str(spec.group))}.csv"), xs, mu, sigma)
     return spec, float(xs.var(ddof=1)), w2.value, s2
@@ -386,7 +386,8 @@ def cmd_clt(cfg: ExperimentConfig) -> ExperimentReport:
 def _default_clt_suite(cfg: ExperimentConfig, report: ExperimentReport, out_dir):
     # a medium-rank group against the published W2 rate
     b200 = parse_group("B200")
-    report.add(w2_bound_check(b200, 0.5, mode="mc", count=cfg.samples, seed=cfg.seed, threads=cfg.threads))
+    xs = sample_statistic(MallowsSpec.make(b200, 0.5), "t", cfg.samples, cfg.seed, cfg.threads)
+    report.add(w2_bound_check(b200, 0.5, xs))
 
     # product against a single group of matched variance (trend report)
     prod = MallowsSpec.make("B50 x B50 x A49", 1.0)
@@ -572,10 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", help="q parameter; comma-separates per-factor or grid values")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--samples", type=int)
-        sp.add_argument("--mode", choices=("exact", "mc"))
         sp.add_argument("--out", help="output path (directory for clt)")
         sp.add_argument("--threads", type=int)
         sp.add_argument("--config", help="key=value config file with [command] sections")
+        if name == "moments":
+            sp.add_argument("--mode", choices=("exact", "mc"))
     return parser
 
 

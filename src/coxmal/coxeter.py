@@ -520,9 +520,3 @@ def windows_descents(kind: str, W: np.ndarray) -> np.ndarray:
     elif kind == "D":
         out[:, 0] = W[:, 0] + W[:, 1] < 0
     return out
-
-
-def windows_descent_counts(kind: str, W: np.ndarray) -> np.ndarray:
-    """Right-descent numbers for a batch of windows."""
-    return np.count_nonzero(windows_descents(kind, W), axis=1).astype(np.int64)
-

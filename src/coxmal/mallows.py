@@ -346,44 +346,52 @@ def _chunk_sizes(count: int):
     return out
 
 
-def _run_chunks(worker, sizes, children, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, sizes, children))
-    return [worker(c, s) for c, s in zip(sizes, children)]
-
-
 def sample_windows(
     g: GroupDescriptor, q: float, count: int, seed, threads: int = 1
 ) -> np.ndarray:
     """(count, n) array of windows, deterministic in (g, q, count, seed)."""
-    chunks = _map_window_chunks(g, q, count, seed, threads, lambda W: W)
+    if g.kind == "I2":
+        raise ValueError("dihedral factors have no windows; sample stats instead")
+    chunks = _map_chunks(g, q, count, seed, threads, lambda W: W)
     return np.concatenate(chunks) if chunks else np.empty((0, g.window_size), dtype=np.int64)
 
 
-def _map_window_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, finish):
-    """finish(windows) for each chunk of the count seeded windows, in chunk order.
+def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, finish):
+    """finish(draw) for each chunk of count seeded draws from g at q, in chunk order.
 
-    The chunk layout is fixed and each chunk gets its own spawned seed, so
-    the thread count never changes the results.  finish runs in the thread
-    that drew the chunk, so only one chunk of windows per thread is alive.
+    A draw is a (cnt, n) window array for A, B and D, and the indices of
+    cnt elements of _dihedral_table for I2.  The chunk layout is fixed and
+    each chunk gets its own spawned seed, so the thread count never changes
+    the results.  finish runs in the thread that drew the chunk, so only one
+    chunk of windows per thread is alive.
     """
     _check_q(q)
-    if g.kind == "I2":
-        raise ValueError("dihedral factors have no windows; sample stats instead")
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    _decode_lib()  # build before the pool starts, so threads never race to compile
+    if g.kind == "I2":
+        probs = _dihedral_table(g, q)[1]
+
+        def draw(cnt, child):
+            return np.random.default_rng(child).choice(len(probs), size=cnt, p=probs)
+    else:
+        _decode_lib()  # build before the pool starts, so threads never race to compile
+
+        def draw(cnt, child):
+            return _chunk_windows(g.kind, g.window_size, q, cnt, child)
+
     sizes = _chunk_sizes(count)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(sizes))
 
     def worker(cnt, child):
-        return finish(_chunk_windows(g.kind, g.window_size, q, cnt, child))
+        return finish(draw(cnt, child))
 
-    return _run_chunks(worker, sizes, children, threads)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, sizes, children))
+    return [worker(c, s) for c, s in zip(sizes, children)]
 
 
 def _chunk_windows(kind: str, n: int, q: float, cnt: int, child) -> np.ndarray:
@@ -692,28 +700,14 @@ def sample_statistic(
     for (g, q), child in zip(spec.factor_specs(), factor_seeds):
         if g.kind == "I2":
             vals = _dihedral_stat_values(g, statistic)
-            total += _sample_dihedral_indices(g, q, count, child, threads, vals)
-        elif count:
-            chunks = _map_window_chunks(
+            chunks = _map_chunks(g, q, count, child, threads, lambda idx, v=vals: v[idx])
+        else:
+            chunks = _map_chunks(
                 g, q, count, child, threads, lambda W, k=g.kind: _windows_stat(k, W, statistic)
             )
+        if chunks:
             total += np.concatenate(chunks)
     return total
-
-
-def _sample_dihedral_indices(g, q, count, seq, threads, vals) -> np.ndarray:
-    _, probs = _dihedral_table(g, q)
-    sizes = _chunk_sizes(count) if count else []
-    children = seq.spawn(len(sizes)) if sizes else []
-
-    def worker(cnt, child):
-        rng = np.random.default_rng(child)
-        idx = rng.choice(len(probs), size=cnt, p=probs)
-        return vals[idx]
-
-    if not sizes:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(_run_chunks(worker, sizes, children, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +752,8 @@ def reversal_identity_check(g, q: float, statistic: str = "t") -> CheckResult:
         pivot = spec_q.group.longest_length()
     elif statistic in ("des", "des_inv"):
         pivot = spec_q.group.num_generators
-    elif statistic == "t":
+    else:  # t; exact_distribution has rejected any other statistic
         pivot = 2 * spec_q.group.num_generators
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
     reflected = {pivot - v: p for v, p in dist_r.items()}
     support = set(dist_q.support()) | set(reflected)
     tv = 0.5 * sum(abs(dist_q.prob(v) - reflected.get(v, 0.0)) for v in support)

@@ -23,6 +23,7 @@ from .reports import CheckResult
 from .sizebias import generic_stein_bound, stein_bound_rhs, stein_error_terms
 
 EPS_U = 1e-12
+TAIL_ALPHA = 0.001  # level of the MC slack on drawn tail frequencies
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -193,32 +194,31 @@ def w2_with_se(spec: MallowsSpec, count: int, seed, threads: int = 1, chunks: in
 # bound checks
 
 
-def w1_bound_check(
-    g,
-    q: float,
-    mode: str = "exact",
-    count: int = 100_000,
-    seed=0,
-    threads: int = 1,
-) -> CheckResult:
-    """W1(normalized t, Z) against the published (180/384 + ...) / sqrt(n) form."""
+def _measured_distance(spec: MallowsSpec, p: int, xs):
+    """(W_p(normalized t, Z) plus its slack, detail, source tag).
+
+    xs is None for the exact law, or drawn values of t, whose slack is
+    wasserstein_from_samples's at len(xs) draws.
+    """
+    if xs is None:
+        dist = exact_distribution(spec, "t")
+        w = wasserstein_p_to_normal(NormalizedStatistic.from_distribution(dist), p)
+        return w.value + w.tail_slack, {f"w{p}": w.value, "tail_slack": w.tail_slack}, "exact"
+    w, slack = wasserstein_from_samples(xs, p, 2.0 * spec.group.num_generators)
+    return w.value + slack, {f"w{p}": w.value, "slack": slack, "count": len(xs)}, "mc"
+
+
+def w1_bound_check(g, q: float, xs=None) -> CheckResult:
+    """W1(normalized t, Z) against the published (180/384 + ...) / sqrt(n) form.
+
+    xs is None for the exact law, or drawn values of t under (g, q).
+    """
     rhs = stein_bound_rhs(g, q, "w1")
     spec = MallowsSpec.make(g, q)
-    if mode == "exact":
-        dist = exact_distribution(spec, "t")
-        w = wasserstein_p_to_normal(NormalizedStatistic.from_distribution(dist), 1)
-        measured = w.value + w.tail_slack
-        detail = {"w1": w.value, "tail_slack": w.tail_slack}
-    elif mode == "mc":
-        xs = sample_statistic(spec, "t", count, seed, threads)
-        w, slack = wasserstein_from_samples(xs, 1, 2.0 * g.num_generators)
-        measured = w.value + slack
-        detail = {"w1": w.value, "slack": slack, "count": count}
-    else:
-        raise ValueError("mode must be 'exact' or 'mc'")
+    measured, detail, source = _measured_distance(spec, 1, xs)
     return CheckResult(
         name="w1-normal-bound",
-        target=f"{spec} [{mode}]",
+        target=f"{spec} [{source}]",
         passed=measured <= rhs.value,
         observed=measured,
         bound=rhs.value,
@@ -227,37 +227,22 @@ def w1_bound_check(
     )
 
 
-def w2_bound_check(
-    g,
-    q: float,
-    mode: str = "exact",
-    count: int = 100_000,
-    seed=0,
-    threads: int = 1,
-) -> CheckResult:
-    """W2(normalized t, Z) against 100 (nk)^{-1/4} (log nk)^{1/2}, k = min(q, 1/q)."""
+def w2_bound_check(g, q: float, xs=None) -> CheckResult:
+    """W2(normalized t, Z) against 100 (nk)^{-1/4} (log nk)^{1/2}, k = min(q, 1/q).
+
+    xs is None for the exact law, or drawn values of t under (g, q).
+    """
     n = g.num_generators
     k = min(q, 1.0 / q)
     nk = n * k
     rhs = 100.0 * nk**-0.25 * math.sqrt(math.log(nk)) if nk > 1 else math.inf
     applicable = nk >= 50
     spec = MallowsSpec.make(g, q)
-    if mode == "exact":
-        dist = exact_distribution(spec, "t")
-        w = wasserstein_p_to_normal(NormalizedStatistic.from_distribution(dist), 2)
-        measured = w.value + w.tail_slack
-        detail = {"w2": w.value, "tail_slack": w.tail_slack}
-    elif mode == "mc":
-        xs = sample_statistic(spec, "t", count, seed, threads)
-        w, slack = wasserstein_from_samples(xs, 2, 2.0 * n)
-        measured = w.value + slack
-        detail = {"w2": w.value, "slack": slack, "count": count}
-    else:
-        raise ValueError("mode must be 'exact' or 'mc'")
+    measured, detail, source = _measured_distance(spec, 2, xs)
     detail["nk"] = nk
     return CheckResult(
         name="w2-normal-bound",
-        target=f"{spec} [{mode}]",
+        target=f"{spec} [{source}]",
         passed=(measured <= rhs) if applicable else None,
         observed=measured,
         bound=rhs,
@@ -294,7 +279,7 @@ def smooth_bound_checks(g, q: float) -> list[CheckResult]:
     dist = exact_distribution(spec, "t")
     mu, sigma = dist.mean(), dist.std()
     xs = (dist.values.astype(np.float64) - mu) / sigma
-    terms = stein_error_terms(g, q, mode="exact")
+    terms = stein_error_terms(g, q)
     published = stein_bound_rhs(g, q, "smooth", h_sup=1.0, hp_sup=1.0)
     generic = generic_stein_bound(terms, "smooth", h_sup=1.0, hp_sup=1.0)
     out = []
@@ -323,18 +308,13 @@ def smooth_bound_checks(g, q: float) -> list[CheckResult]:
     return out
 
 
-def tail_bound_check(
-    g,
-    q: float,
-    mode: str = "exact",
-    x_grid=None,
-    count: int = 100_000,
-    seed=0,
-    threads: int = 1,
-    alpha: float = 0.001,
-) -> CheckResult:
+def tail_bound_check(g, q: float, xs=None, x_grid=None) -> CheckResult:
     """P(t - mu >= x) <= exp(-x^2 / (8(x/3 + mu))) and
-    P(t - mu <= -x) <= exp(-x^2 / (8 mu)), on an integer grid of x >= 0."""
+    P(t - mu <= -x) <= exp(-x^2 / (8 mu)), on an integer grid of x >= 0.
+
+    xs is None for the exact law, or drawn values of t under (g, q); drawn
+    tail frequencies get a one-sided Hoeffding slack at level TAIL_ALPHA.
+    """
     if getattr(g, "kind", None) not in ("A", "B", "D"):
         raise ValueError("tail bounds are stated for irreducible types A, B, D")
     n = g.num_generators
@@ -343,20 +323,18 @@ def tail_bound_check(
     if any(x < 0 for x in grid):
         raise ValueError("tail grid must be nonnegative")
     spec = MallowsSpec.make(g, q)
-    if mode == "exact":
+    if xs is None:
         dist = exact_distribution(spec, "t")
         vals = dist.values.astype(np.float64)
         probs = dist.probs
         upper_p = {x: float(probs[vals >= mu + x].sum()) for x in grid}
         lower_p = {x: float(probs[vals <= mu - x].sum()) for x in grid}
         slack = 0.0
-    elif mode == "mc":
-        xs = sample_statistic(spec, "t", count, seed, threads).astype(np.float64)
+    else:
+        xs = np.asarray(xs, dtype=np.float64)
         upper_p = {x: float((xs >= mu + x).mean()) for x in grid}
         lower_p = {x: float((xs <= mu - x).mean()) for x in grid}
-        slack = math.sqrt(math.log(1.0 / alpha) / (2.0 * count))
-    else:
-        raise ValueError("mode must be 'exact' or 'mc'")
+        slack = math.sqrt(math.log(1.0 / TAIL_ALPHA) / (2.0 * len(xs)))
     worst = -math.inf
     worst_at = None
     for x in grid:
@@ -368,10 +346,10 @@ def tail_bound_check(
                 worst, worst_at = excess, f"{side} x={x}"
     return CheckResult(
         name="tail-bounds",
-        target=f"{spec} [{mode}]",
+        target=f"{spec} [{'exact' if xs is None else 'mc'}]",
         passed=worst <= slack,
         observed=worst,
         bound=slack,
-        note=f"worst at {worst_at}; mc slack {slack:.3g}" if mode == "mc" else f"worst at {worst_at}",
+        note=f"worst at {worst_at}" if xs is None else f"worst at {worst_at}; mc slack {slack:.3g}",
         detail={"mu": mu, "grid_max": max(grid)},
     )

@@ -20,11 +20,10 @@ from .coxeter import (
     apply_right_generator,
     descent_indicator,
     descent_number,
-    windows_descent_counts,
     windows_descents,
     windows_invert,
 )
-from .mallows import MallowsSpec, _dihedral_table, _windows_and_weights, sample_windows
+from .mallows import MallowsSpec, _dihedral_table, _windows_and_weights, _windows_stat
 from .reports import CheckResult
 
 
@@ -54,21 +53,16 @@ def ensure_left_descent(w, i: int, g):
 def _ensure_right_batch(kind: str, W: np.ndarray, i: int) -> np.ndarray:
     """Right-ensure at generator i for every row of a window batch."""
     out = W.copy()
-    if kind == "A":
-        rows = np.nonzero(~(W[:, i] > W[:, i + 1]))[0]
-        out[rows, i] = W[rows, i + 1]
-        out[rows, i + 1] = W[rows, i]
-    elif i == 0 and kind == "B":
-        rows = np.nonzero(~(W[:, 0] < 0))[0]
+    rows = np.nonzero(~windows_descents(kind, W)[:, i])[0]
+    j = i - (kind != "A")  # s_i swaps positions j and j + 1; j = -1 is B and D's s_0
+    if j >= 0:
+        out[rows, j] = W[rows, j + 1]
+        out[rows, j + 1] = W[rows, j]
+    elif kind == "B":
         out[rows, 0] = -W[rows, 0]
-    elif i == 0:  # D
-        rows = np.nonzero(~(W[:, 0] + W[:, 1] < 0))[0]
+    else:
         out[rows, 0] = -W[rows, 1]
         out[rows, 1] = -W[rows, 0]
-    else:
-        rows = np.nonzero(~(W[:, i - 1] > W[:, i]))[0]
-        out[rows, i - 1] = W[rows, i]
-        out[rows, i] = W[rows, i - 1]
     return out
 
 
@@ -80,6 +74,8 @@ def coupling_descents(kind: str, W: np.ndarray):
     s = 0 for the right side and s = 1 for the left.
     The left star of w is the inverse of the right star of w^-1.
     star_des is int32 to halve the largest array of a Monte Carlo batch.
+    The counts come from the window_stats kernel, which rejects a row
+    that is not a signed permutation.
     """
     V = windows_invert(W)
     gens = W.shape[1] - (kind == "A")
@@ -87,9 +83,9 @@ def coupling_descents(kind: str, W: np.ndarray):
     for i in range(gens):
         for s, source in enumerate((W, V)):
             S = _ensure_right_batch(kind, source, i)
-            star_des[:, s, i, s] = windows_descent_counts(kind, S)
-            star_des[:, s, i, 1 - s] = windows_descent_counts(kind, windows_invert(S))
-    des = np.stack((windows_descent_counts(kind, W), windows_descent_counts(kind, V)), axis=1)
+            star_des[:, s, i, s] = _windows_stat(kind, S, "des")
+            star_des[:, s, i, 1 - s] = _windows_stat(kind, S, "des_inv")
+    des = np.stack((_windows_stat(kind, W, "des"), _windows_stat(kind, W, "des_inv")), axis=1)
     return des, star_des
 
 
@@ -149,23 +145,17 @@ class SteinErrorTerms:
             raise ValueError("E(X-X*)^2 above 16 contradicts the 4-bounded coupling")
 
 
-def stein_error_terms(
-    g,
-    q: float,
-    mode: str = "exact",
-    count: int = 100_000,
-    seed=0,
-    threads: int = 1,
-) -> SteinErrorTerms:
+def stein_error_terms(g, q: float, windows=None) -> SteinErrorTerms:
     """Both Stein error terms for t(w).
 
     The conditional mean E(X - X*|w) is the average of the 2n per-choice
-    differences, i.e. (S1+S2+S3+S4)/(2n).  Both modes run the same coupling
-    kernel: exact mode over the enumerated group weighted by the Mallows
-    probabilities, MC mode over sampled windows weighted uniformly.
+    differences, i.e. (S1+S2+S3+S4)/(2n).  windows is None for the exact
+    terms, over the enumerated group weighted by the Mallows probabilities,
+    or windows drawn under (g, q) for the MC terms, weighted uniformly;
+    both run the same coupling kernel.
     """
     nn = 2 * g.num_generators
-    if mode == "exact":
+    if windows is None:
         p, des, star_des = _exact_coupling(g, q)
         t, S, sq = _sigma_rows(des, star_des)
         diff = S.sum(axis=1)
@@ -178,17 +168,14 @@ def stein_error_terms(
             sigma=math.sqrt(float(p @ t**2) - mu * mu),
             mode="exact",
         )
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    W = sample_windows(g, q, count, seed, threads)
-    t, S, sq = _sigma_rows(*coupling_descents(g.kind, W))
+    t, S, sq = _sigma_rows(*coupling_descents(g.kind, windows))
     return SteinErrorTerms(
         variance_term=float((S.sum(axis=1) / nn).var(ddof=1)),
         expectation_term=float(sq.mean()),
         mu=float(t.mean()),
         sigma=float(t.std(ddof=1)),
         mode="mc",
-        count=count,
+        count=len(windows),
     )
 
 

@@ -263,7 +263,7 @@ def test_c10_tail_bounds(big_samples):
     ok = True
     for name in ("B4", "D4"):
         for q in (0.5, 1.0, 2.0):
-            c = tail_bound_check(parse_group(name), q, mode="exact")
+            c = tail_bound_check(parse_group(name), q)
             ok &= c.passed is True
     worst = -math.inf
     for q in (0.5, 1.0):

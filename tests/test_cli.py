@@ -2,6 +2,10 @@ import json
 
 import pytest
 
+import coxmal.cli
+import coxmal.mallows
+import coxmal.moments
+import coxmal.normal
 from coxmal.cli import UsageError, build_config, build_parser, main, read_config
 
 
@@ -155,6 +159,31 @@ def test_clt_trend(capsys):
     )
     assert rc == 0
     assert "clt-distance" in out
+
+
+def test_clt_group_draws_each_cell_once(monkeypatch, capsys):
+    """The W1 and W2 bound checks of a clt cell read the cell's own draws."""
+    real = coxmal.mallows.sample_statistic
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(str(args[0]))
+        return real(*args, **kwargs)
+
+    for module in (coxmal.cli, coxmal.moments, coxmal.normal):
+        monkeypatch.setattr(module, "sample_statistic", counted)
+    rc, out, _ = run(["clt", "--group", "B30", "--q", "0.5", "--samples", "2000"], capsys)
+    assert rc == 0
+    assert "w1-normal-bound B30 q=0.5 [mc]" in out
+    assert "w2-normal-bound B30 q=0.5 [mc]" in out
+    assert draws == ["B30 q=0.5"]
+
+
+def test_mode_is_a_moments_flag_only(capsys):
+    for argv in (["verify", "--mode", "mc"], ["clt", "--mode", "exact"]):
+        rc, _, err = run(argv, capsys)
+        assert rc == 2
+        assert "unrecognized arguments: --mode" in err
 
 
 def test_clt_zero_variance_is_usage_error(capsys):

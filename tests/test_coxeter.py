@@ -24,11 +24,10 @@ from coxmal.coxeter import (
     length,
     parse_group,
     two_sided_descent,
-    windows_descent_counts,
     windows_descents,
     windows_invert,
 )
-from window_reference import windows_lengths, windows_two_sided
+from window_reference import windows_descent_counts, windows_lengths, windows_two_sided
 
 
 def bfs_word_lengths(g):

@@ -29,6 +29,8 @@ from coxmal.mallows import (
     _compile_decoder,
     _decode_lib,
     _decode_rows,
+    _dihedral_stat_values,
+    _dihedral_table,
     _draw_choices,
     _stage_arrays,
     _tower_stages,
@@ -412,6 +414,25 @@ def test_sample_statistic_equals_reference_at_full_chunks():
     want = windows_statistic(kind, W, "t")
     for threads in (1, 3):
         assert np.array_equal(sample_statistic(spec, "t", count, seed=22, threads=threads), want)
+
+
+def test_dihedral_draws_keep_their_stream(monkeypatch):
+    """Dihedral factors share the chunk runner and keep their stream: one
+    spawned child per chunk, each drawing default_rng(child).choice."""
+    monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
+    spec = MallowsSpec.make("I2(5) x I2(5)", [0.5, 2.0])
+    sizes = [256, 256, 256, 5]
+    want = np.zeros(sum(sizes), dtype=np.int64)
+    for (g, q), child in zip(spec.factor_specs(), np.random.SeedSequence(23).spawn(2)):
+        probs = _dihedral_table(g, q)[1]
+        idx = [
+            np.random.default_rng(c).choice(len(probs), size=k, p=probs)
+            for k, c in zip(sizes, child.spawn(len(sizes)))
+        ]
+        want += _dihedral_stat_values(g, "t")[np.concatenate(idx)]
+    for threads in (1, 3):
+        got = sample_statistic(spec, "t", sum(sizes), seed=23, threads=threads)
+        assert np.array_equal(got, want), threads
 
 
 def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):

@@ -10,7 +10,7 @@ from coxmal.coxeter import (
     parse_group,
     two_sided_descent,
 )
-from coxmal.mallows import MallowsSpec, pmf
+from coxmal.mallows import MallowsSpec, pmf, sample_statistic
 from coxmal.moments import (
     DiscreteDistribution,
     cube_moment_bound_check,
@@ -188,12 +188,13 @@ def test_variance_corollary_flags():
 
 
 def test_cube_moment_bound():
-    c = cube_moment_bound_check(parse_group("B4"), 1.0, mode="exact")
+    c = cube_moment_bound_check(parse_group("B4"), 1.0)
     assert c.passed
     assert math.isclose(c.bound, 136.0)  # (nr)^3 + 24 (nr)^2 + 16 nr at nr = 2
-    c = cube_moment_bound_check(parse_group("D4"), 0.5, mode="exact")
+    c = cube_moment_bound_check(parse_group("D4"), 0.5)
     assert c.passed
-    c = cube_moment_bound_check(parse_group("B3"), 0.5, mode="mc", count=20000, seed=4)
+    des = sample_statistic(MallowsSpec.make("B3", 0.5), "des", 20000, seed=4)
+    c = cube_moment_bound_check(parse_group("B3"), 0.5, des)
     assert c.passed
 
 

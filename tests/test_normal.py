@@ -111,24 +111,23 @@ def test_smooth_bound_checks_pass():
     assert all(c.passed for c in d4 if c.name.startswith("smooth-gap-generic"))
 
 
-def test_w1_bound_check_exact_and_modes():
-    c = w1_bound_check(parse_group("B4"), 1.0, mode="exact")
+def test_w1_bound_check_exact():
+    c = w1_bound_check(parse_group("B4"), 1.0)
     assert c.passed and c.observed < c.bound
-    with pytest.raises(ValueError):
-        w1_bound_check(parse_group("B4"), 1.0, mode="typo")
 
 
 def test_w2_bound_hypothesis_flag():
-    c = w2_bound_check(parse_group("B4"), 1.0, mode="exact")
+    c = w2_bound_check(parse_group("B4"), 1.0)
     assert c.passed is None  # nk = 4 < 50
     assert "hypothesis" in c.note
-    c = w2_bound_check(parse_group("B100"), 1.0, mode="mc", count=20000, seed=2, threads=2)
+    xs = sample_statistic(MallowsSpec.make("B100", 1.0), "t", 20000, seed=2, threads=2)
+    c = w2_bound_check(parse_group("B100"), 1.0, xs)
     assert c.passed
 
 
 def test_tail_bound_check_exact():
     for name, q in (("B4", 0.5), ("B4", 1.0), ("D4", 0.5)):
-        c = tail_bound_check(parse_group(name), q, mode="exact")
+        c = tail_bound_check(parse_group(name), q)
         assert c.passed, c.line()
     with pytest.raises(ValueError):
         tail_bound_check(parse_group("I2(5)"), 0.5)
@@ -137,7 +136,8 @@ def test_tail_bound_check_exact():
 
 
 def test_tail_bound_check_mc():
-    c = tail_bound_check(parse_group("B30"), 0.5, mode="mc", count=20000, seed=9, threads=2)
+    xs = sample_statistic(MallowsSpec.make("B30", 0.5), "t", 20000, seed=9, threads=2)
+    c = tail_bound_check(parse_group("B30"), 0.5, xs)
     assert c.passed
     assert c.bound > 0  # one-sided binomial slack present
 

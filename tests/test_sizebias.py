@@ -15,7 +15,7 @@ from coxmal.coxeter import (
     parse_group,
     two_sided_descent,
 )
-from coxmal.mallows import MallowsSpec
+from coxmal.mallows import MallowsSpec, sample_windows
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
     TYPE_MULTIPLICITIES,
@@ -30,6 +30,8 @@ from coxmal.sizebias import (
     stein_bound_rhs,
     stein_error_terms,
 )
+
+from window_reference import coupling_descents as reference_coupling_descents
 
 ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
 
@@ -68,14 +70,21 @@ def test_size_bias_law(name, q):
     assert check.observed <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["A4", "B4", "D4"])
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "B6", "D6"])
 def test_coupling_kernel_matches_objects(name):
-    """Per-row S1..S4 and mean squared t-shift against the object stars."""
+    """des and star_des bit-equal to the numpy reference counter; per-row
+    S1..S4 and mean squared t-shift against the object stars (every row up
+    to rank 4, about 400 evenly spaced rows at rank 6)."""
     g = parse_group(name)
     n = g.num_generators
-    des, star_des = sizebias.coupling_descents(g.kind, enumerate_windows(g))
+    W = enumerate_windows(g)
+    des, star_des = sizebias.coupling_descents(g.kind, W)
+    want_des, want_star_des = reference_coupling_descents(g.kind, W)
+    assert des.dtype == want_des.dtype and np.array_equal(des, want_des)
+    assert star_des.dtype == np.int32 and np.array_equal(star_des, want_star_des)
     _, S, sq = sizebias._sigma_rows(des, star_des)
-    for row, w in enumerate(enumerate_group(g)):
+    step = max(1, len(W) // 400)
+    for row, w in itertools.islice(enumerate(enumerate_group(g)), 0, None, step):
         dw, dv = descent_number(w, g), descent_number(invert(w), g)
         sums = [0, 0, 0, 0]
         sq_sum = 0
@@ -89,6 +98,13 @@ def test_coupling_kernel_matches_objects(name):
             sq_sum += (dw + dv - da - dai) ** 2 + (dw + dv - db - dbi) ** 2
         assert S[row].tolist() == sums
         assert sq[row] == sq_sum / (2 * n)
+
+
+def test_coupling_kernel_rejects_bad_windows():
+    W = enumerate_windows(parse_group("B3"))[:4].copy()
+    W[2, 1] = W[2, 0]
+    with pytest.raises(ValueError, match="window row 2 is not a signed permutation"):
+        sizebias.coupling_descents("B", W)
 
 
 def _star_without_gen0_sign(kind, W, i):
@@ -212,7 +228,7 @@ def test_type1_covariance_vanishes_far_apart():
 
 
 def test_stein_error_terms_exact_values():
-    terms = stein_error_terms(parse_group("B3"), 1.0, mode="exact")
+    terms = stein_error_terms(parse_group("B3"), 1.0)
     assert math.isclose(terms.mu, 3.0)
     assert math.isclose(terms.sigma, math.sqrt(exact_distribution(
         MallowsSpec.make("B3", 1.0), "t").variance()))
@@ -222,17 +238,16 @@ def test_stein_error_terms_exact_values():
 
 
 def test_stein_error_terms_mc_agrees():
-    exact = stein_error_terms(parse_group("B3"), 0.5, mode="exact")
-    mc = stein_error_terms(
-        parse_group("B3"), 0.5, mode="mc", count=200_000, seed=17, threads=2
-    )
+    b3 = parse_group("B3")
+    exact = stein_error_terms(b3, 0.5)
+    mc = stein_error_terms(b3, 0.5, sample_windows(b3, 0.5, 200_000, seed=17, threads=2))
     assert abs(mc.expectation_term - exact.expectation_term) < 0.05
     assert abs(mc.variance_term - exact.variance_term) < 0.05
     assert mc.count == 200_000
 
 
 def test_stein_error_terms_degenerate_limit():
-    terms = stein_error_terms(parse_group("B3"), 1e-4, mode="exact")
+    terms = stein_error_terms(parse_group("B3"), 1e-4)
     assert terms.variance_term <= 0.01
 
 
@@ -253,7 +268,7 @@ def test_stein_bound_rhs_values():
 
 
 def test_generic_stein_bound_shape():
-    terms = stein_error_terms(parse_group("B3"), 1.0, mode="exact")
+    terms = stein_error_terms(parse_group("B3"), 1.0)
     mu, sig = terms.mu, terms.sigma
     expect_smooth = 2 * (mu / sig**2) * math.sqrt(terms.variance_term) + (
         mu / sig**3

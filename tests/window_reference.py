@@ -1,13 +1,19 @@
-"""Numpy references for the window_stats kernel.
+"""Numpy references for the window_stats kernel and the coupling kernel.
 
 These are the array kernels the package used before the statistics moved
-into C; the tests keep them to check the kernel bit for bit, the way
+into C; the tests keep them to check the kernels bit for bit, the way
 _reference_decode checks the tower decoder.
 """
 
 import numpy as np
 
-from coxmal.coxeter import windows_descent_counts, windows_invert
+from coxmal.coxeter import windows_descents, windows_invert
+from coxmal.sizebias import _ensure_right_batch
+
+
+def windows_descent_counts(kind: str, W: np.ndarray) -> np.ndarray:
+    """Right-descent numbers for a batch of windows."""
+    return np.count_nonzero(windows_descents(kind, W), axis=1).astype(np.int64)
 
 
 def windows_two_sided(kind: str, W: np.ndarray) -> np.ndarray:
@@ -42,3 +48,17 @@ def windows_statistic(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     if statistic == "length":
         return windows_lengths(kind, W)
     raise ValueError(f"unknown statistic {statistic!r}")
+
+
+def coupling_descents(kind: str, W: np.ndarray):
+    """(des, star_des) in the layout of sizebias.coupling_descents."""
+    V = windows_invert(W)
+    gens = W.shape[1] - (kind == "A")
+    star_des = np.empty((len(W), 2, gens, 2), dtype=np.int32)
+    for i in range(gens):
+        for s, source in enumerate((W, V)):
+            S = _ensure_right_batch(kind, source, i)
+            star_des[:, s, i, s] = windows_descent_counts(kind, S)
+            star_des[:, s, i, 1 - s] = windows_descent_counts(kind, windows_invert(S))
+    des = np.stack((windows_descent_counts(kind, W), windows_descent_counts(kind, V)), axis=1)
+    return des, star_des
