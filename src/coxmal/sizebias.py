@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +24,13 @@ from .coxeter import (
     windows_descents,
     windows_invert,
 )
-from .mallows import MallowsSpec, _dihedral_table, _windows_and_weights, _windows_stat
+from .mallows import (
+    MallowsSpec,
+    _dihedral_elements,
+    _dihedral_table,
+    _windows_and_weights,
+    _windows_stat,
+)
 from .reports import CheckResult
 
 
@@ -98,7 +105,17 @@ def _exact_coupling(g, q: float):
     if g.kind != "I2":
         W, wt = _windows_and_weights(g, q)
         return (wt / wt.sum(), *coupling_descents(g.kind, W))
-    elems, probs = _dihedral_table(g, q)
+    return (_dihedral_table(g, q)[1], *_dihedral_coupling(g))
+
+
+@lru_cache(maxsize=None)
+def _dihedral_coupling(g):
+    """(des, star_des) over the dihedral table's elements, in its order.
+
+    They do not depend on q, so they are built once per group; the arrays
+    are read-only because the cache hands them to every caller.
+    """
+    elems = _dihedral_elements(g.rank)[0]
 
     def both(w):
         return descent_number(w, g), descent_number(w, g, side="left")
@@ -108,7 +125,9 @@ def _exact_coupling(g, q: float):
     star_des = np.array(
         [[[both(star(w, i, s, g)) for i in range(2)] for s in sides] for w in elems]
     )
-    return probs, des, star_des
+    des.setflags(write=False)
+    star_des.setflags(write=False)
+    return des, star_des
 
 
 def _sigma_rows(des: np.ndarray, star_des: np.ndarray):

@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +35,31 @@ def test_scan_sees_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# scipy subpackages that cost most of a second to import and that coxmal's
+# commands do not need; coxmal uses scipy.special only
+HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+IMPORT_PROBE = """
+import json, sys
+import coxmal.cli
+from coxmal.mallows import _decode_lib
+print(json.dumps({
+    "heavy": [m for m in %r if m in sys.modules],
+    "kernels_built": _decode_lib.cache_info().currsize,
+}))
+""" % (HEAVY_MODULES,)
+
+
+def test_cli_import_is_light():
+    """import coxmal.cli in a fresh interpreter loads none of the heavy scipy
+    subpackages and compiles no kernel."""
+    src = str(pathlib.Path(coxmal.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"heavy": [], "kernels_built": 0}

@@ -133,6 +133,18 @@ def test_size_bias_law_rejects_broken_star(monkeypatch, broken, name):
     assert cond.observed > 1e-3
 
 
+def test_dihedral_coupling_is_built_once_per_group():
+    """des and star_des of I2(m) do not depend on q: one read-only table per
+    group, with the q-dependent probabilities beside it."""
+    g = parse_group("I2(5)")
+    p_half, des, star_des = sizebias._exact_coupling(g, 0.5)
+    p_two, des_again, star_again = sizebias._exact_coupling(g, 2.0)
+    assert des is des_again and star_des is star_again
+    assert not des.flags.writeable and not star_des.flags.writeable
+    assert not np.array_equal(p_half, p_two)
+    assert des.shape == (10, 2) and star_des.shape == (10, 2, 2, 2)
+
+
 def test_conditional_star_law(monkeypatch):
     """law(w_i*) = law(w | descent at s_i) at every generator and side; a
     starred window outside the group fails the check instead of crashing it,
