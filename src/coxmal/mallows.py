@@ -17,17 +17,23 @@ sample_one is the independent single-draw walk.  A third kernel,
 window_stats, reduces window rows to t, des, des_inv or length.  It serves
 sample_statistic, which reduces each chunk in the thread that drew it, so
 no (count, n) window array is built, and the exact laws and weights over
-enumerated windows.  The kernels are compiled with the system C compiler
-on first use, once per process (about 0.12 s with gcc 12), and run without
-the GIL, so sampler threads overlap.
+enumerated windows.  The kernels run without the GIL, so sampler threads
+overlap.  They are compiled with the system C compiler on first use (about
+0.15 s with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
+~/.cache/coxmal, keyed by the source, flags, compiler and platform; later
+processes load the cached library (under 1 ms).  A cache directory that
+cannot be written or that another user could write is not used: each
+process then compiles into a private temporary directory.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sysconfig
 import tempfile
@@ -585,9 +591,9 @@ int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
     return 0;
 }
 """
-# -O1: every process that draws or reduces windows pays the build once, and
-# -O2 builds about a quarter slower while the tower kernels run no faster and
-# window_stats saves about 0.03 s per 1e5 rows of B200 (gcc 12).
+# -O1: -O2 is not measurably faster.  Pinned to one CPU, t of 1e5 B200 rows
+# took 0.61-0.71 s at -O2 against 0.63-0.66 s at -O1 (medians of 7, gcc 12),
+# with the same output.
 _DECODE_FLAGS = ("-O1", "-shared", "-fPIC", "-Wall", "-Wextra")
 
 
@@ -606,14 +612,65 @@ def _compile_decoder(directory: str) -> tuple[str, str]:
     return lib, done.stderr
 
 
+def _cached_library() -> str | None:
+    """Where the per-user cache keeps the kernels, or None if it must not be used.
+
+    The file is kernels-<key>.so in $XDG_CACHE_HOME/coxmal (~/.cache/coxmal
+    when that is unset), and key hashes the kernel source and flags, the
+    compiler command with its resolved path, size and mtime, and the
+    platform.  The cache is not used when its directory cannot be made or
+    written, is not owned by this user or is group- or world-writable, or
+    when the file exists and another user owns it.
+    """
+    cmd = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    compiler = shutil.which(cmd[0])
+    if compiler is None:
+        raise RuntimeError(f"cannot run the C compiler: {shlex.join(cmd)}: not found")
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    directory = os.path.join(base, "coxmal")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        st = os.stat(directory)
+    except OSError:
+        return None
+    writable = os.access(directory, os.W_OK | os.X_OK)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022 or not writable:
+        return None
+    cc = os.stat(compiler)
+    keyed = (_DECODE_C, _DECODE_FLAGS, cmd, compiler, cc.st_size, cc.st_mtime_ns)
+    key = hashlib.sha256(repr((*keyed, sysconfig.get_platform())).encode()).hexdigest()[:32]
+    path = os.path.join(directory, f"kernels-{key}.so")
+    try:
+        if os.stat(path).st_uid != os.getuid():
+            return None
+    except FileNotFoundError:
+        pass
+    return path
+
+
 @lru_cache(maxsize=None)
 def _decode_lib() -> ctypes.CDLL:
-    """The compiled tower and statistic kernels, built once per process on first use.
+    """The compiled tower and statistic kernels, loaded once per process on first use.
 
-    The library stays mapped after its private build directory is removed.
+    They load from the per-user cache (_cached_library).  A missing file, or
+    one that ctypes rejects (empty, cut short in its headers, or built for
+    another machine), is built in a temporary directory beside it and
+    renamed into place: the rename is atomic, so processes that build at
+    once each leave a complete file.  Without a usable cache the build goes
+    to a private temporary directory, and the library stays mapped after
+    that is removed.
     """
-    with tempfile.TemporaryDirectory() as d:
-        lib = ctypes.CDLL(_compile_decoder(d)[0])
+    path = _cached_library()
+    if path is None:
+        with tempfile.TemporaryDirectory() as d:
+            lib = ctypes.CDLL(_compile_decoder(d)[0])
+    else:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as d:
+                os.replace(_compile_decoder(d)[0], path)
+            lib = ctypes.CDLL(path)
     lib.decode_rows.argtypes = (
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,

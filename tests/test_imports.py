@@ -42,24 +42,25 @@ def test_no_unused_imports(path):
 HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
 
 IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 import coxmal.cli
 from coxmal.mallows import _decode_lib
 print(json.dumps({
     "heavy": [m for m in %r if m in sys.modules],
     "kernels_built": _decode_lib.cache_info().currsize,
+    "cache_made": os.path.exists(os.path.join(os.environ["XDG_CACHE_HOME"], "coxmal")),
 }))
 """ % (HEAVY_MODULES,)
 
 
-def test_cli_import_is_light():
+def test_cli_import_is_light(tmp_path):
     """import coxmal.cli in a fresh interpreter loads none of the heavy scipy
-    subpackages and compiles no kernel."""
+    subpackages, compiles no kernel and makes no kernel cache directory."""
     src = str(pathlib.Path(coxmal.__file__).resolve().parent.parent)
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), XDG_CACHE_HOME=str(tmp_path))
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"heavy": [], "kernels_built": 0}
+    assert seen == {"heavy": [], "kernels_built": 0, "cache_made": False}

@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -478,7 +480,8 @@ def _failing_compiler(cmd, **kwargs):
 
 
 @pytest.mark.parametrize("run", [_missing_compiler, _failing_compiler])
-def test_compiler_failure_raises(monkeypatch, run):
+def test_compiler_failure_raises(monkeypatch, tmp_path, run):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # empty cache: the draw must compile
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
     _decode_lib.cache_clear()
     try:
@@ -492,6 +495,197 @@ def test_compiler_failure_raises(monkeypatch, run):
         _decode_lib.cache_clear()
     _decode_lib()
     assert _decode_lib.cache_info().currsize == 1
+
+
+def test_compiler_not_on_path_raises(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    _decode_lib.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(shutil, "which", lambda name: None)
+            with pytest.raises(RuntimeError, match=re.escape(compiler)):
+                sample_windows(parse_group("B3"), 0.5, 10, seed=1)
+    finally:
+        _decode_lib.cache_clear()
+    assert list(tmp_path.iterdir()) == []
+
+
+# A fresh interpreter draws B3 at q = 0.5 and prints the windows, t and every
+# path it handed to ctypes.CDLL.  Settings (a JSON object in argv[1]): "warm"
+# makes any compile fail; "flags" and "source" are appended to the kernel
+# flags and source before the first draw.
+KERNEL_PROBE = """
+import ctypes, json, subprocess, sys
+settings = json.loads(sys.argv[1])
+loaded = []
+
+
+class RecordingCDLL(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        loaded.append(name)
+        super().__init__(name, *args, **kwargs)
+
+
+def no_compiler(cmd, **kwargs):
+    raise AssertionError("compiled with a warm kernel cache")
+
+
+ctypes.CDLL = RecordingCDLL
+if settings.get("warm"):
+    subprocess.run = no_compiler
+import coxmal.mallows as m
+from coxmal.coxeter import parse_group
+
+m._DECODE_FLAGS += tuple(settings.get("flags", ()))
+m._DECODE_C += settings.get("source", "")
+w = m.sample_windows(parse_group("B3"), 0.5, 2000, seed=1)
+t = m.sample_statistic(m.MallowsSpec.make("B3", 0.5), "t", 2000, seed=1)
+print(json.dumps({"windows": w.tolist(), "t": t.tolist(), "loaded": loaded}))
+"""
+
+
+def _probe_command(cache, **settings):
+    src = os.path.dirname(os.path.dirname(coxmal.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(cache)}
+    return [sys.executable, "-c", KERNEL_PROBE, json.dumps(settings)], env
+
+
+def _kernel_probe(cache, **settings):
+    cmd, env = _probe_command(cache, **settings)
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _cached_kernels(cache):
+    return sorted((cache / "coxmal").glob("kernels-*.so"))
+
+
+def _seed_cache(cache):
+    """cache/coxmal holding a copy of the kernels this process loaded, under
+    the same key (the key does not depend on the cache directory)."""
+    lib = _decode_lib()._name
+    (cache / "coxmal").mkdir(mode=0o700)
+    shutil.copy(lib, cache / "coxmal")
+    return cache / "coxmal" / os.path.basename(lib)
+
+
+def _reference_draws():
+    return {
+        "windows": sample_windows(parse_group("B3"), 0.5, 2000, seed=1).tolist(),
+        "t": sample_statistic(MallowsSpec.make("B3", 0.5), "t", 2000, seed=1).tolist(),
+    }
+
+
+def test_warm_kernel_cache_loads_without_compiling(tmp_path):
+    cold = _kernel_probe(tmp_path)
+    [lib] = _cached_kernels(tmp_path)
+    assert (tmp_path / "coxmal").stat().st_mode & 0o777 == 0o700
+    warm = _kernel_probe(tmp_path, warm=True)
+    assert cold["loaded"] == [str(lib)] * 2  # missed, built, loaded
+    assert warm["loaded"] == [str(lib)]
+    assert warm["windows"] == cold["windows"] == _reference_draws()["windows"]
+    assert warm["t"] == cold["t"]
+    assert os.listdir(tmp_path / "coxmal") == [lib.name]
+
+
+@pytest.mark.parametrize(
+    "change", [{"flags": ["-DCOXMAL_UNUSED"]}, {"source": "\n/* changed */\n"}],
+    ids=["flags", "source"],
+)
+def test_kernel_cache_key_changes_with_flags_and_source(tmp_path, change):
+    base = _seed_cache(tmp_path)
+    changed = _kernel_probe(tmp_path, **change)
+    [lib] = set(_cached_kernels(tmp_path)) - {base}
+    assert changed["loaded"] == [str(lib)] * 2
+    assert changed["windows"] == _reference_draws()["windows"]
+
+
+def test_racing_kernel_builders_leave_one_library(tmp_path):
+    cmd, env = _probe_command(tmp_path)
+    procs = [
+        subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+    first, second = (json.loads(out) for out, _ in outs)
+    [lib] = _cached_kernels(tmp_path)
+    assert set(first["loaded"]) == set(second["loaded"]) == {str(lib)}
+    assert first["windows"] == second["windows"] and first["t"] == second["t"]
+    assert os.listdir(tmp_path / "coxmal") == [lib.name]
+
+
+def _unwritable(cache):
+    (cache / "file").write_text("")
+    return cache / "file"
+
+
+def _chmod(mode):
+    def make(cache):
+        (cache / "coxmal").mkdir(mode=0o700)
+        os.chmod(cache / "coxmal", mode)
+        return cache
+    return make
+
+
+def _other_users_directory(cache):
+    (cache / "coxmal").mkdir(mode=0o700)
+    os.chown(cache / "coxmal", os.getuid() + 1, -1)
+    return cache
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_unwritable, _chmod(0o770), _chmod(0o707), _other_users_directory],
+    ids=["below-a-file", "group-writable", "world-writable", "other-owner"],
+)
+def test_untrusted_kernel_cache_builds_privately(tmp_path, make):
+    if make is _other_users_directory and os.getuid() != 0:
+        pytest.skip("giving a directory to another user needs root")
+    cache = make(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    got = _kernel_probe(cache)
+    [loaded] = got["loaded"]
+    assert not loaded.startswith(str(tmp_path))
+    assert not os.path.exists(loaded)  # its private build directory is gone
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {k: got[k] for k in ("windows", "t")} == _reference_draws()
+
+
+def test_kernel_file_of_another_user_is_not_loaded(tmp_path):
+    if os.getuid() != 0:
+        pytest.skip("giving a file to another user needs root")
+    lib = _seed_cache(tmp_path)
+    lib.write_bytes(b"not a library")
+    os.chown(lib, os.getuid() + 1, -1)
+    got = _kernel_probe(tmp_path)
+    assert got["loaded"] != [str(lib)] and not os.path.exists(got["loaded"][0])
+    assert lib.read_bytes() == b"not a library"
+    assert got["windows"] == _reference_draws()["windows"]
+
+
+def _cut_to(size):
+    return lambda data: data[:size]
+
+
+def _foreign_machine(data):
+    return data[:18] + (0xB7).to_bytes(2, "little") + data[20:]  # e_machine: AArch64
+
+
+@pytest.mark.parametrize(
+    "damage", [_cut_to(0), _cut_to(64), _foreign_machine], ids=["empty", "header-only", "aarch64"]
+)
+def test_cached_kernels_that_do_not_load_are_rebuilt(tmp_path, damage):
+    lib = _seed_cache(tmp_path)
+    good = lib.read_bytes()
+    lib.write_bytes(damage(good))
+    got = _kernel_probe(tmp_path)
+    assert got["loaded"] == [str(lib), str(lib)]  # rejected, rebuilt, loaded
+    assert len(lib.read_bytes()) == len(good)
+    assert os.listdir(tmp_path / "coxmal") == [lib.name]
+    assert got["windows"] == _reference_draws()["windows"]
 
 
 def test_sample_statistic_deterministic_for_products():
