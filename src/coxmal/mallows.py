@@ -12,8 +12,12 @@ element table.
 Batch draws at q != 1 run two small C kernels per chunk, shared by A, B
 and D: draw_choices turns one uniform per stage into that stage's choice by
 indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
-decode_rows turns the choices into windows (q = 1 draws uniformly instead);
-sample_one is the independent single-draw walk.  A third kernel,
+decode_rows turns the choices into windows, shifting the first four
+labels after each pop by scalar moves and only the rest by memmove.  A
+sampled length at q != 1 is the sum of the drawn choices' contributions,
+so it decodes nothing.  At q = 1 the kernel uniform_rows sorts each row of uniforms by a
+counting sort, bit-identical to numpy's stable argsort, and signs it.
+sample_one is the independent single-draw walk.  A fourth kernel,
 window_stats, reduces window rows to t, des, des_inv or length.  It serves
 sample_statistic, which reduces each chunk in the thread that drew it, so
 no (count, n) window array is built, and the exact laws and weights over
@@ -21,9 +25,10 @@ enumerated windows.  The kernels run without the GIL, so sampler threads
 overlap.  They are compiled with the system C compiler on first use (about
 0.15 s with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
 ~/.cache/coxmal, keyed by the source, flags, compiler and platform; later
-processes load the cached library (under 1 ms).  A cache directory that
-cannot be written or that another user could write is not used: each
-process then compiles into a private temporary directory.
+processes load the cached library (under 1 ms), and rebuild one that is
+cut short or that the loader rejects.  A cache directory that cannot be
+written or that another user could write is not used: each process then
+compiles into a private temporary directory.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import math
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sysconfig
 import tempfile
@@ -224,20 +230,25 @@ def stage_candidates(kind: str, m: int):
     return tuple(out)
 
 
+def _stage_choices(kind: str, m: int):
+    """Closed-form (a, s, contribution) int64 arrays, same ordering as stage_candidates.
+
+    Type A offers a = 1..m, contributing m - a.  Types B and D offer each a
+    with s = 1, contributing m - a, then with s = -1, contributing m + a - 1
+    under B and m + a - 2 under D.
+    """
+    a = np.arange(1, m + 1, dtype=np.int64)
+    if kind == "A":
+        return a, np.ones(m, dtype=np.int64), m - a
+    a = np.repeat(a, 2)
+    s = np.tile(np.array([1, -1], dtype=np.int64), m)
+    return a, s, np.where(s > 0, m - a, m + a - (1 if kind == "B" else 2))
+
+
 @lru_cache(maxsize=None)
 def stage_contributions(kind: str, m: int):
-    """Closed-form length contributions, same ordering as stage_candidates."""
-    out = []
-    for a in range(1, m + 1):
-        if kind == "A":
-            out.append((a, 1, m - a))
-            continue
-        out.append((a, 1, m - a))
-        if kind == "B":
-            out.append((a, -1, m + a - 1))
-        else:
-            out.append((a, -1, m + a - 2))
-    return tuple(out)
+    """The closed form of _stage_choices as (a, s, contribution) tuples."""
+    return tuple(zip(*(x.tolist() for x in _stage_choices(kind, m))))
 
 
 def _tower_stages(kind: str, n: int):
@@ -249,10 +260,8 @@ def _stage_arrays(kind: str, m: int, q: float):
 
     Not cached: _tower_tables keeps every stage's arrays, concatenated.
     """
-    cands = stage_contributions(kind, m)
-    a = np.array([c[0] for c in cands], dtype=np.int64)
-    s = np.array([c[1] for c in cands], dtype=np.int64)
-    contrib = np.array([c[2] for c in cands], dtype=np.float64)
+    a, s, contrib = _stage_choices(kind, m)
+    contrib = contrib.astype(np.float64)
     if q > 1.0:
         contrib = contrib - contrib.max()
     return a, s, np.cumsum(np.power(q, contrib))
@@ -290,7 +299,7 @@ def _tower_tables(kind: str, n: int, q: float):
 
 def stage_distribution(kind: str, m: int, q: float) -> np.ndarray:
     """Probabilities of the stage choices, in stage_candidates order."""
-    contrib = np.array([c[2] for c in stage_contributions(kind, m)], dtype=np.float64)
+    contrib = _stage_choices(kind, m)[2].astype(np.float64)
     w = np.power(q, contrib - (contrib.max() if q > 1.0 else 0.0))
     return w / w.sum()
 
@@ -358,41 +367,34 @@ def sample_windows(
     """(count, n) array of windows, deterministic in (g, q, count, seed)."""
     if g.kind == "I2":
         raise ValueError("dihedral factors have no windows; sample stats instead")
-    chunks = _map_chunks(g, q, count, seed, threads, lambda W: W)
-    return np.concatenate(chunks) if chunks else np.empty((0, g.window_size), dtype=np.int64)
+    kind, n = g.kind, g.window_size
+    chunks = _map_chunks(
+        g, q, count, seed, threads, lambda cnt, rng: _chunk_windows(kind, n, q, cnt, rng)
+    )
+    return np.concatenate(chunks) if chunks else np.empty((0, n), dtype=np.int64)
 
 
-def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, finish):
-    """finish(draw) for each chunk of count seeded draws from g at q, in chunk order.
+def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, draw):
+    """draw(cnt, rng) for each chunk of count seeded draws from g at q, in chunk order.
 
-    A draw is a (cnt, n) window array for A, B and D, and the indices of
-    cnt elements of _dihedral_table for I2.  The chunk layout is fixed and
-    each chunk gets its own spawned seed, so the thread count never changes
-    the results.  finish runs in the thread that drew the chunk, so only one
-    chunk of windows per thread is alive.
+    The chunk layout is fixed and each chunk's rng is default_rng of its own
+    spawned seed, so the thread count never changes the results.  draw runs
+    in the thread that handles the chunk and should reduce its rows there,
+    so that only one chunk of windows per thread is alive.
     """
     _check_q(q)
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    if g.kind == "I2":
-        probs = _dihedral_table(g, q)[1]
-
-        def draw(cnt, child):
-            return np.random.default_rng(child).choice(len(probs), size=cnt, p=probs)
-    else:
+    if g.kind != "I2":
         _decode_lib()  # build before the pool starts, so threads never race to compile
-
-        def draw(cnt, child):
-            return _chunk_windows(g.kind, g.window_size, q, cnt, child)
-
     sizes = _chunk_sizes(count)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(sizes))
 
     def worker(cnt, child):
-        return finish(draw(cnt, child))
+        return draw(cnt, np.random.default_rng(child))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -400,8 +402,9 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, fi
     return [worker(c, s) for c, s in zip(sizes, children)]
 
 
-def _chunk_windows(kind: str, n: int, q: float, cnt: int, child) -> np.ndarray:
-    rng = np.random.default_rng(child)
+def _chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
+    """cnt windows drawn from rng (a Generator, or a seed for one)."""
+    rng = np.random.default_rng(rng)
     if q == 1.0:
         return _uniform_windows(kind, n, cnt, rng)
     return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
@@ -450,7 +453,7 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.n
     pops = np.ascontiguousarray(pops, dtype=np.int32)
     signs = np.ascontiguousarray(signs, dtype=np.int8)
     W = np.empty((cnt, n), dtype=np.int64)
-    labels = np.empty(n, dtype=np.int32)  # per-call scratch: threads share no buffer
+    labels = np.zeros(n + 4, dtype=np.int32)  # per-call scratch: threads share no buffer
     bad = _decode_lib().decode_rows(
         cnt, n, stages, kind == "D",
         pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, W.ctypes.data,
@@ -458,6 +461,18 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.n
     if bad:
         raise ValueError(f"pop index out of range in choice row {bad - 1}")
     return W
+
+
+def _choice_lengths(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Lengths of the windows that _decode_rows makes of these tower choices.
+
+    A window's length is the sum of its stage contributions (_stage_choices):
+    stage m's pop index p = a - 1 adds m - 1 - p with sign 1, and with sign
+    -1 adds m + p under B, m + p - 1 under D.  No window is decoded.
+    """
+    m = np.arange(n, n - pops.shape[1], -1, dtype=np.int32)
+    neg = m + pops - (1 if kind == "D" else 0)
+    return np.where(signs > 0, m - 1 - pops, neg).sum(axis=1, dtype=np.int64)
 
 
 _DECODE_C = r"""
@@ -468,8 +483,10 @@ _DECODE_C = r"""
    stage m = n - t, which pops the pops[t]-th smallest remaining label into
    position m with sign signs[t].  Under type D a negative choice also
    negates the smallest label left.  Labels no stage pops fill the leftmost
-   positions.  lab is scratch for n labels.  Returns 0, or 1 + the first row
-   with a pop index out of range. */
+   positions.  lab is scratch for n + 4 labels: most pops shift only a few
+   labels, so the first four moves are unconditional scalar copies, which
+   may read up to lab[n + 3], and memmove shifts only the rest.  Returns 0,
+   or 1 + the first row with a pop index out of range. */
 int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
                     const int32_t *pops, const int8_t *signs,
                     int32_t *lab, int64_t *out)
@@ -486,7 +503,12 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
                 return r + 1;
             w[n - 1 - t] = s[t] * lab[k];
             left--;
-            memmove(lab + k, lab + k + 1, (size_t)(left - k) * sizeof *lab);
+            lab[k] = lab[k + 1];
+            lab[k + 1] = lab[k + 2];
+            lab[k + 2] = lab[k + 3];
+            lab[k + 3] = lab[k + 4];
+            if (left - k > 4)
+                memmove(lab + k + 4, lab + k + 5, (size_t)(left - k - 4) * sizeof *lab);
             if (type_d && s[t] < 0)
                 lab[0] = -lab[0];
         }
@@ -533,6 +555,68 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
                 signs[r * stages + t] = s[k];
             }
         }
+    }
+    return 0;
+}
+
+/* Uniform windows of type 0, 1 or 2 (A, B or D) from row-major (cnt, n)
+   uniforms u and, under B and D, sign bits.  Row r's window holds 1 + the
+   positions of u's row in increasing order of u, ties in position order,
+   which is numpy's argsort(u, kind="stable") + 1: a counting sort into n
+   buckets by floor(u * n), which keeps position order inside a bucket,
+   then an insertion sort that moves an entry only past larger ones.  Entry
+   j takes the sign 2 * bits[j] - 1, except under D the last entry, whose
+   sign is the product of the others', so that the signs have even weight.
+   idx (3n + 1 slots: bucket counts, order, bucket keys) and val (n slots)
+   are scratch.  Returns 0, or 1 + the first row with a uniform outside
+   [0, 1) or a bit other than 0 or 1. */
+int64_t uniform_rows(int64_t cnt, int64_t n, int type, const double *u,
+                     const int64_t *bits, int64_t *idx, double *val, int64_t *out)
+{
+    int64_t *count = idx, *order = idx + n + 1, *key = order + n;
+    for (int64_t r = 0; r < cnt; r++) {
+        const double *v = u + r * n;
+        const int64_t *b = type ? bits + r * n : bits; /* NULL under A */
+        int64_t *w = out + r * n;
+        memset(count, 0, (size_t)(n + 1) * sizeof *count);
+        for (int64_t j = 0; j < n; j++) {
+            if (!(v[j] >= 0.0 && v[j] < 1.0) || (type && (b[j] & ~(int64_t)1)))
+                return r + 1;
+            int64_t k = (int64_t)(v[j] * n);
+            key[j] = k < n ? k : n - 1;
+            count[key[j] + 1]++;
+        }
+        for (int64_t k = 0; k < n; k++)
+            count[k + 1] += count[k];
+        for (int64_t j = 0; j < n; j++) {
+            int64_t i = count[key[j]]++;
+            val[i] = v[j];
+            order[i] = j;
+        }
+        for (int64_t i = 1; i < n; i++) {
+            double x = val[i];
+            int64_t j = order[i], k = i;
+            for (; k > 0 && val[k - 1] > x; k--) {
+                val[k] = val[k - 1];
+                order[k] = order[k - 1];
+            }
+            val[k] = x;
+            order[k] = j;
+        }
+        if (!type) {
+            for (int64_t i = 0; i < n; i++)
+                w[i] = order[i] + 1;
+            continue;
+        }
+        /* signs by arithmetic, not branches: the bits are coin flips */
+        int64_t prod = 1, last = type == 2 ? n - 1 : n;
+        for (int64_t i = 0; i < last; i++) {
+            int64_t sg = 2 * b[i] - 1;
+            prod *= sg;
+            w[i] = sg * (order[i] + 1);
+        }
+        if (type == 2)
+            w[n - 1] = prod * (order[n - 1] + 1);
     }
     return 0;
 }
@@ -648,17 +732,45 @@ def _cached_library() -> str | None:
     return path
 
 
+def _segments_in_file(path: str) -> bool:
+    """False when a PT_LOAD segment of the ELF file at path ends past the file's end.
+
+    dlopen maps such a file, and the first touch of a page beyond the end
+    kills the process with SIGBUS.  A missing file, or headers that cannot
+    be read, are left to ctypes, which rejects them.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        end = "<" if data[5] == 1 else ">"
+        if data[4] == 2:  # ELFCLASS64: e_phoff at 32, p_offset at 8, p_filesz at 32
+            word, at_phoff, at_phnum, at_offset, at_filesz = "Q", 32, 54, 8, 32
+        else:  # ELFCLASS32: e_phoff at 28, p_offset at 4, p_filesz at 16
+            word, at_phoff, at_phnum, at_offset, at_filesz = "I", 28, 42, 4, 16
+        [phoff] = struct.unpack_from(end + word, data, at_phoff)
+        phentsize, phnum = struct.unpack_from(end + "HH", data, at_phnum)
+        for h in range(phoff, phoff + phnum * phentsize, phentsize):
+            [p_type] = struct.unpack_from(end + "I", data, h)
+            [offset] = struct.unpack_from(end + word, data, h + at_offset)
+            [filesz] = struct.unpack_from(end + word, data, h + at_filesz)
+            if p_type == 1 and offset + filesz > len(data):  # PT_LOAD
+                return False
+    except (OSError, IndexError, ValueError, struct.error):
+        pass
+    return True
+
+
 @lru_cache(maxsize=None)
 def _decode_lib() -> ctypes.CDLL:
     """The compiled tower and statistic kernels, loaded once per process on first use.
 
-    They load from the per-user cache (_cached_library).  A missing file, or
-    one that ctypes rejects (empty, cut short in its headers, or built for
-    another machine), is built in a temporary directory beside it and
-    renamed into place: the rename is atomic, so processes that build at
-    once each leave a complete file.  Without a usable cache the build goes
-    to a private temporary directory, and the library stays mapped after
-    that is removed.
+    They load from the per-user cache (_cached_library).  A missing file,
+    one cut short inside a loaded segment (_segments_in_file), or one that
+    ctypes rejects (empty, cut short in its headers, or built for another
+    machine), is built in a temporary directory beside it and renamed into
+    place: the rename is atomic, so processes that build at once each leave
+    a complete file.  Without a usable cache the build goes to a private
+    temporary directory, and the library stays mapped after that is removed.
     """
     path = _cached_library()
     if path is None:
@@ -666,6 +778,8 @@ def _decode_lib() -> ctypes.CDLL:
             lib = ctypes.CDLL(_compile_decoder(d)[0])
     else:
         try:
+            if not _segments_in_file(path):
+                raise OSError(f"{path} is cut short inside a loaded segment")
             lib = ctypes.CDLL(path)
         except OSError:
             with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as d:
@@ -678,6 +792,10 @@ def _decode_lib() -> ctypes.CDLL:
     lib.decode_rows.restype = ctypes.c_int64
     lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
     lib.draw_choices.restype = ctypes.c_int64
+    lib.uniform_rows.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int) + (
+        ctypes.c_void_p,
+    ) * 5
+    lib.uniform_rows.restype = ctypes.c_int64
     lib.window_stats.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int) + (
         ctypes.c_void_p,
     ) * 4
@@ -686,15 +804,24 @@ def _decode_lib() -> ctypes.CDLL:
 
 
 def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
-    perm = np.argsort(rng.random((cnt, n)), axis=1).astype(np.int64) + 1
-    if kind == "A":
-        return perm
-    signs = rng.integers(0, 2, size=(cnt, n), dtype=np.int64) * 2 - 1
-    if kind == "D":
-        # parity-fix the last column; the first n-1 iid signs stay uniform
-        # over the even-weight sign vectors
-        signs[:, -1] = np.prod(signs[:, :-1], axis=1)
-    return perm * signs
+    """cnt uniform windows: the stable argsort of a row of rng.random, plus 1,
+    with signs from rng.integers(0, 2) under B and D.  Under D the last sign
+    is the product of the others: the first n - 1 iid signs stay uniform
+    over the even-weight sign vectors.  Runs the C kernel uniform_rows,
+    which releases the GIL for the whole call.
+    """
+    u = rng.random((cnt, n))
+    bits = None if kind == "A" else rng.integers(0, 2, size=(cnt, n), dtype=np.int64)
+    W = np.empty((cnt, n), dtype=np.int64)
+    idx = np.empty(3 * n + 1, dtype=np.int64)  # per-call scratch: threads share no buffer
+    val = np.empty(n)
+    bad = _decode_lib().uniform_rows(
+        cnt, n, "ABD".index(kind), u.ctypes.data, None if bits is None else bits.ctypes.data,
+        idx.ctypes.data, val.ctypes.data, W.ctypes.data,
+    )
+    if bad:
+        raise ValueError(f"uniform outside [0, 1) or sign bit not 0 or 1 in row {bad - 1}")
+    return W
 
 
 STATISTICS = ("t", "des", "des_inv", "length")  # window_stats's `which` codes, in order
@@ -748,23 +875,30 @@ def sample_statistic(
     """Seeded batch of statistic values; sums over product factors.
 
     Window factors draw the same chunks as sample_windows, and each chunk
-    is reduced to its statistic in the thread that drew it.
+    is reduced to its statistic in the thread that drew it.  Lengths at
+    q != 1 are summed from the drawn tower choices without decoding them.
     """
     _check_statistic(statistic)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     factor_seeds = seq.spawn(len(descriptor_factors(spec.group)))
     total = np.zeros(count, dtype=np.int64)
     for (g, q), child in zip(spec.factor_specs(), factor_seeds):
-        if g.kind == "I2":
-            vals = _dihedral_stat_values(g, statistic)
-            chunks = _map_chunks(g, q, count, child, threads, lambda idx, v=vals: v[idx])
-        else:
-            chunks = _map_chunks(
-                g, q, count, child, threads, lambda W, k=g.kind: _windows_stat(k, W, statistic)
-            )
+        chunks = _map_chunks(g, q, count, child, threads, _statistic_draw(g, q, statistic))
         if chunks:
             total += np.concatenate(chunks)
     return total
+
+
+def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
+    """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
+    if g.kind == "I2":
+        vals = _dihedral_stat_values(g, statistic)
+        probs = _dihedral_table(g, q)[1]
+        return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
+    kind, n = g.kind, g.window_size
+    if statistic == "length" and q != 1.0:
+        return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+    return lambda cnt, rng: _windows_stat(kind, _chunk_windows(kind, n, q, cnt, rng), statistic)
 
 
 # ---------------------------------------------------------------------------

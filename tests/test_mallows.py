@@ -34,8 +34,11 @@ from coxmal.mallows import (
     _dihedral_stat_values,
     _dihedral_table,
     _draw_choices,
+    _segments_in_file,
     _stage_arrays,
     _tower_stages,
+    _tower_tables,
+    _uniform_windows,
     _windows_and_weights,
     _windows_stat,
     normalization_constant,
@@ -134,6 +137,55 @@ def test_stage_tables_agree(kind):
         assert stage_candidates(kind, m) == stage_contributions(kind, m)
 
 
+def _list_contributions(kind, m):
+    """The stage contributions as tuples, built by a Python loop."""
+    out = []
+    for a in range(1, m + 1):
+        out.append((a, 1, m - a))
+        if kind != "A":
+            out.append((a, -1, m + a - (1 if kind == "B" else 2)))
+    return out
+
+
+def _list_tower_tables(kind, n, q):
+    """_tower_tables built stage by stage from Python lists of choices."""
+    stages = []
+    for m in _tower_stages(kind, n):
+        cands = stage_candidates(kind, m) if m <= 8 else _list_contributions(kind, m)
+        a = np.array([c[0] for c in cands], dtype=np.int64)
+        s = np.array([c[1] for c in cands], dtype=np.int64)
+        contrib = np.array([c[2] for c in cands], dtype=np.float64)
+        if q > 1.0:
+            contrib = contrib - contrib.max()
+        stages.append((a, s, np.cumsum(np.power(q, contrib))))
+    guides = []
+    for _, _, cum in stages:
+        size = len(cum)
+        start = np.searchsorted(cum, np.arange(size) / size * cum[-1], side="right")
+        guides.append(np.minimum(start, size - 1))
+    return (
+        np.cumsum([0] + [len(cum) for _, _, cum in stages], dtype=np.int64),
+        np.concatenate([cum for _, _, cum in stages]),
+        np.concatenate(guides).astype(np.int32),
+        np.concatenate([a for a, _, _ in stages]).astype(np.int32) - 1,
+        np.concatenate([s for _, s, _ in stages]).astype(np.int8),
+    )
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("q", [1e-3, 0.5, 2.0, 1e3])
+def test_tower_tables_equal_the_list_build(kind, q):
+    """The numpy closed form builds the same tables, to the bit, as the
+    enumerated choices (stages up to 8) and the list loop (the rest).  Rank
+    201 holds every stage table from 1 to 201."""
+    for m in range(2 if kind == "D" else 1, 9):
+        assert stage_candidates(kind, m) == tuple(_list_contributions(kind, m))
+    for n in (2, 3, 50, 201):
+        got, want = _tower_tables(kind, n, q), _list_tower_tables(kind, n, q)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n, x.dtype)
+
+
 @pytest.mark.parametrize("name,q", [("A3", 0.7), ("B3", 0.7), ("B3", 2.5), ("D4", 0.7)])
 def test_tower_walk_reproduces_pmf(name, q):
     """Walk every choice sequence of the tower, decode it, and accumulate its
@@ -225,6 +277,10 @@ def test_decode_rows_matches_reference(kind, n):
     labels above 255."""
     rng = np.random.default_rng(1000 * n + ord(kind))
     pops, signs = _random_choices(kind, n, 2500, rng)
+    # rows that always pop the top label (no shift) or label 0 (the longest)
+    top = np.array(list(_tower_stages(kind, n)), dtype=np.int32) - 1
+    pops = np.concatenate([pops, np.tile(top, (20, 1)), np.zeros((20, pops.shape[1]), np.int32)])
+    signs = np.concatenate([signs, signs[:40]])
     W = _decode_rows(kind, n, pops, signs)
     assert W.dtype == np.int64
     assert np.array_equal(W, _reference_decode(kind, n, pops, signs))
@@ -334,6 +390,78 @@ def test_draw_choices_rejects_bad_uniforms():
             _draw_choices("B", 5, 0.5, 10, _Rows(v))
 
 
+class _Uniforms:
+    """Stands in for the generator of _uniform_windows: hands out u, then bits."""
+
+    def __init__(self, u, bits):
+        self.u, self.bits = u, bits
+
+    def random(self, size):
+        assert size == self.u.shape
+        return self.u
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 2, self.bits.shape, np.int64)
+        return self.bits
+
+
+def _reference_uniform(kind, u, bits, parity=True, ties_reversed=False):
+    if ties_reversed:  # equal uniforms in decreasing position order
+        W = u.shape[1] - np.argsort(u[:, ::-1], axis=1, kind="stable")
+    else:
+        W = np.argsort(u, axis=1, kind="stable") + 1
+    if kind == "A":
+        return W
+    signs = 2 * bits - 1
+    if kind == "D" and parity:
+        signs[:, -1] = np.prod(signs[:, :-1], axis=1)
+    return W * signs
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("n", [2, 3, 49, 50, 149, 200, 201])
+def test_uniform_rows_matches_stable_argsort(kind, n):
+    """The counting-sort kernel equals numpy's stable argsort, on the seeded
+    stream and on rows whose uniforms are multiples of 1/8, which tie."""
+    cnt = 600
+    got = _uniform_windows(kind, n, cnt, np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    u = rng.random((cnt, n))
+    bits = None if kind == "A" else rng.integers(0, 2, (cnt, n), np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_uniform(kind, u, bits))
+
+    rng = np.random.default_rng(1000 * n + ord(kind))
+    u = rng.random((cnt, n))
+    u[: cnt // 2] = np.floor(u[: cnt // 2] * 8) / 8
+    bits = rng.integers(0, 2, (cnt, n), np.int64)
+    got = _uniform_windows(kind, n, cnt, _Uniforms(u, bits))
+    assert np.array_equal(got, _reference_uniform(kind, u, bits))
+    # negative control: the ties are there, and the comparison sees their order
+    assert not np.array_equal(got, _reference_uniform(kind, u, bits, ties_reversed=True))
+    if kind == "D":
+        assert ((got < 0).sum(axis=1) % 2 == 0).all()
+        # negative control: the comparison sees the parity fix
+        assert not np.array_equal(got, _reference_uniform(kind, u, bits, parity=False))
+
+
+def test_uniform_rows_rejects_bad_input():
+    rng = np.random.default_rng(0)
+    u, bits = rng.random((10, 5)), rng.integers(0, 2, (10, 5), np.int64)
+    for bad in (1.0, -0.25, np.nan):
+        v = u.copy()
+        v[3, 2] = bad
+        for kind in "ABD":
+            with pytest.raises(ValueError, match="row 3"):
+                _uniform_windows(kind, 5, 10, _Uniforms(v, bits))
+    for col in (2, 4):  # under D the last bit is drawn but not used: still checked
+        b = bits.copy()
+        b[3, col] = 2
+        for kind in "BD":
+            with pytest.raises(ValueError, match="row 3"):
+                _uniform_windows(kind, 5, 10, _Uniforms(u, b))
+
+
 @pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
 def test_window_stats_matches_references_on_enumerations(name):
     """Every element: the C kernel equals the numpy references and the object
@@ -416,6 +544,22 @@ def test_sample_statistic_equals_reference_at_full_chunks():
     want = windows_statistic(kind, W, "t")
     for threads in (1, 3):
         assert np.array_equal(sample_statistic(spec, "t", count, seed=22, threads=threads), want)
+
+
+def test_sampled_lengths_skip_the_decode(monkeypatch):
+    """Lengths at q != 1 are sums of the drawn choices' contributions: the
+    same values, with no window decoded or reduced."""
+    monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
+    cases = [(name, q) for name in ("A6", "B6", "D6") for q in (0.5, 2.0)]
+    want = [sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5) for g, q in cases]
+
+    def no_windows(*args, **kwargs):
+        raise AssertionError("decoded windows for sampled lengths")
+
+    monkeypatch.setattr(coxmal.mallows, "_decode_rows", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
+    for (g, q), w in zip(cases, want):
+        assert np.array_equal(sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5), w)
 
 
 def test_dihedral_draws_keep_their_stream(monkeypatch):
@@ -683,6 +827,21 @@ def test_cached_kernels_that_do_not_load_are_rebuilt(tmp_path, damage):
     lib.write_bytes(damage(good))
     got = _kernel_probe(tmp_path)
     assert got["loaded"] == [str(lib), str(lib)]  # rejected, rebuilt, loaded
+    assert len(lib.read_bytes()) == len(good)
+    assert os.listdir(tmp_path / "coxmal") == [lib.name]
+    assert got["windows"] == _reference_draws()["windows"]
+
+
+def test_cached_kernels_cut_inside_a_segment_are_rebuilt(tmp_path):
+    """dlopen maps a file cut past its program headers, and touching the
+    missing pages would kill the process with SIGBUS; it is rebuilt instead,
+    without being loaded."""
+    lib = _seed_cache(tmp_path)
+    good = lib.read_bytes()
+    lib.write_bytes(good[: len(good) // 2])
+    assert _segments_in_file(str(_decode_lib()._name)) and not _segments_in_file(str(lib))
+    got = _kernel_probe(tmp_path)  # asserts exit code 0
+    assert got["loaded"] == [str(lib)]
     assert len(lib.read_bytes()) == len(good)
     assert os.listdir(tmp_path / "coxmal") == [lib.name]
     assert got["windows"] == _reference_draws()["windows"]
