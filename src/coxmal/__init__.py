@@ -68,8 +68,6 @@ from .sizebias import (
     conditional_star_law_check,
     coupling_boundedness_check,
     covariance_type_sums,
-    ensure_left_descent,
-    ensure_right_descent,
     generic_stein_bound,
     size_bias_law_check,
     star,

@@ -448,29 +448,6 @@ def enumerate_group(g, cap=None):
     yield from _enumerate_uncapped(g)
 
 
-def enumerate_windows(g, cap=None) -> np.ndarray:
-    """Every element of an A, B or D group as an (order, n) int64 window array.
-
-    Rows come in the order enumerate_group yields the elements, under the
-    same cap.
-    """
-    if isinstance(g, ProductDescriptor) or g.kind == "I2":
-        raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
-    _check_enum_cap(g, cap)
-    n = g.window_size
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
-        dtype=np.int64,
-        count=math.factorial(n) * n,
-    ).reshape(-1, n)
-    if g.kind == "A":
-        return perms
-    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
-    if g.kind == "D":
-        signs = signs[np.count_nonzero(signs < 0, axis=1) % 2 == 0]
-    return (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)
-
-
 def _enumerate_uncapped(g):
     if isinstance(g, ProductDescriptor):
         pools = [list(_enumerate_uncapped(f)) for f in g.factors]

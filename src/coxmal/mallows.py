@@ -13,15 +13,16 @@ Batch draws at q != 1 run two small C kernels per chunk, shared by A, B
 and D: draw_choices turns one uniform per stage into that stage's choice by
 indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
 decode_rows turns the choices into windows, shifting the first four
-labels after each pop by scalar moves and only the rest by memmove.  A
-sampled length at q != 1 is the sum of the drawn choices' contributions,
-so it decodes nothing.  At q = 1 the kernel uniform_rows sorts each row of uniforms by a
-counting sort, bit-identical to numpy's stable argsort, and signs it.
-sample_one is the independent single-draw walk.  A fourth kernel,
-window_stats, reduces window rows to t, des, des_inv or length.  It serves
-sample_statistic, which reduces each chunk in the thread that drew it, so
-no (count, n) window array is built, and the exact laws and weights over
-enumerated windows.  The kernels run without the GIL, so sampler threads
+labels after each pop by scalar moves and only the rest by memmove.  At
+q = 1 the kernel uniform_rows sorts each row of uniforms by a counting
+sort, bit-identical to numpy's stable argsort, and signs it.  sample_one
+is the independent single-draw walk.  A length is the sum of its tower
+choices' contributions, so sampled lengths decode nothing, and the exact
+laws decode every tuple of choices once per group (_tower_enumeration).
+A fourth kernel, window_stats, reduces window rows to t, des or des_inv.
+It serves sample_statistic, which reduces each chunk in the thread that
+drew it, so no (count, n) window array is built, and the exact laws over
+the enumerated windows.  The kernels run without the GIL, so sampler threads
 overlap.  They are compiled with the system C compiler on first use (about
 0.15 s with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
 ~/.cache/coxmal, keyed by the source, flags, compiler and platform; later
@@ -53,10 +54,11 @@ from .coxeter import (
     GroupDescriptor,
     ProductDescriptor,
     SignedPermutation,
+    _check_enum_cap,
     _dihedral_length_table,
     _window_length,
     descriptor_factors,
-    enumerate_windows,
+    enumerate_group,
     length,
     parse_group,
 )
@@ -186,8 +188,8 @@ def _length_weights(g, q: float, lengths):
 
 def _windows_and_weights(g: GroupDescriptor, q: float):
     """Every window of an A, B or D group with its scaled weight (_length_weights)."""
-    W = enumerate_windows(g)
-    return W, _length_weights(g, q, _windows_stat(g.kind, W, "length"))[0]
+    W, lengths = _tower_enumeration(g)
+    return W, _length_weights(g, q, lengths)[0]
 
 
 def pmf(w, spec: MallowsSpec) -> float:
@@ -243,12 +245,6 @@ def _stage_choices(kind: str, m: int):
     a = np.repeat(a, 2)
     s = np.tile(np.array([1, -1], dtype=np.int64), m)
     return a, s, np.where(s > 0, m - a, m + a - (1 if kind == "B" else 2))
-
-
-@lru_cache(maxsize=None)
-def stage_contributions(kind: str, m: int):
-    """The closed form of _stage_choices as (a, s, contribution) tuples."""
-    return tuple(zip(*(x.tolist() for x in _stage_choices(kind, m))))
 
 
 def _tower_stages(kind: str, n: int):
@@ -439,12 +435,13 @@ def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
     return pops, signs
 
 
-def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=None) -> np.ndarray:
     """Windows from tower choices; column t of pops and signs is stage n - t.
 
     Stage m pops the pops[:, t]-th smallest remaining label into position m
     with sign signs[:, t]; type D's last label fills position 1.  Runs the C
-    kernel _DECODE_C, which releases the GIL for the whole call.
+    kernel _DECODE_C, which releases the GIL for the whole call.  The
+    windows go into out, if given (the exact enumeration decodes in place).
     """
     cnt, stages = pops.shape
     need = len(_tower_stages(kind, n))
@@ -452,15 +449,17 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.n
         raise ValueError(f"type {kind} windows of size {n} need {need} choice columns")
     pops = np.ascontiguousarray(pops, dtype=np.int32)
     signs = np.ascontiguousarray(signs, dtype=np.int8)
-    W = np.empty((cnt, n), dtype=np.int64)
+    out = np.empty((cnt, n), dtype=np.int64) if out is None else out
+    if out.shape != (cnt, n) or out.dtype != np.int64 or not out.flags.carray:
+        raise ValueError(f"need a writable C-contiguous ({cnt}, {n}) int64 output array")
     labels = np.zeros(n + 4, dtype=np.int32)  # per-call scratch: threads share no buffer
     bad = _decode_lib().decode_rows(
         cnt, n, stages, kind == "D",
-        pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, W.ctypes.data,
+        pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, out.ctypes.data,
     )
     if bad:
         raise ValueError(f"pop index out of range in choice row {bad - 1}")
-    return W
+    return out
 
 
 def _choice_lengths(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -473,6 +472,48 @@ def _choice_lengths(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> n
     m = np.arange(n, n - pops.shape[1], -1, dtype=np.int32)
     neg = m + pops - (1 if kind == "D" else 0)
     return np.where(signs > 0, m - 1 - pops, neg).sum(axis=1, dtype=np.int64)
+
+
+def _tower_enumeration(g: GroupDescriptor):
+    """Every window of an A, B or D group and its length, as read-only arrays.
+
+    Each element is one tuple of tower stage choices, its length the sum of
+    their contributions.  The cap is checked before the cache lookup.
+    """
+    if isinstance(g, ProductDescriptor) or g.kind == "I2":
+        raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
+    _check_enum_cap(g, None)
+    return _tower_rows(g)
+
+
+@lru_cache(maxsize=1)
+def _tower_rows(g: GroupDescriptor):
+    """(W, lengths) of _tower_enumeration; neither depends on q.
+
+    Rows come in blocks that share the first stage's choice.  The later
+    stages' choices (in mixed-radix order) and summed contributions are the
+    same in every block, so they are laid out once.
+    """
+    kind, n = g.kind, g.window_size
+    (a0, s0, c0), *rest = (_stage_choices(kind, m) for m in _tower_stages(kind, n))
+    size = math.prod(len(a) for a, _, _ in rest)
+    pops = np.empty((size, 1 + len(rest)), dtype=np.int32)
+    signs = np.empty(pops.shape, dtype=np.int8)
+    later = np.zeros(size, dtype=np.int64)
+    inner = size
+    for t, (a, s, contrib) in enumerate(rest, start=1):
+        inner //= len(a)
+        pick = np.arange(size) // inner % len(a)
+        pops[:, t], signs[:, t] = a[pick] - 1, s[pick]
+        later += contrib[pick]
+    W = np.empty((len(a0) * size, n), dtype=np.int64)
+    for k in range(len(a0)):
+        pops[:, 0], signs[:, 0] = a0[k] - 1, s0[k]
+        _decode_rows(kind, n, pops, signs, out=W[k * size : (k + 1) * size])
+    lengths = (c0[:, None] + later).ravel()
+    W.setflags(write=False)
+    lengths.setflags(write=False)
+    return W, lengths
 
 
 _DECODE_C = r"""
@@ -633,13 +674,11 @@ static int64_t row_descents(const int64_t *w, int64_t n, int type)
    0, 1 or 2 for A, B or D.  which 0, 1, 2 gives t, des, des_inv: right
    descents count adjacent drops w[i] > w[i+1], plus w[0] < 0 under B and
    w[0] + w[1] < 0 under D, and des_inv counts them on the inverse, which
-   inv (n slots) holds.  which 3 gives the length: inversions, plus under B
-   and D the pairs i < j with w[i] + w[j] < 0, by a Fenwick count over the
-   values -n..n in fen (2n + 2 slots), plus under B the negative entries.
-   Returns 0, or 1 + the first row that is not a signed permutation of
-   1..n: an entry 0 or outside [-n, n], or a magnitude seen twice. */
+   inv (n slots) holds.  Returns 0, or 1 + the first row that is not a
+   signed permutation of 1..n: an entry 0 or outside [-n, n], or a
+   magnitude seen twice. */
 int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
-                     const int64_t *W, int64_t *inv, int64_t *fen, int64_t *out)
+                     const int64_t *W, int64_t *inv, int64_t *out)
 {
     for (int64_t r = 0; r < cnt; r++) {
         const int64_t *w = W + r * n;
@@ -650,27 +689,8 @@ int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
                 return r + 1;
             inv[a - 1] = v < 0 ? -(i + 1) : i + 1;
         }
-        if (which < 3) {
-            int64_t d = which == 2 ? 0 : row_descents(w, n, type);
-            out[r] = which == 1 ? d : d + row_descents(inv, n, type);
-            continue;
-        }
-        int64_t len = 0;
-        memset(fen, 0, (size_t)(2 * n + 2) * sizeof *fen);
-        for (int64_t j = 0; j < n; j++) {
-            /* fen[k] counts the earlier entries in a Fenwick range ending at
-               value k - n - 1; le and neg count those <= w[j] and < -w[j] */
-            int64_t le = 0, neg = 0;
-            for (int64_t k = w[j] + n + 1; k > 0; k -= k & -k)
-                le += fen[k];
-            if (type)
-                for (int64_t k = n - w[j]; k > 0; k -= k & -k)
-                    neg += fen[k];
-            len += j - le + neg + (type == 1 && w[j] < 0);
-            for (int64_t k = w[j] + n + 1; k <= 2 * n + 1; k += k & -k)
-                fen[k]++;
-        }
-        out[r] = len;
+        int64_t d = which == 2 ? 0 : row_descents(w, n, type);
+        out[r] = which == 1 ? d : d + row_descents(inv, n, type);
     }
     return 0;
 }
@@ -798,7 +818,7 @@ def _decode_lib() -> ctypes.CDLL:
     lib.uniform_rows.restype = ctypes.c_int64
     lib.window_stats.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int) + (
         ctypes.c_void_p,
-    ) * 4
+    ) * 3
     lib.window_stats.restype = ctypes.c_int64
     return lib
 
@@ -824,7 +844,7 @@ def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
     return W
 
 
-STATISTICS = ("t", "des", "des_inv", "length")  # window_stats's `which` codes, in order
+STATISTICS = ("t", "des", "des_inv", "length")  # the first three: window_stats's `which` codes
 
 
 def _check_statistic(statistic: str) -> None:
@@ -845,12 +865,14 @@ def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
 
 
 def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
-    """The statistic of every row of an (rows, n) window array of type kind.
+    """t, des or des_inv of every row of an (rows, n) window array of type kind.
 
     Runs the C kernel window_stats, which releases the GIL for the whole
-    call; the scratch buffers belong to this call, so threads share none.
+    call; the scratch buffer belongs to this call, so threads share none.
+    Lengths are summed from tower choices instead.
     """
-    _check_statistic(statistic)
+    if statistic not in STATISTICS[:3]:
+        raise ValueError(f"unknown statistic {statistic!r} for window rows (not length)")
     if kind not in ("A", "B", "D"):
         raise ValueError(f"no window statistics for kind {kind!r}")
     W = np.ascontiguousarray(W, dtype=np.int64)
@@ -859,10 +881,9 @@ def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     cnt, n = W.shape
     out = np.empty(cnt, dtype=np.int64)
     inv = np.empty(n, dtype=np.int64)
-    fen = np.empty(2 * n + 2, dtype=np.int64)
     bad = _decode_lib().window_stats(
         cnt, n, "ABD".index(kind), STATISTICS.index(statistic),
-        W.ctypes.data, inv.ctypes.data, fen.ctypes.data, out.ctypes.data,
+        W.ctypes.data, inv.ctypes.data, out.ctypes.data,
     )
     if bad:
         raise ValueError(f"window row {bad - 1} is not a signed permutation of 1..{n}")
@@ -875,8 +896,9 @@ def sample_statistic(
     """Seeded batch of statistic values; sums over product factors.
 
     Window factors draw the same chunks as sample_windows, and each chunk
-    is reduced to its statistic in the thread that drew it.  Lengths at
-    q != 1 are summed from the drawn tower choices without decoding them.
+    is reduced to its statistic in the thread that drew it.  Lengths are
+    summed from drawn tower choices, not decoded, also at q = 1, where
+    sample_windows does not walk the tower.
     """
     _check_statistic(statistic)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -896,7 +918,7 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
         probs = _dihedral_table(g, q)[1]
         return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
-    if statistic == "length" and q != 1.0:
+    if statistic == "length":
         return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
     return lambda cnt, rng: _windows_stat(kind, _chunk_windows(kind, n, q, cnt, rng), statistic)
 
@@ -906,13 +928,14 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
 
 
 def normalization_enumeration_check(g, q: float) -> CheckResult:
-    """Closed-form Z(q) against the brute-force sum of q^length."""
+    """Closed-form Z(q) against the brute-force sum of q^length.
+
+    The lengths are the object model's: the tower's summed contributions
+    would equal the closed form by construction.
+    """
     closed = normalization_constant(g, q)
-    if g.kind == "I2":
-        lengths = _dihedral_elements(g.rank)[1]
-    else:
-        lengths = _windows_stat(g.kind, enumerate_windows(g), "length")
-    w, ref = _length_weights(g, q, lengths)
+    _check_enum_cap(g, None)  # on every call: the lengths below may be cached
+    w, ref = _length_weights(g, q, _object_lengths(g))
     brute = float(w.sum()) * q**ref
     rel = abs(brute - closed) / closed
     tol = 1e-10
@@ -924,6 +947,12 @@ def normalization_enumeration_check(g, q: float) -> CheckResult:
         tolerance=tol,
         detail={"closed_form": closed, "enumerated": brute},
     )
+
+
+@lru_cache(maxsize=1)
+def _object_lengths(g) -> tuple[int, ...]:
+    """The object model's length of every element, built once per group."""
+    return tuple(length(w, g) for w in enumerate_group(g))
 
 
 def reversal_identity_check(g, q: float, statistic: str = "t") -> CheckResult:

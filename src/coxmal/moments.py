@@ -14,6 +14,8 @@ from .mallows import (
     _check_statistic,
     _dihedral_stat_values,
     _dihedral_table,
+    _length_weights,
+    _tower_enumeration,
     _windows_and_weights,
     _windows_stat,
     q_integer,
@@ -164,8 +166,9 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
     """Law of the statistic under the spec, by enumeration (plus convolution
     across product factors, all the statistics here being additive).
 
-    Windows are enumerated into one array and run through the kernel that
-    sample_statistic uses; dihedral factors use their 2m-element table.
+    Windows and lengths come from the tower enumeration, the other
+    statistics from sample_statistic's kernel; dihedral factors use their
+    2m-element table.
     """
     _check_statistic(statistic)
     out = None
@@ -173,8 +176,9 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
         if g.kind == "I2":
             values, weights = _dihedral_stat_values(g, statistic), _dihedral_table(g, q)[1]
         else:
-            W, weights = _windows_and_weights(g, q)
-            values = _windows_stat(g.kind, W, statistic)
+            W, lengths = _tower_enumeration(g)
+            weights = _length_weights(g, q, lengths)[0]
+            values = lengths if statistic == "length" else _windows_stat(g.kind, W, statistic)
         dist = DiscreteDistribution.from_values(values, weights)
         out = dist if out is None else out.convolve(dist)
     out.provenance = {

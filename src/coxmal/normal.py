@@ -25,6 +25,7 @@ from .sizebias import generic_stein_bound, stein_bound_rhs, stein_error_terms
 
 EPS_U = 1e-12
 TAIL_ALPHA = 0.001  # level of the MC slack on drawn tail frequencies
+W2_SE_CHUNKS = 8  # w2_with_se's standard error is the W2 spread over this many chunks
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -188,7 +189,7 @@ def exact_w2_floor(spec: MallowsSpec) -> float:
     return floor
 
 
-def w2_with_se(spec: MallowsSpec, count: int, seed, threads: int = 1, chunks: int = 8):
+def w2_with_se(spec: MallowsSpec, count: int, seed, threads: int = 1):
     """Full-sample W2 plus a chunk-spread standard error (trend comparisons)."""
     xs = sample_statistic(spec, "t", count, seed, threads)
     mu = float(xs.mean())
@@ -197,10 +198,10 @@ def w2_with_se(spec: MallowsSpec, count: int, seed, threads: int = 1, chunks: in
         NormalizedStatistic(DiscreteDistribution.from_samples(xs), mu, sigma), 2
     )
     vals = []
-    for part in np.array_split(xs, chunks):
+    for part in np.array_split(xs, W2_SE_CHUNKS):
         d = DiscreteDistribution.from_samples(part)
         vals.append(wasserstein_p_to_normal(NormalizedStatistic(d, mu, sigma), 2).value)
-    se = float(np.std(vals, ddof=1) / math.sqrt(chunks))
+    se = float(np.std(vals, ddof=1) / math.sqrt(W2_SE_CHUNKS))
     return full.value, se, full.tail_slack
 
 

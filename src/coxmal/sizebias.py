@@ -43,16 +43,6 @@ def star(w, i: int, side: str, g):
     return apply_left_generator(w, i, g)
 
 
-def ensure_right_descent(w, i: int, g):
-    """w itself when it descends at s_i on the right, else w s_i."""
-    return star(w, i, "right", g)
-
-
-def ensure_left_descent(w, i: int, g):
-    """Left-side twin, identical to inverting, right-ensuring, inverting."""
-    return star(w, i, "left", g)
-
-
 # ---------------------------------------------------------------------------
 # the coupling kernel
 

@@ -15,7 +15,6 @@ from coxmal.coxeter import (
     compose,
     descent_number,
     enumerate_group,
-    enumerate_windows,
     generator_element,
     identity_element,
     invert,
@@ -27,7 +26,12 @@ from coxmal.coxeter import (
     windows_descents,
     windows_invert,
 )
-from window_reference import windows_descent_counts, windows_lengths, windows_two_sided
+from window_reference import (
+    enumerate_windows,
+    windows_descent_counts,
+    windows_lengths,
+    windows_two_sided,
+)
 
 
 def bfs_word_lengths(g):

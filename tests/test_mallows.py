@@ -15,10 +15,10 @@ import pytest
 
 import coxmal
 from coxmal.coxeter import (
+    EnumerationCapError,
     SignedPermutation,
     descent_number,
     enumerate_group,
-    enumerate_windows,
     length,
     parse_group,
     two_sided_descent,
@@ -34,8 +34,11 @@ from coxmal.mallows import (
     _dihedral_stat_values,
     _dihedral_table,
     _draw_choices,
+    _map_chunks,
     _segments_in_file,
     _stage_arrays,
+    _stage_choices,
+    _tower_enumeration,
     _tower_stages,
     _tower_tables,
     _uniform_windows,
@@ -53,13 +56,13 @@ from coxmal.mallows import (
     sample_statistic,
     sample_windows,
     stage_candidates,
-    stage_contributions,
     stage_distribution,
 )
 from coxmal.moments import exact_distribution, goodness_of_fit, two_sample_chi_square
-from window_reference import windows_statistic
+from window_reference import enumerate_windows, windows_lengths, windows_statistic
 
 STATS = ("t", "des", "des_inv", "length")
+WINDOW_STATS = ("t", "des", "des_inv")  # the statistics of the window_stats kernel
 
 
 def test_q_analogues():
@@ -71,7 +74,9 @@ def test_q_analogues():
     assert q_even_double_factorial(3, 1.0) == 2 * 4 * 6
 
 
-@pytest.mark.parametrize("name", ["A2", "A4", "B2", "B4", "D4", "I2(3)", "I2(8)"])
+@pytest.mark.parametrize(
+    "name", ["A2", "A4", "B2", "B4", "D4", "I2(3)", "I2(8)", "B3 x A2", "A2 x I2(5)"]
+)
 @pytest.mark.parametrize("q", [0.5, 1.0, 3.0])
 def test_normalization_closed_form(name, q):
     g = parse_group(name)
@@ -134,7 +139,8 @@ def test_pmf_finite_far_from_one():
 def test_stage_tables_agree(kind):
     """The enumerated stage table and its closed form must be identical."""
     for m in range(2 if kind == "D" else 1, 10):
-        assert stage_candidates(kind, m) == stage_contributions(kind, m)
+        closed = tuple(zip(*(x.tolist() for x in _stage_choices(kind, m))))
+        assert stage_candidates(kind, m) == closed
 
 
 def _list_contributions(kind, m):
@@ -225,7 +231,7 @@ def test_stage_products_telescope_to_normalization():
         kind, n = g.kind, g.window_size
         prod = 1.0
         for m in _tower_stages(kind, n):
-            prod *= sum(q ** c for _, _, c in stage_contributions(kind, m))
+            prod *= sum(q ** c for c in _stage_choices(kind, m)[2].tolist())
         assert math.isclose(prod, normalization_constant(g, q), rel_tol=1e-12)
 
 
@@ -304,6 +310,15 @@ def test_decode_rows_rejects_bad_choices():
         _decode_rows("D", 5, pops, signs)  # D5 has four stages, not five
     with pytest.raises(ValueError):
         _decode_rows("B", 5, pops, signs[:, :4])
+    out = np.zeros((10, 5), dtype=np.int64)
+    assert _decode_rows("B", 5, pops, signs, out=out) is out
+    assert np.array_equal(out, _decode_rows("B", 5, pops, signs))
+    for bad in (out[:9], out.astype(np.int32), np.zeros((10, 10), np.int64)[:, ::2]):
+        with pytest.raises(ValueError, match="output array"):
+            _decode_rows("B", 5, pops, signs, out=bad)
+    out.setflags(write=False)
+    with pytest.raises(ValueError, match="output array"):
+        _decode_rows("B", 5, pops, signs, out=out)
 
 
 def _reference_choices(kind, n, q, cnt, uniforms, side="right"):
@@ -465,15 +480,14 @@ def test_uniform_rows_rejects_bad_input():
 @pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
 def test_window_stats_matches_references_on_enumerations(name):
     """Every element: the C kernel equals the numpy references and the object
-    model bit for bit, for all four statistics."""
+    model bit for bit, for t, des and des_inv."""
     g = parse_group(name)
     W = enumerate_windows(g)
-    got = {stat: _windows_stat(g.kind, W, stat) for stat in STATS}
-    for stat in STATS:
+    got = {stat: _windows_stat(g.kind, W, stat) for stat in WINDOW_STATS}
+    for stat in WINDOW_STATS:
         assert got[stat].dtype == np.int64
         assert np.array_equal(got[stat], windows_statistic(g.kind, W, stat)), stat
     elems = list(enumerate_group(g))
-    assert np.array_equal(got["length"], [length(w, g) for w in elems])
     assert np.array_equal(got["des"], [descent_number(w, g) for w in elems])
     assert np.array_equal(got["des_inv"], [descent_number(w, g, "left") for w in elems])
     assert np.array_equal(got["t"], [two_sided_descent(w, g) for w in elems])
@@ -484,11 +498,11 @@ def test_window_stats_matches_references_on_enumerations(name):
 def test_window_stats_matches_references_on_samples(name, q):
     g = parse_group(name)
     W = sample_windows(g, q, 4096, seed=11)
-    for stat in STATS:
+    for stat in WINDOW_STATS:
         want = windows_statistic(g.kind, W, stat)
         assert np.array_equal(_windows_stat(g.kind, W, stat), want), stat
         if g.kind == "D" and stat != "des_inv":
-            # negative control: the comparison sees the type-B s_0 and length rules
+            # negative control: the comparison sees the type-B s_0 rule
             assert not np.array_equal(_windows_stat("B", W, stat), want), stat
 
 
@@ -497,7 +511,7 @@ def test_window_stats_rejects_bad_windows():
     for bad in (0, 4, -4):
         V = W.copy()
         V[7, 1] = bad
-        for stat in STATS:
+        for stat in WINDOW_STATS:
             with pytest.raises(ValueError, match="row 7"):
                 _windows_stat("B", V, stat)
     V = W.copy()
@@ -506,8 +520,54 @@ def test_window_stats_rejects_bad_windows():
         _windows_stat("B", V, "des")
     with pytest.raises(ValueError, match="unknown statistic"):
         _windows_stat("B", W, "foo")
+    with pytest.raises(ValueError, match="unknown statistic 'length'"):
+        _windows_stat("B", W, "length")
     with pytest.raises(ValueError):
         _windows_stat("I2", W, "t")
+
+
+TOWER_GROUPS = [f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)] + [
+    f"D{r}" for r in range(4, 8)
+]
+
+
+def _lexsorted(W):
+    return W[np.lexsort(W.T[::-1])]
+
+
+@pytest.mark.parametrize("name", TOWER_GROUPS)
+def test_tower_enumeration_equals_itertools(name):
+    """The tower's rows are the itertools enumeration's, as a set, and each
+    length, summed from the stage contributions, is the numpy reference's
+    count on the decoded row (and, up to rank 5, the object model's)."""
+    g = parse_group(name)
+    W, lengths = _tower_enumeration(g)
+    assert W.dtype == lengths.dtype == np.int64 and W.shape == (g.order(), g.window_size)
+    assert not W.flags.writeable and not lengths.flags.writeable
+    assert np.array_equal(_lexsorted(W), _lexsorted(enumerate_windows(g)))
+    assert np.array_equal(lengths, windows_lengths(g.kind, W))
+    if g.rank <= 5:
+        assert lengths.tolist() == [length(SignedPermutation(tuple(w)), g) for w in W.tolist()]
+
+
+def test_tower_enumeration_checks_the_cap_on_every_call(monkeypatch):
+    """A cap lowered after the group is cached still refuses it, in the
+    tower enumeration and in the object-model lengths of the Z check."""
+    g = parse_group("B3")
+    assert _tower_enumeration(g)[0].shape == (48, 3)
+    assert normalization_enumeration_check(g, 0.5).passed
+    monkeypatch.setenv("COXMAL_ENUM_CAP", "47")
+    with pytest.raises(EnumerationCapError):
+        _tower_enumeration(g)
+    with pytest.raises(EnumerationCapError):
+        exact_distribution(MallowsSpec.make(g, 0.5), "t")
+    with pytest.raises(EnumerationCapError):
+        normalization_enumeration_check(g, 2.0)
+    monkeypatch.setenv("COXMAL_ENUM_CAP", "48")
+    assert _tower_enumeration(g)[0].shape == (48, 3)
+    for name in ("I2(5)", "B3 x A2"):
+        with pytest.raises(ValueError, match="not stored as windows"):
+            _tower_enumeration(parse_group(name))
 
 
 def _factor_windows(spec, count, seed):
@@ -519,19 +579,41 @@ def _factor_windows(spec, count, seed):
     ]
 
 
+def _factor_tower_windows(spec, count, seed):
+    """The windows of the tower choices that sample_statistic draws for each
+    factor's lengths: sample_windows' rows at q != 1, the decoded q = 1
+    tower choices at q = 1."""
+    children = np.random.SeedSequence(seed).spawn(len(spec.qs))
+    out = []
+    for (g, q), child in zip(spec.factor_specs(), children):
+        kind, n = g.kind, g.window_size
+
+        def draw(cnt, rng):
+            return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+
+        out.append((kind, np.concatenate(_map_chunks(g, q, count, child, 1, draw))))
+    return out
+
+
 @pytest.mark.parametrize(
     "group,q", [("A200", 2.0), ("B200", 0.5), ("D200", 0.5), ("B50 x B50 x A49", 1.0)]
 )
 def test_sample_statistic_equals_reference_on_sampled_windows(monkeypatch, group, q):
     """The fused draw-and-reduce path changes no output: it equals the numpy
-    reference on sample_windows' rows, at any thread count.  A small chunk
-    keeps several chunks, and a partial last one, cheap at rank 200."""
+    reference on sample_windows' rows, at any thread count; lengths equal the
+    reference on the rows of the drawn tower choices, which at q = 1 are not
+    sample_windows' rows.  A small chunk keeps several chunks, and a partial
+    last one, cheap at rank 200."""
     monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
     spec = MallowsSpec.make(group, q)
     count = 3 * 256 + 5
     windows = _factor_windows(spec, count, seed=21)
+    tower = _factor_tower_windows(spec, count, seed=21)
+    if q != 1.0:
+        assert all(np.array_equal(W, V) for (_, W), (_, V) in zip(windows, tower))
     for stat in STATS:
-        want = sum(windows_statistic(kind, W, stat) for kind, W in windows)
+        rows = tower if stat == "length" else windows
+        want = sum(windows_statistic(kind, W, stat) for kind, W in rows)
         for threads in (1, 3):
             got = sample_statistic(spec, stat, count, seed=21, threads=threads)
             assert np.array_equal(got, want), (stat, threads)
@@ -547,10 +629,10 @@ def test_sample_statistic_equals_reference_at_full_chunks():
 
 
 def test_sampled_lengths_skip_the_decode(monkeypatch):
-    """Lengths at q != 1 are sums of the drawn choices' contributions: the
-    same values, with no window decoded or reduced."""
+    """Sampled lengths, q = 1 included, are sums of the drawn choices'
+    contributions: the same values, with no window decoded or reduced."""
     monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
-    cases = [(name, q) for name in ("A6", "B6", "D6") for q in (0.5, 2.0)]
+    cases = [(name, q) for name in ("A6", "B6", "D6") for q in (0.5, 1.0, 2.0)]
     want = [sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5) for g, q in cases]
 
     def no_windows(*args, **kwargs):
@@ -586,7 +668,8 @@ def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
         raise AssertionError("built windows for an unknown statistic")
 
     monkeypatch.setattr(coxmal.mallows, "_chunk_windows", no_windows)
-    monkeypatch.setattr(coxmal.mallows, "enumerate_windows", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_tower_enumeration", no_windows)
+    monkeypatch.setattr(coxmal.moments, "_tower_enumeration", no_windows)
     for group in ("B200", "I2(5)", "B4 x I2(5)"):
         with pytest.raises(ValueError, match="unknown statistic 'foo'"):
             sample_statistic(MallowsSpec.make(group, 0.5), "foo", 50_000, seed=1)
@@ -861,6 +944,9 @@ def test_sample_statistic_deterministic_for_products():
         ("B3", 1.0, "t"),
         ("D4", 2.0, "t"),
         ("A3", 0.25, "length"),
+        ("A3", 1.0, "length"),
+        ("B3", 1.0, "length"),
+        ("D4", 1.0, "length"),
         ("I2(5)", 0.5, "des"),
         ("B4", 4.0, "des_inv"),
     ],
@@ -874,8 +960,9 @@ def test_sampler_matches_exact_law(name, q, stat):
 
 
 def test_uniform_shortcut_matches_tower():
-    """q = 1 uses a dedicated argsort path; its law must match the q = 1
-    tower law, including the type D sign-parity fix."""
+    """q = 1 windows come from the uniform_rows counting-sort kernel, not the
+    tower; their law must match the q = 1 tower law, including the type D
+    sign-parity fix."""
     for name in ("A3", "B3", "D4"):
         spec = MallowsSpec.make(name, 1.0)
         dist = exact_distribution(spec, "t")

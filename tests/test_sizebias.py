@@ -8,7 +8,6 @@ from coxmal import sizebias
 from coxmal.coxeter import (
     descent_number,
     enumerate_group,
-    enumerate_windows,
     invert,
     is_left_descent,
     is_right_descent,
@@ -22,8 +21,6 @@ from coxmal.sizebias import (
     conditional_star_law_check,
     coupling_boundedness_check,
     covariance_type_sums,
-    ensure_left_descent,
-    ensure_right_descent,
     generic_stein_bound,
     size_bias_law_check,
     star,
@@ -32,6 +29,7 @@ from coxmal.sizebias import (
 )
 
 from window_reference import coupling_descents as reference_coupling_descents
+from window_reference import enumerate_windows
 
 ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
 
@@ -40,23 +38,23 @@ def test_ensure_descent_idempotent():
     g = parse_group("B3")
     for w in enumerate_group(g):
         for i in range(3):
-            r = ensure_right_descent(w, i, g)
+            r = star(w, i, "right", g)
             assert is_right_descent(r, i, g)
-            assert ensure_right_descent(r, i, g) == r
-            l = ensure_left_descent(w, i, g)
+            assert star(r, i, "right", g) == r
+            l = star(w, i, "left", g)
             assert is_left_descent(l, i, g)
-            assert ensure_left_descent(l, i, g) == l
+            assert star(l, i, "left", g) == l
             # if w already descends at i the coupling leaves it alone
             if is_right_descent(w, i, g):
                 assert r == w
 
 
 def test_star_routes_to_sides():
+    """The left star is the right star seen through the inverse."""
     g = parse_group("D4")
     for w in itertools.islice(enumerate_group(g), 0, None, 11):
         for i in range(4):
-            assert star(w, i, "right", g) == ensure_right_descent(w, i, g)
-            assert star(w, i, "left", g) == ensure_left_descent(w, i, g)
+            assert star(w, i, "left", g) == invert(star(invert(w), i, "right", g))
     with pytest.raises(ValueError):
         star(next(iter(enumerate_group(g))), 0, "up", g)
 
@@ -89,8 +87,8 @@ def test_coupling_kernel_matches_objects(name):
         sums = [0, 0, 0, 0]
         sq_sum = 0
         for i in range(n):
-            a = ensure_right_descent(w, i, g)
-            b = ensure_left_descent(w, i, g)
+            a = star(w, i, "right", g)
+            b = star(w, i, "left", g)
             da, dai = descent_number(a, g), descent_number(invert(a), g)
             db, dbi = descent_number(b, g), descent_number(invert(b), g)
             for k, d in enumerate((dw - da, dw - db, dv - dai, dv - dbi)):
@@ -190,7 +188,7 @@ def test_left_star_shift_is_tight():
     for w in enumerate_group(g):
         for i in range(3):
             before = two_sided_descent(w, g)
-            after = two_sided_descent(ensure_left_descent(w, i, g), g)
+            after = two_sided_descent(star(w, i, "left", g), g)
             if abs(before - after) >= 1:
                 hit += 1
     assert hit > 0

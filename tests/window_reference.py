@@ -1,14 +1,42 @@
-"""Numpy references for the window_stats kernel and the coupling kernel.
+"""Numpy references for the window kernels, the coupling kernel and the
+tower enumeration.
 
 These are the array kernels the package used before the statistics moved
-into C; the tests keep them to check the kernels bit for bit, the way
+into C, and the itertools enumeration it used before the exact laws walked
+the tower; the tests keep them to check the package bit for bit, the way
 _reference_decode checks the tower decoder.
 """
 
+import itertools
+import math
+
 import numpy as np
 
-from coxmal.coxeter import windows_descents, windows_invert
+from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
 from coxmal.sizebias import _ensure_right_batch
+
+
+def enumerate_windows(g, cap=None) -> np.ndarray:
+    """Every element of an A, B or D group as an (order, n) int64 window array.
+
+    Rows come in the order enumerate_group yields the elements, under the
+    same cap.
+    """
+    if isinstance(g, ProductDescriptor) or g.kind == "I2":
+        raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
+    _check_enum_cap(g, cap)
+    n = g.window_size
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
+        dtype=np.int64,
+        count=math.factorial(n) * n,
+    ).reshape(-1, n)
+    if g.kind == "A":
+        return perms
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
+    if g.kind == "D":
+        signs = signs[np.count_nonzero(signs < 0, axis=1) % 2 == 0]
+    return (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)
 
 
 def windows_descent_counts(kind: str, W: np.ndarray) -> np.ndarray:
