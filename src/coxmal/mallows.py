@@ -12,10 +12,17 @@ element table.
 Batch draws at q != 1 run two small C kernels per chunk, shared by A, B
 and D: draw_choices turns one uniform per stage into that stage's choice by
 indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
-decode_rows turns the choices into windows, shifting the first four
-labels after each pop by scalar moves and only the rest by memmove.  At
-q = 1 the kernel uniform_rows sorts each row of uniforms by a counting
-sort, bit-identical to numpy's stable argsort, and signs it.  sample_one
+decode_rows turns the choices into windows.  The search starts from a guide
+entry that is a lower bound on the choice, so it only steps up and checks no
+bound (the proof is at the kernel).  A pop closes its gap from the shorter
+side, the labels below moving up or those above moving down, by four scalar
+moves next to the gap and memmove only for the rest; the label scratch has
+four pad slots at each end for those moves.  Neither loop then branches on
+where the stage mass sits, which at q far from 1 is the first or the last
+choice.  The stage tables are built once per cell, before the sampler
+threads start.  At q = 1 the kernel uniform_rows sorts each row of
+uniforms by a counting sort, bit-identical to numpy's stable argsort, and
+signs it.  sample_one
 is the independent single-draw walk.  A length is the sum of its tower
 choices' contributions, so sampled lengths decode nothing, and the exact
 laws decode every tuple of choices once per group (_tower_enumeration).
@@ -269,18 +276,21 @@ def _tower_tables(kind: str, n: int, q: float):
 
     Returns (off, cum, guide, pop, sgn).  Stage n - t owns entries
     off[t]:off[t + 1] of the others: its cumulative weights, its guide table
-    and each choice's pop index (a - 1) and sign.  guide[off[t] + j] is the
-    first choice whose cumulative weight exceeds j/len of the stage total, so
-    a uniform v starts its search at guide entry floor(v * len) (Chen and
-    Asau's indexed search).  The arrays are read-only: the cache hands them
-    to every caller.
+    and each choice's pop index (a - 1) and sign.  A uniform v starts its
+    search at guide entry floor(v * len) (Chen and Asau's indexed search),
+    and guide[off[t] + j] is a lower bound on the choice of every v in that
+    bucket: the first choice whose cumulative weight exceeds j/len of the
+    stage total shrunk by 1 - 2^-50, which lies below every v * total of
+    the bucket despite rounding (the proof is at draw_choices), so the
+    kernel only ever steps up.  The arrays are read-only: the cache hands
+    them to every caller.
     """
     stages = [_stage_arrays(kind, m, q) for m in _tower_stages(kind, n)]
     guides = []
     for _, _, cum in stages:
         size = len(cum)
-        start = np.searchsorted(cum, np.arange(size) / size * cum[-1], side="right")
-        guides.append(np.minimum(start, size - 1))
+        low = np.arange(size) / size * cum[-1] * (1.0 - 2.0**-50)
+        guides.append(np.minimum(np.searchsorted(cum, low, side="right"), size - 1))
     tables = (
         np.cumsum([0] + [len(cum) for _, _, cum in stages], dtype=np.int64),
         np.concatenate([cum for _, _, cum in stages]),
@@ -364,6 +374,8 @@ def sample_windows(
     if g.kind == "I2":
         raise ValueError("dihedral factors have no windows; sample stats instead")
     kind, n = g.kind, g.window_size
+    if q != 1.0:
+        _prime_tower_tables(kind, n, q)
     chunks = _map_chunks(
         g, q, count, seed, threads, lambda cnt, rng: _chunk_windows(kind, n, q, cnt, rng)
     )
@@ -396,6 +408,14 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, dr
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, sizes, children))
     return [worker(c, s) for c, s in zip(sizes, children)]
+
+
+def _prime_tower_tables(kind: str, n: int, q: float) -> None:
+    """Build the tower tables in the calling thread, before the sampler
+    threads start: otherwise each thread misses the cache at once and builds
+    the same tables under the GIL."""
+    _check_q(q)
+    _tower_tables(kind, n, q)
 
 
 def _chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
@@ -452,7 +472,7 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=Non
     out = np.empty((cnt, n), dtype=np.int64) if out is None else out
     if out.shape != (cnt, n) or out.dtype != np.int64 or not out.flags.carray:
         raise ValueError(f"need a writable C-contiguous ({cnt}, {n}) int64 output array")
-    labels = np.zeros(n + 4, dtype=np.int32)  # per-call scratch: threads share no buffer
+    labels = np.zeros(n + 8, dtype=np.int32)  # per-call scratch: threads share no buffer
     bad = _decode_lib().decode_rows(
         cnt, n, stages, kind == "D",
         pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, out.ctypes.data,
@@ -524,17 +544,23 @@ _DECODE_C = r"""
    stage m = n - t, which pops the pops[t]-th smallest remaining label into
    position m with sign signs[t].  Under type D a negative choice also
    negates the smallest label left.  Labels no stage pops fill the leftmost
-   positions.  lab is scratch for n + 4 labels: most pops shift only a few
-   labels, so the first four moves are unconditional scalar copies, which
-   may read up to lab[n + 3], and memmove shifts only the rest.  Returns 0,
-   or 1 + the first row with a pop index out of range. */
+   positions.  buf is scratch for n + 8 labels; the remaining ones are
+   lab[0..left), and lab starts at buf + 4.  A pop closes its gap from the
+   shorter side: the labels below k move up one and lab advances, or the
+   labels above k move down one.  Either way the four moves next to the gap
+   are unconditional scalar copies and memmove shifts only the rest, so a
+   short shift takes no branch on its length.  The copies may read four
+   slots past either end of the labels: lab never falls below buf + 4, and
+   its top end never rises above buf + n + 4, so the pads hold them.
+   Returns 0, or 1 + the first row with a pop index out of range. */
 int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
                     const int32_t *pops, const int8_t *signs,
-                    int32_t *lab, int64_t *out)
+                    int32_t *buf, int64_t *out)
 {
     for (int64_t r = 0; r < cnt; r++) {
         const int32_t *p = pops + r * stages;
         const int8_t *s = signs + r * stages;
+        int32_t *lab = buf + 4;
         int64_t *w = out + r * n, left = n;
         for (int64_t i = 0; i < n; i++)
             lab[i] = (int32_t)(i + 1);
@@ -544,12 +570,22 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
                 return r + 1;
             w[n - 1 - t] = s[t] * lab[k];
             left--;
-            lab[k] = lab[k + 1];
-            lab[k + 1] = lab[k + 2];
-            lab[k + 2] = lab[k + 3];
-            lab[k + 3] = lab[k + 4];
-            if (left - k > 4)
-                memmove(lab + k + 4, lab + k + 5, (size_t)(left - k - 4) * sizeof *lab);
+            if (k < left - k) {
+                lab[k] = lab[k - 1];
+                lab[k - 1] = lab[k - 2];
+                lab[k - 2] = lab[k - 3];
+                lab[k - 3] = lab[k - 4];
+                if (k > 4)
+                    memmove(lab + 1, lab, (size_t)(k - 4) * sizeof *lab);
+                lab++;
+            } else {
+                lab[k] = lab[k + 1];
+                lab[k + 1] = lab[k + 2];
+                lab[k + 2] = lab[k + 3];
+                lab[k + 3] = lab[k + 4];
+                if (left - k > 4)
+                    memmove(lab + k + 4, lab + k + 5, (size_t)(left - k - 4) * sizeof *lab);
+            }
             if (type_d && s[t] < 0)
                 lab[0] = -lab[0];
         }
@@ -563,12 +599,20 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
    pops and signs, from stage-major uniforms: u[(t - first) * cnt + r]
    drives column t of row r.  Column t's choice table is entries off[t] to
    off[t + 1] - 1 of cum (cumulative weights), guide, pop and sgn.  A
-   uniform v starts at guide entry floor(v * len) and steps to the first
-   choice k with cum[k] > v * total, or the last choice, which is exactly
-   numpy's searchsorted(cum, v * total, side="right") clamped to len - 1,
-   flat runs of cum included.  Rows go in blocks so the row-major outputs
-   are written while their cache lines are held.  Returns 0, or 1 + a row
-   with a uniform outside [0, 1). */
+   uniform v starts at guide entry j = floor(v * len) and steps up to the
+   first choice k with cum[k] > x = v * total, which is exactly numpy's
+   searchsorted(cum, x, side="right"), flat runs of cum included.  The walk
+   needs no bound checks:
+   - guide[j] is the first choice whose cum exceeds low, the rounded
+     j / len * total * (1 - 2^-50).  With u = 2^-53, (int64)(v * len) >= j
+     gives v >= j / (len (1 + u)), so x >= v total (1 - u) >= low, because
+     low <= j / len * total (1 + u)^3 (1 - 2^-50) and
+     (1 + u)^4 (1 - 2^-50) <= 1 - u.  So the walk never has to step down.
+   - v <= 1 - u and total >= 1 (the largest weight is 1) give x < total =
+     cum[len - 1], so the walk stops by the last choice.
+   Rows go in blocks so the row-major outputs are written while their cache
+   lines are held.  Returns 0, or 1 + a row with a uniform outside
+   [0, 1). */
 int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
                      const double *u, const int64_t *off, const double *cum,
                      const int32_t *guide, const int32_t *pop, const int8_t *sgn,
@@ -588,9 +632,7 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
                     return r + 1;
                 int64_t j = (int64_t)(v * len);
                 int64_t k = g[j < len ? j : len - 1];
-                while (k > 0 && c[k - 1] > x)
-                    k--;
-                while (k < len - 1 && c[k] <= x)
+                while (c[k] <= x)
                     k++;
                 pops[r * stages + t] = p[k];
                 signs[r * stages + t] = s[k];
@@ -612,16 +654,16 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
    are scratch.  Returns 0, or 1 + the first row with a uniform outside
    [0, 1) or a bit other than 0 or 1. */
 int64_t uniform_rows(int64_t cnt, int64_t n, int type, const double *u,
-                     const int64_t *bits, int64_t *idx, double *val, int64_t *out)
+                     const int32_t *bits, int64_t *idx, double *val, int64_t *out)
 {
     int64_t *count = idx, *order = idx + n + 1, *key = order + n;
     for (int64_t r = 0; r < cnt; r++) {
         const double *v = u + r * n;
-        const int64_t *b = type ? bits + r * n : bits; /* NULL under A */
+        const int32_t *b = type ? bits + r * n : bits; /* NULL under A */
         int64_t *w = out + r * n;
         memset(count, 0, (size_t)(n + 1) * sizeof *count);
         for (int64_t j = 0; j < n; j++) {
-            if (!(v[j] >= 0.0 && v[j] < 1.0) || (type && (b[j] & ~(int64_t)1)))
+            if (!(v[j] >= 0.0 && v[j] < 1.0) || (type && (b[j] & ~(int32_t)1)))
                 return r + 1;
             int64_t k = (int64_t)(v[j] * n);
             key[j] = k < n ? k : n - 1;
@@ -827,11 +869,13 @@ def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
     """cnt uniform windows: the stable argsort of a row of rng.random, plus 1,
     with signs from rng.integers(0, 2) under B and D.  Under D the last sign
     is the product of the others: the first n - 1 iid signs stay uniform
-    over the even-weight sign vectors.  Runs the C kernel uniform_rows,
-    which releases the GIL for the whole call.
+    over the even-weight sign vectors.  The bits are drawn as int32, which
+    takes the same values and leaves the generator in the same state as an
+    int64 draw, in half the memory (a test guards this).  Runs the C kernel
+    uniform_rows, which releases the GIL for the whole call.
     """
     u = rng.random((cnt, n))
-    bits = None if kind == "A" else rng.integers(0, 2, size=(cnt, n), dtype=np.int64)
+    bits = None if kind == "A" else rng.integers(0, 2, size=(cnt, n), dtype=np.int32)
     W = np.empty((cnt, n), dtype=np.int64)
     idx = np.empty(3 * n + 1, dtype=np.int64)  # per-call scratch: threads share no buffer
     val = np.empty(n)
@@ -918,6 +962,8 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
         probs = _dihedral_table(g, q)[1]
         return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
+    if statistic == "length" or q != 1.0:
+        _prime_tower_tables(kind, n, q)
     if statistic == "length":
         return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
     return lambda cnt, rng: _windows_stat(kind, _chunk_windows(kind, n, q, cnt, rng), statistic)

@@ -167,8 +167,8 @@ def _list_tower_tables(kind, n, q):
     guides = []
     for _, _, cum in stages:
         size = len(cum)
-        start = np.searchsorted(cum, np.arange(size) / size * cum[-1], side="right")
-        guides.append(np.minimum(start, size - 1))
+        low = np.arange(size) / size * cum[-1] * (1.0 - 2.0**-50)
+        guides.append(np.minimum(np.searchsorted(cum, low, side="right"), size - 1))
     return (
         np.cumsum([0] + [len(cum) for _, _, cum in stages], dtype=np.int64),
         np.concatenate([cum for _, _, cum in stages]),
@@ -190,6 +190,42 @@ def test_tower_tables_equal_the_list_build(kind, q):
         got, want = _tower_tables(kind, n, q), _list_tower_tables(kind, n, q)
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n, x.dtype)
+
+
+def _smallest_in_bucket(j, size):
+    """The smallest double v with (int64)(v * size) >= j, elementwise, found
+    by nextafter steps from j / size."""
+    v = j / size
+    while True:
+        down = np.nextafter(v, 0.0)
+        step = (v > 0) & ((down * size).astype(np.int64) >= j)
+        if not step.any():
+            break
+        v = np.where(step, down, v)
+    while True:
+        step = (v * size).astype(np.int64) < j
+        if not step.any():
+            return v
+        v = np.where(step, np.nextafter(v, 1.0), v)
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("q", [1e-3, 0.25, 0.5, 0.97, 1.0, 1.03, 2.0, 4.0, 1e3])
+def test_guide_is_a_lower_bound(kind, q):
+    """draw_choices only steps up from its guide entry, and stops by the last
+    choice without a bound check.  So every guide entry j must be at most
+    the choice of the smallest uniform of its bucket (the choices grow with
+    v), and the largest uniform must land below the stage total."""
+    for n in (2, 3, 7, 50, 201):
+        off, cum, guide, _, _ = _tower_tables(kind, n, q)
+        for t in range(len(off) - 1):
+            c, g = cum[off[t] : off[t + 1]], guide[off[t] : off[t + 1]]
+            size = len(c)
+            v = _smallest_in_bucket(np.arange(size), size)
+            assert ((v * size).astype(np.int64) == np.arange(size)).all()
+            choice = np.minimum(np.searchsorted(c, v * c[-1], side="right"), size - 1)
+            assert (g <= choice).all(), (n, t)
+            assert np.nextafter(1.0, 0.0) * c[-1] < c[-1]
 
 
 @pytest.mark.parametrize("name,q", [("A3", 0.7), ("B3", 0.7), ("B3", 2.5), ("D4", 0.7)])
@@ -280,13 +316,22 @@ def _random_choices(kind, n, count, rng):
 @pytest.mark.parametrize("n", [2, 4, 7, 50, 300])
 def test_decode_rows_matches_reference(kind, n):
     """Random stage choices; n = 2 is type D's smallest tower, n = 300 has
-    labels above 255."""
+    labels above 255.  Fixed rows pop at either end and in the middle, where
+    the decoder closes the gap from one side or the other, and alternate
+    the ends, with D negations after the low-end pops."""
     rng = np.random.default_rng(1000 * n + ord(kind))
     pops, signs = _random_choices(kind, n, 2500, rng)
-    # rows that always pop the top label (no shift) or label 0 (the longest)
-    top = np.array(list(_tower_stages(kind, n)), dtype=np.int32) - 1
-    pops = np.concatenate([pops, np.tile(top, (20, 1)), np.zeros((20, pops.shape[1]), np.int32)])
-    signs = np.concatenate([signs, signs[:40]])
+    left = np.array(list(_tower_stages(kind, n)), dtype=np.int32)  # labels left at each stage
+    bottom = np.zeros_like(left)
+    even = np.arange(len(left)) % 2 == 0
+    fixed = [left - 1, bottom, left // 2, (left - 1) // 2]
+    fixed += [np.where(even, bottom, left - 1), np.where(even, left - 1, bottom)]
+    pops = np.concatenate([pops] + [np.tile(row, (20, 1)) for row in fixed])
+    neg = np.where(fixed[4] == 0, -1, 1), np.where(fixed[5] == 0, -1, 1)
+    fixed_signs = [signs[:80], np.tile(neg[0], (20, 1)), np.tile(neg[1], (20, 1))]
+    signs = np.concatenate([signs] + fixed_signs).astype(np.int8)
+    if kind == "A":
+        signs[:] = 1
     W = _decode_rows(kind, n, pops, signs)
     assert W.dtype == np.int64
     assert np.array_equal(W, _reference_decode(kind, n, pops, signs))
@@ -416,7 +461,7 @@ class _Uniforms:
         return self.u
 
     def integers(self, low, high, size, dtype):
-        assert (low, high, size, dtype) == (0, 2, self.bits.shape, np.int64)
+        assert (low, high, size, dtype) == (0, 2, self.bits.shape, np.int32)
         return self.bits
 
 
@@ -449,7 +494,7 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
     rng = np.random.default_rng(1000 * n + ord(kind))
     u = rng.random((cnt, n))
     u[: cnt // 2] = np.floor(u[: cnt // 2] * 8) / 8
-    bits = rng.integers(0, 2, (cnt, n), np.int64)
+    bits = rng.integers(0, 2, (cnt, n), np.int32)
     got = _uniform_windows(kind, n, cnt, _Uniforms(u, bits))
     assert np.array_equal(got, _reference_uniform(kind, u, bits))
     # negative control: the ties are there, and the comparison sees their order
@@ -460,9 +505,22 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
         assert not np.array_equal(got, _reference_uniform(kind, u, bits, parity=False))
 
 
+def test_int32_sign_bits_keep_the_int64_stream():
+    """_uniform_windows draws its sign bits as int32 for the stream of the
+    int64 draw: the same values, and the generator left in the same state,
+    so the next uniforms are the same too.  Both draw from the buffered
+    32-bit source; an int16 or uint8 draw would not.  A numpy release that
+    changes this fails here."""
+    for shape in ((600, 201), (3, 7), (1, 1), (0, 5)):
+        a, b = np.random.default_rng(17), np.random.default_rng(17)
+        assert np.array_equal(a.integers(0, 2, shape, np.int32), b.integers(0, 2, shape, np.int64))
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(a.random(9), b.random(9))
+
+
 def test_uniform_rows_rejects_bad_input():
     rng = np.random.default_rng(0)
-    u, bits = rng.random((10, 5)), rng.integers(0, 2, (10, 5), np.int64)
+    u, bits = rng.random((10, 5)), rng.integers(0, 2, (10, 5), np.int32)
     for bad in (1.0, -0.25, np.nan):
         v = u.copy()
         v[3, 2] = bad
@@ -642,6 +700,20 @@ def test_sampled_lengths_skip_the_decode(monkeypatch):
     monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
     for (g, q), w in zip(cases, want):
         assert np.array_equal(sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5), w)
+
+
+def test_tower_tables_are_built_once_per_cell():
+    """The caller builds a cell's tower tables before the sampler threads
+    start, so two threads do not both miss the cache and build them; t at
+    q = 1 does not walk the tower and builds none."""
+    spec = MallowsSpec.make("B200", 2.0)
+    _tower_tables.cache_clear()
+    sample_statistic(spec, "t", 2 * SAMPLE_CHUNK, seed=3, threads=2)
+    assert _tower_tables.cache_info().misses == 1
+    sample_windows(parse_group("D50"), 0.5, 2 * SAMPLE_CHUNK, seed=3, threads=2)
+    assert _tower_tables.cache_info().misses == 2
+    sample_statistic(MallowsSpec.make("B200", 1.0), "t", 10, seed=3, threads=2)
+    assert _tower_tables.cache_info().misses == 2
 
 
 def test_dihedral_draws_keep_their_stream(monkeypatch):
