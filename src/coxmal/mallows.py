@@ -19,23 +19,26 @@ side, the labels below moving up or those above moving down, by four scalar
 moves next to the gap and memmove only for the rest; the label scratch has
 four pad slots at each end for those moves.  Neither loop then branches on
 where the stage mass sits, which at q far from 1 is the first or the last
-choice.  The stage tables are built once per cell, before the sampler
-threads start.  At q = 1 the kernel uniform_rows sorts each row of
-uniforms by a counting sort, bit-identical to numpy's stable argsort, and
-signs it.  sample_one
-is the independent single-draw walk.  A length is the sum of its tower
-choices' contributions, so sampled lengths decode nothing, and the exact
-laws decode every tuple of choices once per group (_tower_enumeration).
-A fourth kernel, window_stats, reduces window rows to t, des or des_inv.
-It serves sample_statistic, which reduces each chunk in the thread that
-drew it, so no (count, n) window array is built, and the exact laws over
-the enumerated windows.  The kernels run without the GIL, so sampler threads
-overlap.  They are compiled with the system C compiler on first use (about
-0.15 s with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
-~/.cache/coxmal, keyed by the source, flags, compiler and platform; later
-processes load the cached library (under 1 ms), and rebuild one that is
-cut short or that the loader rejects.  A cache directory that cannot be
-written or that another user could write is not used: each process then
+choice.  The stage tables are built together, once per cell, before the
+sampler threads start.  At q = 1 the kernel uniform_rows sorts each row
+of uniforms by a counting sort, bit-identical to numpy's stable argsort,
+and signs it.  sample_one is the independent single-draw walk.  A length
+is the sum of its tower choices' contributions, so sampled lengths decode
+nothing, and the exact laws decode every tuple of choices once per group
+(_tower_enumeration).  For sample_statistic's t, des and des_inv,
+decode_rows and uniform_rows compute each row's value while the row is in
+cache: the decode records the inverse as it places each label, the sort
+reads it off the sorted order, and one shared routine counts the descents
+of both, so no window array is built.  A fourth kernel, window_stats,
+runs that routine on window rows from elsewhere (the exact laws, the
+size-bias stars), after checking that each is a signed permutation.  The
+kernels run without the GIL, so sampler threads overlap.  They are
+compiled with the system C compiler on first use (about 0.15 s with gcc
+12) into a per-user cache, $XDG_CACHE_HOME/coxmal or ~/.cache/coxmal,
+keyed by the source, flags, compiler and platform; later processes load
+the cached library (under 1 ms), and rebuild one that is cut short or
+that the loader rejects.  A cache directory that cannot be written or
+that another user could write is not used: each process then
 compiles into a private temporary directory.
 """
 
@@ -258,45 +261,54 @@ def _tower_stages(kind: str, n: int):
     return range(n, 1 if kind == "D" else 0, -1)
 
 
-def _stage_arrays(kind: str, m: int, q: float):
-    """(a, s, cumweight) numpy arrays for one stage; weights scaled to <= 1.
-
-    Not cached: _tower_tables keeps every stage's arrays, concatenated.
-    """
-    a, s, contrib = _stage_choices(kind, m)
-    contrib = contrib.astype(np.float64)
-    if q > 1.0:
-        contrib = contrib - contrib.max()
-    return a, s, np.cumsum(np.power(q, contrib))
-
-
 @lru_cache(maxsize=None)
 def _tower_tables(kind: str, n: int, q: float):
     """Every stage table of the tower, concatenated for the draw_choices kernel.
 
     Returns (off, cum, guide, pop, sgn).  Stage n - t owns entries
     off[t]:off[t + 1] of the others: its cumulative weights, its guide table
-    and each choice's pop index (a - 1) and sign.  A uniform v starts its
-    search at guide entry floor(v * len) (Chen and Asau's indexed search),
-    and guide[off[t] + j] is a lower bound on the choice of every v in that
+    and each choice's pop index (a - 1) and sign, in _stage_choices order.
+    The weights are q^contribution, scaled at q > 1 by the stage's largest
+    weight so that none exceeds 1.  A uniform v starts its search at guide
+    entry floor(v * len) (Chen and Asau's indexed search), and
+    guide[off[t] + j] is a lower bound on the choice of every v in that
     bucket: the first choice whose cumulative weight exceeds j/len of the
     stage total shrunk by 1 - 2^-50, which lies below every v * total of
     the bucket despite rounding (the proof is at draw_choices), so the
-    kernel only ever steps up.  The arrays are read-only: the cache hands
-    them to every caller.
+    kernel only ever steps up.  The stages are built together, one padded
+    row each, and only the guide search runs per stage; a row's valid
+    prefix sums the same weights in the same order as a cumsum of that
+    stage alone, so the tables are bit-equal to a stage-by-stage build.
+    The arrays are read-only: the cache hands them to every caller.
     """
-    stages = [_stage_arrays(kind, m, q) for m in _tower_stages(kind, n)]
-    guides = []
-    for _, _, cum in stages:
-        size = len(cum)
-        low = np.arange(size) / size * cum[-1] * (1.0 - 2.0**-50)
-        guides.append(np.minimum(np.searchsorted(cum, low, side="right"), size - 1))
+    per = 1 if kind == "A" else 2  # choices per label
+    m = np.array(_tower_stages(kind, n))[:, None]  # stage sizes, a column
+    c = np.arange(per * n)  # choice index, a row
+    a, s = c // per + 1, np.where(c % per, -1, 1)
+    shift = np.where(s > 0, -a, a - (1 if kind == "B" else 2))  # contribution - m
+    valid = c < per * m
+    # cum holds the contributions, then the weights, then their running
+    # sums, in place: at rank 1600 each padded array is 41 MB
+    cum = np.add(m, shift, dtype=np.float64)
+    cum[~valid] = 0.0  # pads: no larger than any contribution
+    if q > 1.0:
+        cum -= cum.max(axis=1, keepdims=True)
+    np.cumsum(np.power(q, cum, out=cum), axis=1, out=cum)
+    sizes = valid.sum(axis=1)
+    low = c / sizes[:, None]
+    low *= cum[np.arange(len(m)), sizes - 1][:, None]
+    low *= 1.0 - 2.0**-50  # below the stage total too: no search passes the last choice
+    guide = np.concatenate(
+        [np.searchsorted(cum[t, :z], low[t, :z], side="right") for t, z in enumerate(sizes.tolist())],
+        dtype=np.int32,
+    )
+    del low  # freed before the flat outputs are built
     tables = (
-        np.cumsum([0] + [len(cum) for _, _, cum in stages], dtype=np.int64),
-        np.concatenate([cum for _, _, cum in stages]),
-        np.concatenate(guides).astype(np.int32),
-        np.concatenate([a for a, _, _ in stages]).astype(np.int32) - 1,
-        np.concatenate([s for _, s, _ in stages]).astype(np.int8),
+        np.concatenate(([0], np.cumsum(sizes))),
+        cum[valid],
+        guide,
+        np.broadcast_to(a - 1, valid.shape)[valid].astype(np.int32),
+        np.broadcast_to(s, valid.shape)[valid].astype(np.int8),
     )
     for arr in tables:
         arr.setflags(write=False)
@@ -388,7 +400,8 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, dr
     The chunk layout is fixed and each chunk's rng is default_rng of its own
     spawned seed, so the thread count never changes the results.  draw runs
     in the thread that handles the chunk and should reduce its rows there,
-    so that only one chunk of windows per thread is alive.
+    so that only one chunk of windows per thread is alive.  No pool starts
+    for one chunk, and never more workers than chunks.
     """
     _check_q(q)
     if count < 0:
@@ -404,8 +417,9 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, dr
     def worker(cnt, child):
         return draw(cnt, np.random.default_rng(child))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, sizes, children))
     return [worker(c, s) for c, s in zip(sizes, children)]
 
@@ -424,6 +438,16 @@ def _chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
     if q == 1.0:
         return _uniform_windows(kind, n, cnt, rng)
     return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+
+
+def _chunk_stats(kind: str, n: int, q: float, cnt: int, rng, which: int) -> np.ndarray:
+    """Statistic STATISTICS[which] of the cnt windows _chunk_windows draws
+    from rng, computed by the kernel that makes each row while the row is
+    in cache: no window array is built."""
+    out = np.empty(cnt, dtype=np.int64)
+    if q == 1.0:
+        return _uniform(kind, n, cnt, rng, which, out)
+    return _decode(kind, n, *_draw_choices(kind, n, q, cnt, rng), which, out)
 
 
 def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
@@ -459,9 +483,21 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=Non
     """Windows from tower choices; column t of pops and signs is stage n - t.
 
     Stage m pops the pops[:, t]-th smallest remaining label into position m
-    with sign signs[:, t]; type D's last label fills position 1.  Runs the C
-    kernel _DECODE_C, which releases the GIL for the whole call.  The
+    with sign signs[:, t]; type D's last label fills position 1.  The
     windows go into out, if given (the exact enumeration decodes in place).
+    """
+    cnt = len(pops)
+    out = np.empty((cnt, n), dtype=np.int64) if out is None else out
+    if out.shape != (cnt, n) or out.dtype != np.int64 or not out.flags.carray:
+        raise ValueError(f"need a writable C-contiguous ({cnt}, {n}) int64 output array")
+    return _decode(kind, n, pops, signs, -1, out)
+
+
+def _decode(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, which: int, out) -> np.ndarray:
+    """The C kernel decode_rows: the windows of the tower choices into the
+    (rows, n) array out when which < 0, else their statistic
+    STATISTICS[which] into the (rows,) array out.  It releases the GIL for
+    the whole call; its scratch belongs to this call, so threads share none.
     """
     cnt, stages = pops.shape
     need = len(_tower_stages(kind, n))
@@ -469,13 +505,11 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=Non
         raise ValueError(f"type {kind} windows of size {n} need {need} choice columns")
     pops = np.ascontiguousarray(pops, dtype=np.int32)
     signs = np.ascontiguousarray(signs, dtype=np.int8)
-    out = np.empty((cnt, n), dtype=np.int64) if out is None else out
-    if out.shape != (cnt, n) or out.dtype != np.int64 or not out.flags.carray:
-        raise ValueError(f"need a writable C-contiguous ({cnt}, {n}) int64 output array")
-    labels = np.zeros(n + 8, dtype=np.int32)  # per-call scratch: threads share no buffer
+    labels = np.zeros(n + 8, dtype=np.int32)
+    row = np.empty(2 * n, dtype=np.int64)
     bad = _decode_lib().decode_rows(
-        cnt, n, stages, kind == "D",
-        pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, out.ctypes.data,
+        cnt, n, stages, "ABD".index(kind), which,
+        pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, row.ctypes.data, out.ctypes.data,
     )
     if bad:
         raise ValueError(f"pop index out of range in choice row {bad - 1}")
@@ -540,35 +574,62 @@ _DECODE_C = r"""
 #include <stdint.h>
 #include <string.h>
 
+static int64_t row_descents(const int64_t *w, int64_t n, int type)
+{
+    int64_t d = type == 1 ? w[0] < 0 : type == 2 ? w[0] + w[1] < 0 : 0;
+    for (int64_t i = 0; i + 1 < n; i++)
+        d += w[i] > w[i + 1];
+    return d;
+}
+
+/* Statistic which (0, 1, 2: t, des, des_inv) of the window w of type 0, 1
+   or 2 (A, B or D) whose inverse is inv: right descents count adjacent
+   drops w[i] > w[i+1], plus w[0] < 0 under B and w[0] + w[1] < 0 under D,
+   and des_inv counts them on the inverse. */
+static int64_t row_stat(const int64_t *w, const int64_t *inv, int64_t n, int type, int which)
+{
+    int64_t d = which == 2 ? 0 : row_descents(w, n, type);
+    return which == 1 ? d : d + row_descents(inv, n, type);
+}
+
 /* Row r of pops and signs holds the tower choices of window r; column t is
    stage m = n - t, which pops the pops[t]-th smallest remaining label into
-   position m with sign signs[t].  Under type D a negative choice also
-   negates the smallest label left.  Labels no stage pops fill the leftmost
-   positions.  buf is scratch for n + 8 labels; the remaining ones are
-   lab[0..left), and lab starts at buf + 4.  A pop closes its gap from the
-   shorter side: the labels below k move up one and lab advances, or the
-   labels above k move down one.  Either way the four moves next to the gap
-   are unconditional scalar copies and memmove shifts only the rest, so a
-   short shift takes no branch on its length.  The copies may read four
-   slots past either end of the labels: lab never falls below buf + 4, and
-   its top end never rises above buf + n + 4, so the pads hold them.
-   Returns 0, or 1 + the first row with a pop index out of range. */
-int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
+   position m with sign signs[t].  Under type D (type 2) a negative choice
+   also negates the smallest label left.  Labels no stage pops fill the
+   leftmost positions.  With which < 0 window r goes to row r of the
+   (cnt, n) array out.  Otherwise it goes to row[0..n), placing label v at
+   position p also records the inverse, p with the sign of v at |v|, in
+   row[n..2n), and out[r] is the window's statistic which (row_stat).  buf
+   is scratch for n + 8 labels; the remaining ones are lab[0..left), and lab
+   starts at buf + 4.  A pop closes its gap from the shorter side: the
+   labels below k move up one and lab advances, or the labels above k move
+   down one.  Either way the four moves next to the gap are unconditional
+   scalar copies and memmove shifts only the rest, so a short shift takes no
+   branch on its length.  The copies may read four slots past either end of
+   the labels: lab never falls below buf + 4, and its top end never rises
+   above buf + n + 4, so the pads hold them.  Returns 0, or 1 + the first
+   row with a pop index out of range. */
+int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type, int which,
                     const int32_t *pops, const int8_t *signs,
-                    int32_t *buf, int64_t *out)
+                    int32_t *buf, int64_t *row, int64_t *out)
 {
+    int64_t *inv = row + n;
+    int fused = which >= 0;
     for (int64_t r = 0; r < cnt; r++) {
         const int32_t *p = pops + r * stages;
         const int8_t *s = signs + r * stages;
         int32_t *lab = buf + 4;
-        int64_t *w = out + r * n, left = n;
+        int64_t *w = fused ? row : out + r * n, left = n;
         for (int64_t i = 0; i < n; i++)
             lab[i] = (int32_t)(i + 1);
         for (int64_t t = 0; t < stages; t++) {
             int64_t k = p[t];
             if (k < 0 || k >= left)
                 return r + 1;
-            w[n - 1 - t] = s[t] * lab[k];
+            int64_t v = s[t] * lab[k], sg = (v > 0) - (v < 0);
+            w[n - 1 - t] = v;
+            if (fused)
+                inv[sg * v - 1] = sg * (n - t);
             left--;
             if (k < left - k) {
                 lab[k] = lab[k - 1];
@@ -586,11 +647,17 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type_d,
                 if (left - k > 4)
                     memmove(lab + k + 4, lab + k + 5, (size_t)(left - k - 4) * sizeof *lab);
             }
-            if (type_d && s[t] < 0)
+            if (type == 2 && s[t] < 0)
                 lab[0] = -lab[0];
         }
-        for (int64_t i = 0; i < left; i++)
-            w[i] = lab[i];
+        for (int64_t i = 0; i < left; i++) {
+            int64_t v = lab[i], sg = (v > 0) - (v < 0);
+            w[i] = v;
+            if (fused)
+                inv[sg * v - 1] = sg * (i + 1);
+        }
+        if (fused)
+            out[r] = row_stat(w, inv, n, type, which);
     }
     return 0;
 }
@@ -650,17 +717,23 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
    then an insertion sort that moves an entry only past larger ones.  Entry
    j takes the sign 2 * bits[j] - 1, except under D the last entry, whose
    sign is the product of the others', so that the signs have even weight.
-   idx (3n + 1 slots: bucket counts, order, bucket keys) and val (n slots)
-   are scratch.  Returns 0, or 1 + the first row with a uniform outside
-   [0, 1) or a bit other than 0 or 1. */
-int64_t uniform_rows(int64_t cnt, int64_t n, int type, const double *u,
-                     const int32_t *bits, int64_t *idx, double *val, int64_t *out)
+   The sort gives the inverse too: entry i is order[i] + 1 with its sign, so
+   the inverse holds i + 1 with that sign at order[i].  With which < 0
+   window r goes to row r of the (cnt, n) array out; otherwise it goes to
+   row[0..n), its inverse to row[n..2n), and out[r] is its statistic which
+   (row_stat).  idx (3n + 1 slots: bucket counts, order, bucket keys) and
+   val (n slots) are scratch.  Returns 0, or 1 + the first row with a
+   uniform outside [0, 1) or a bit other than 0 or 1. */
+int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, const double *u,
+                     const int32_t *bits, int64_t *idx, double *val, int64_t *row,
+                     int64_t *out)
 {
-    int64_t *count = idx, *order = idx + n + 1, *key = order + n;
+    int64_t *count = idx, *order = idx + n + 1, *key = order + n, *inv = row + n;
+    int fused = which >= 0;
     for (int64_t r = 0; r < cnt; r++) {
         const double *v = u + r * n;
         const int32_t *b = type ? bits + r * n : bits; /* NULL under A */
-        int64_t *w = out + r * n;
+        int64_t *w = fused ? row : out + r * n;
         memset(count, 0, (size_t)(n + 1) * sizeof *count);
         for (int64_t j = 0; j < n; j++) {
             if (!(v[j] >= 0.0 && v[j] < 1.0) || (type && (b[j] & ~(int32_t)1)))
@@ -686,39 +759,31 @@ int64_t uniform_rows(int64_t cnt, int64_t n, int type, const double *u,
             val[k] = x;
             order[k] = j;
         }
-        if (!type) {
-            for (int64_t i = 0; i < n; i++)
-                w[i] = order[i] + 1;
-            continue;
-        }
         /* signs by arithmetic, not branches: the bits are coin flips */
         int64_t prod = 1, last = type == 2 ? n - 1 : n;
         for (int64_t i = 0; i < last; i++) {
-            int64_t sg = 2 * b[i] - 1;
+            int64_t sg = type ? 2 * b[i] - 1 : 1;
             prod *= sg;
             w[i] = sg * (order[i] + 1);
+            if (fused)
+                inv[order[i]] = sg * (i + 1);
         }
-        if (type == 2)
+        if (type == 2) {
             w[n - 1] = prod * (order[n - 1] + 1);
+            if (fused)
+                inv[order[n - 1]] = prod * n;
+        }
+        if (fused)
+            out[r] = row_stat(w, inv, n, type, which);
     }
     return 0;
 }
 
-static int64_t row_descents(const int64_t *w, int64_t n, int type)
-{
-    int64_t d = type == 1 ? w[0] < 0 : type == 2 ? w[0] + w[1] < 0 : 0;
-    for (int64_t i = 0; i + 1 < n; i++)
-        d += w[i] > w[i + 1];
-    return d;
-}
-
-/* One statistic of each row of the row-major (cnt, n) windows W; type is
-   0, 1 or 2 for A, B or D.  which 0, 1, 2 gives t, des, des_inv: right
-   descents count adjacent drops w[i] > w[i+1], plus w[0] < 0 under B and
-   w[0] + w[1] < 0 under D, and des_inv counts them on the inverse, which
-   inv (n slots) holds.  Returns 0, or 1 + the first row that is not a
-   signed permutation of 1..n: an entry 0 or outside [-n, n], or a
-   magnitude seen twice. */
+/* Statistic which (row_stat) of each row of the row-major (cnt, n) windows
+   W of type 0, 1 or 2, after a validating build of its inverse in inv (n
+   slots).  Returns 0, or 1 + the first row that is not a signed
+   permutation of 1..n: an entry 0 or outside [-n, n], or a magnitude seen
+   twice. */
 int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
                      const int64_t *W, int64_t *inv, int64_t *out)
 {
@@ -731,8 +796,7 @@ int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
                 return r + 1;
             inv[a - 1] = v < 0 ? -(i + 1) : i + 1;
         }
-        int64_t d = which == 2 ? 0 : row_descents(w, n, type);
-        out[r] = which == 1 ? d : d + row_descents(inv, n, type);
+        out[r] = row_stat(w, inv, n, type, which);
     }
     return 0;
 }
@@ -847,20 +911,13 @@ def _decode_lib() -> ctypes.CDLL:
             with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as d:
                 os.replace(_compile_decoder(d)[0], path)
             lib = ctypes.CDLL(path)
-    lib.decode_rows.argtypes = (
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-    )
+    lib.decode_rows.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 5
     lib.decode_rows.restype = ctypes.c_int64
     lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
     lib.draw_choices.restype = ctypes.c_int64
-    lib.uniform_rows.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int) + (
-        ctypes.c_void_p,
-    ) * 5
+    lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 6
     lib.uniform_rows.restype = ctypes.c_int64
-    lib.window_stats.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int) + (
-        ctypes.c_void_p,
-    ) * 3
+    lib.window_stats.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
     lib.window_stats.restype = ctypes.c_int64
     return lib
 
@@ -869,26 +926,35 @@ def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
     """cnt uniform windows: the stable argsort of a row of rng.random, plus 1,
     with signs from rng.integers(0, 2) under B and D.  Under D the last sign
     is the product of the others: the first n - 1 iid signs stay uniform
-    over the even-weight sign vectors.  The bits are drawn as int32, which
-    takes the same values and leaves the generator in the same state as an
-    int64 draw, in half the memory (a test guards this).  Runs the C kernel
-    uniform_rows, which releases the GIL for the whole call.
+    over the even-weight sign vectors."""
+    return _uniform(kind, n, cnt, rng, -1, np.empty((cnt, n), dtype=np.int64))
+
+
+def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
+    """The C kernel uniform_rows on cnt rows of uniforms and sign bits from
+    rng: the windows of _uniform_windows into the (cnt, n) array out when
+    which < 0, else their statistic STATISTICS[which] into the (cnt,) array
+    out.  The bits are drawn as int32, which takes the same values and
+    leaves the generator in the same state as an int64 draw, in half the
+    memory (a test guards this).  The kernel releases the GIL for the whole
+    call; its scratch belongs to this call, so threads share none.
     """
     u = rng.random((cnt, n))
     bits = None if kind == "A" else rng.integers(0, 2, size=(cnt, n), dtype=np.int32)
-    W = np.empty((cnt, n), dtype=np.int64)
-    idx = np.empty(3 * n + 1, dtype=np.int64)  # per-call scratch: threads share no buffer
+    idx = np.empty(3 * n + 1, dtype=np.int64)
     val = np.empty(n)
+    row = np.empty(2 * n, dtype=np.int64)
     bad = _decode_lib().uniform_rows(
-        cnt, n, "ABD".index(kind), u.ctypes.data, None if bits is None else bits.ctypes.data,
-        idx.ctypes.data, val.ctypes.data, W.ctypes.data,
+        cnt, n, "ABD".index(kind), which, u.ctypes.data,
+        None if bits is None else bits.ctypes.data, idx.ctypes.data, val.ctypes.data,
+        row.ctypes.data, out.ctypes.data,
     )
     if bad:
         raise ValueError(f"uniform outside [0, 1) or sign bit not 0 or 1 in row {bad - 1}")
-    return W
+    return out
 
 
-STATISTICS = ("t", "des", "des_inv", "length")  # the first three: window_stats's `which` codes
+STATISTICS = ("t", "des", "des_inv", "length")  # the first three: the kernels' `which` codes
 
 
 def _check_statistic(statistic: str) -> None:
@@ -911,9 +977,12 @@ def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
 def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     """t, des or des_inv of every row of an (rows, n) window array of type kind.
 
-    Runs the C kernel window_stats, which releases the GIL for the whole
-    call; the scratch buffer belongs to this call, so threads share none.
-    Lengths are summed from tower choices instead.
+    For windows from outside the sampler (the exact laws, the size-bias
+    stars): the C kernel window_stats rejects a row that is not a signed
+    permutation, then counts with the sampler's descent routine.  It
+    releases the GIL for the whole call; the scratch buffer belongs to this
+    call, so threads share none.  Lengths are summed from tower choices
+    instead.
     """
     if statistic not in STATISTICS[:3]:
         raise ValueError(f"unknown statistic {statistic!r} for window rows (not length)")
@@ -939,8 +1008,9 @@ def sample_statistic(
 ) -> np.ndarray:
     """Seeded batch of statistic values; sums over product factors.
 
-    Window factors draw the same chunks as sample_windows, and each chunk
-    is reduced to its statistic in the thread that drew it.  Lengths are
+    Window factors draw the same chunks as sample_windows, and the kernel
+    that makes each row computes its statistic, in the thread that drew
+    the chunk, so no window array is built.  Lengths are
     summed from drawn tower choices, not decoded, also at q = 1, where
     sample_windows does not walk the tower.
     """
@@ -966,7 +1036,8 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
         _prime_tower_tables(kind, n, q)
     if statistic == "length":
         return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
-    return lambda cnt, rng: _windows_stat(kind, _chunk_windows(kind, n, q, cnt, rng), statistic)
+    which = STATISTICS.index(statistic)
+    return lambda cnt, rng: _chunk_stats(kind, n, q, cnt, rng, which)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,9 +29,12 @@ from coxmal.coxeter import (
 from coxmal.mallows import (
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
+    STAGE_BLOCK,
     MallowsSpec,
+    _chunk_stats,
     _chunk_windows,
     _compile_decoder,
+    _decode,
     _decode_lib,
     _decode_rows,
     _dihedral_stat_values,
@@ -36,11 +42,11 @@ from coxmal.mallows import (
     _draw_choices,
     _map_chunks,
     _segments_in_file,
-    _stage_arrays,
     _stage_choices,
     _tower_enumeration,
     _tower_stages,
     _tower_tables,
+    _uniform,
     _uniform_windows,
     _windows_and_weights,
     _windows_stat,
@@ -318,7 +324,8 @@ def test_decode_rows_matches_reference(kind, n):
     """Random stage choices; n = 2 is type D's smallest tower, n = 300 has
     labels above 255.  Fixed rows pop at either end and in the middle, where
     the decoder closes the gap from one side or the other, and alternate
-    the ends, with D negations after the low-end pops."""
+    the ends, with D negations after the low-end pops.  The fused mode's
+    statistics equal window_stats of the decoded windows."""
     rng = np.random.default_rng(1000 * n + ord(kind))
     pops, signs = _random_choices(kind, n, 2500, rng)
     left = np.array(list(_tower_stages(kind, n)), dtype=np.int32)  # labels left at each stage
@@ -342,6 +349,9 @@ def test_decode_rows_matches_reference(kind, n):
         assert ((W < 0).sum(axis=1) % 2 == 0).all()
         # negative control: the comparison sees a decode without the D flip
         assert not np.array_equal(W, _reference_decode(kind, n, pops, signs, d_flip=False))
+    for which, stat in enumerate(WINDOW_STATS):
+        got = _decode(kind, n, pops, signs, which, np.empty(len(pops), dtype=np.int64))
+        assert np.array_equal(got, _windows_stat(kind, W, stat)), stat
 
 
 def test_decode_rows_rejects_bad_choices():
@@ -351,6 +361,9 @@ def test_decode_rows_rejects_bad_choices():
         p[3, 0] = bad
         with pytest.raises(ValueError, match="row 3"):
             _decode_rows("B", 5, p, signs)
+        for which in range(3):  # the fused mode checks the same
+            with pytest.raises(ValueError, match="row 3"):
+                _decode("B", 5, p, signs, which, np.empty(10, dtype=np.int64))
     with pytest.raises(ValueError):
         _decode_rows("D", 5, pops, signs)  # D5 has four stages, not five
     with pytest.raises(ValueError):
@@ -364,6 +377,16 @@ def test_decode_rows_rejects_bad_choices():
     out.setflags(write=False)
     with pytest.raises(ValueError, match="output array"):
         _decode_rows("B", 5, pops, signs, out=out)
+
+
+def _stage_arrays(kind, m, q):
+    """(a, s, cumweight) arrays of one stage, weights scaled to <= 1: the
+    stage-by-stage reference of _tower_tables and the draw_choices kernel."""
+    a, s, contrib = _stage_choices(kind, m)
+    contrib = contrib.astype(np.float64)
+    if q > 1.0:
+        contrib = contrib - contrib.max()
+    return a, s, np.cumsum(np.power(q, contrib))
 
 
 def _reference_choices(kind, n, q, cnt, uniforms, side="right"):
@@ -527,12 +550,18 @@ def test_uniform_rows_rejects_bad_input():
         for kind in "ABD":
             with pytest.raises(ValueError, match="row 3"):
                 _uniform_windows(kind, 5, 10, _Uniforms(v, bits))
+            for which in range(3):  # the fused mode checks the same
+                with pytest.raises(ValueError, match="row 3"):
+                    _uniform(kind, 5, 10, _Uniforms(v, bits), which, np.empty(10, dtype=np.int64))
     for col in (2, 4):  # under D the last bit is drawn but not used: still checked
         b = bits.copy()
         b[3, col] = 2
         for kind in "BD":
             with pytest.raises(ValueError, match="row 3"):
                 _uniform_windows(kind, 5, 10, _Uniforms(u, b))
+            for which in range(3):
+                with pytest.raises(ValueError, match="row 3"):
+                    _uniform(kind, 5, 10, _Uniforms(u, b), which, np.empty(10, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
@@ -582,6 +611,23 @@ def test_window_stats_rejects_bad_windows():
         _windows_stat("B", W, "length")
     with pytest.raises(ValueError):
         _windows_stat("I2", W, "t")
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 201])
+@pytest.mark.parametrize("q", [1e-3, 0.5, 1.0, 2.0, 1e3])
+def test_fused_rows_equal_window_stats(kind, n, q):
+    """The kernels that make each row compute its statistic from the inverse
+    they record while placing the labels: the values equal window_stats and
+    the numpy reference on the same seeded windows, decoded (q != 1) or
+    uniform (q = 1)."""
+    cnt, seed = 300, 1000 * n + ord(kind)
+    W = _chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
+    for which, stat in enumerate(WINDOW_STATS):
+        got = _chunk_stats(kind, n, q, cnt, np.random.default_rng(seed), which)
+        want = _windows_stat(kind, W, stat)
+        assert got.dtype == np.int64 and np.array_equal(got, want), stat
+        assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
 
 
 TOWER_GROUPS = [f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)] + [
@@ -700,6 +746,70 @@ def test_sampled_lengths_skip_the_decode(monkeypatch):
     monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
     for (g, q), w in zip(cases, want):
         assert np.array_equal(sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5), w)
+
+
+def test_sampled_statistics_build_no_windows(monkeypatch):
+    """t, des and des_inv come from the kernels that make the rows: no
+    window array is built or reduced, at q = 1 either, and the values are
+    the same."""
+    monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
+    cases = [(g, q, stat) for g in ("A6", "B6", "D6", "B3 x A2") for q in (0.5, 1.0, 2.0)
+             for stat in WINDOW_STATS]
+    want = [sample_statistic(MallowsSpec.make(g, q), stat, 600, seed=5) for g, q, stat in cases]
+
+    def no_windows(*args, **kwargs):
+        raise AssertionError("built a window array for a sampled statistic")
+
+    for name in ("_decode_rows", "_uniform_windows", "_windows_stat", "_chunk_windows"):
+        monkeypatch.setattr(coxmal.mallows, name, no_windows)
+    for (g, q, stat), w in zip(cases, want):
+        got = sample_statistic(MallowsSpec.make(g, q), stat, 600, seed=5, threads=2)
+        assert np.array_equal(got, w), (g, q, stat)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_sampled_t_holds_no_window_array(q):
+    """Sampling t of one B200 chunk holds the chunk's inputs and little
+    more: at q = 0.5 the choices and the STAGE_BLOCK uniform buffer, at
+    q = 1 the uniforms and the int32 sign bits.  A (SAMPLE_CHUNK, 200)
+    int64 window array alone is 26 MB."""
+    n = 200
+    spec = MallowsSpec.make(f"B{n}", q)
+    sample_statistic(spec, "t", 64, seed=1)  # kernels and tables built untraced
+    if q == 1.0:
+        inputs = SAMPLE_CHUNK * n * (8 + 4)
+    else:
+        inputs = SAMPLE_CHUNK * n * (4 + 1) + STAGE_BLOCK * SAMPLE_CHUNK * 8
+    tracemalloc.start()
+    try:
+        sample_statistic(spec, "t", SAMPLE_CHUNK, seed=2, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inputs + 2**20, (peak, inputs)
+
+
+def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
+    """One chunk runs in the calling thread, and a pool never starts more
+    workers than there are chunks."""
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(coxmal.mallows, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
+    g = parse_group("B4")
+
+    def draw(cnt, rng):
+        return threading.current_thread()
+
+    assert _map_chunks(g, 0.5, 256, 1, 2, draw) == [threading.current_thread()]
+    assert started == []
+    assert len(_map_chunks(g, 0.5, 3 * 256, 1, 8, draw)) == 3
+    assert started == [3]
 
 
 def test_tower_tables_are_built_once_per_cell():
