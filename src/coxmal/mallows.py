@@ -20,9 +20,15 @@ moves next to the gap and memmove only for the rest; the label scratch has
 four pad slots at each end for those moves.  Neither loop then branches on
 where the stage mass sits, which at q far from 1 is the first or the last
 choice.  The stage tables are built together, once per cell, before the
-sampler threads start.  At q = 1 the kernel uniform_rows sorts each row
-of uniforms by a counting sort, bit-identical to numpy's stable argsort,
-and signs it.  sample_one is the independent single-draw walk.  A length
+sampler threads start.  At q = 1 the kernel uniform_rows draws each row's
+uniforms and sign bits itself, through numpy's bitgen_t interface, sorts
+the uniforms by a counting sort, bit-identical to numpy's stable argsort,
+and signs the row; no (rows, n) input array is built.  It takes the
+stream of rng.random((rows, n)) followed by rng.integers(0, 2, (rows, n),
+np.int32) and leaves the generator where those calls would: the uniforms
+come from a copy of the generator, and the generator itself, advanced past
+them (PCG64 advance), gives the sign bits, two per 64-bit word.
+sample_one is the independent single-draw walk.  A length
 is the sum of its tower choices' contributions, so sampled lengths decode
 nothing, and the exact laws decode every tuple of choices once per group
 (_tower_enumeration).  For sample_statistic's t, des and des_inv,
@@ -372,36 +378,37 @@ def _dihedral_table(g: GroupDescriptor, q: float):
 # batch draws
 
 
-def _chunk_sizes(count: int):
-    out = [SAMPLE_CHUNK] * (count // SAMPLE_CHUNK)
-    if count % SAMPLE_CHUNK:
-        out.append(count % SAMPLE_CHUNK)
-    return out
-
-
 def sample_windows(
     g: GroupDescriptor, q: float, count: int, seed, threads: int = 1
 ) -> np.ndarray:
-    """(count, n) array of windows, deterministic in (g, q, count, seed)."""
+    """(count, n) array of windows, deterministic in (g, q, count, seed).
+
+    Each chunk is drawn into its rows of the output, so nothing else of the
+    window array's size is held."""
     if g.kind == "I2":
         raise ValueError("dihedral factors have no windows; sample stats instead")
     kind, n = g.kind, g.window_size
     if q != 1.0:
         _prime_tower_tables(kind, n, q)
-    chunks = _map_chunks(
-        g, q, count, seed, threads, lambda cnt, rng: _chunk_windows(kind, n, q, cnt, rng)
-    )
-    return np.concatenate(chunks) if chunks else np.empty((0, n), dtype=np.int64)
+    out = np.empty((max(count, 0), n), dtype=np.int64)
+
+    def draw(lo, hi, rng):
+        _chunk_windows(kind, n, q, hi - lo, rng, out[lo:hi])
+
+    _map_chunks(g, q, count, seed, threads, draw)
+    return out
 
 
 def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, draw):
-    """draw(cnt, rng) for each chunk of count seeded draws from g at q, in chunk order.
+    """draw(lo, hi, rng) for each chunk, rows lo to hi - 1 of count seeded
+    draws from g at q, in chunk order.
 
     The chunk layout is fixed and each chunk's rng is default_rng of its own
     spawned seed, so the thread count never changes the results.  draw runs
     in the thread that handles the chunk and should reduce its rows there,
-    so that only one chunk of windows per thread is alive.  No pool starts
-    for one chunk, and never more workers than chunks.
+    or write them into their place, so that only one chunk of windows per
+    thread is alive.  No pool starts for one chunk, and never more workers
+    than chunks.
     """
     _check_q(q)
     if count < 0:
@@ -410,18 +417,18 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, dr
         return []
     if g.kind != "I2":
         _decode_lib()  # build before the pool starts, so threads never race to compile
-    sizes = _chunk_sizes(count)
+    starts = range(0, count, SAMPLE_CHUNK)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(len(sizes))
+    children = seq.spawn(len(starts))
 
-    def worker(cnt, child):
-        return draw(cnt, np.random.default_rng(child))
+    def worker(lo, child):
+        return draw(lo, min(lo + SAMPLE_CHUNK, count), np.random.default_rng(child))
 
-    workers = min(threads, len(sizes))
+    workers = min(threads, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, sizes, children))
-    return [worker(c, s) for c, s in zip(sizes, children)]
+            return list(pool.map(worker, starts, children))
+    return [worker(lo, s) for lo, s in zip(starts, children)]
 
 
 def _prime_tower_tables(kind: str, n: int, q: float) -> None:
@@ -432,12 +439,12 @@ def _prime_tower_tables(kind: str, n: int, q: float) -> None:
     _tower_tables(kind, n, q)
 
 
-def _chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
-    """cnt windows drawn from rng (a Generator, or a seed for one)."""
+def _chunk_windows(kind: str, n: int, q: float, cnt: int, rng, out=None) -> np.ndarray:
+    """cnt windows drawn from rng (a Generator, or a seed for one), into out if given."""
     rng = np.random.default_rng(rng)
     if q == 1.0:
-        return _uniform_windows(kind, n, cnt, rng)
-    return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+        return _uniform_windows(kind, n, cnt, rng, out)
+    return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng), out)
 
 
 def _chunk_stats(kind: str, n: int, q: float, cnt: int, rng, which: int) -> np.ndarray:
@@ -486,11 +493,16 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=Non
     with sign signs[:, t]; type D's last label fills position 1.  The
     windows go into out, if given (the exact enumeration decodes in place).
     """
-    cnt = len(pops)
+    return _decode(kind, n, pops, signs, -1, _window_array(len(pops), n, out))
+
+
+def _window_array(cnt: int, n: int, out=None) -> np.ndarray:
+    """out, checked to be a writable C-contiguous (cnt, n) int64 array for a
+    kernel to write windows into, or a new one when out is None."""
     out = np.empty((cnt, n), dtype=np.int64) if out is None else out
     if out.shape != (cnt, n) or out.dtype != np.int64 or not out.flags.carray:
         raise ValueError(f"need a writable C-contiguous ({cnt}, {n}) int64 output array")
-    return _decode(kind, n, pops, signs, -1, out)
+    return out
 
 
 def _decode(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, which: int, out) -> np.ndarray:
@@ -573,6 +585,16 @@ def _tower_rows(g: GroupDescriptor):
 _DECODE_C = r"""
 #include <stdint.h>
 #include <string.h>
+
+/* numpy's bit generator interface, as in numpy/random/bitgen.h (a test
+   compares the two field by field) */
+typedef struct bitgen {
+  void *state;
+  uint64_t (*next_uint64)(void *st);
+  uint32_t (*next_uint32)(void *st);
+  double (*next_double)(void *st);
+  uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
 static int64_t row_descents(const int64_t *w, int64_t n, int type)
 {
@@ -709,49 +731,67 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
     return 0;
 }
 
-/* Uniform windows of type 0, 1 or 2 (A, B or D) from row-major (cnt, n)
-   uniforms u and, under B and D, sign bits.  Row r's window holds 1 + the
-   positions of u's row in increasing order of u, ties in position order,
-   which is numpy's argsort(u, kind="stable") + 1: a counting sort into n
-   buckets by floor(u * n), which keeps position order inside a bucket,
-   then an insertion sort that moves an entry only past larger ones.  Entry
-   j takes the sign 2 * bits[j] - 1, except under D the last entry, whose
-   sign is the product of the others', so that the signs have even weight.
-   The sort gives the inverse too: entry i is order[i] + 1 with its sign, so
-   the inverse holds i + 1 with that sign at order[i].  With which < 0
-   window r goes to row r of the (cnt, n) array out; otherwise it goes to
-   row[0..n), its inverse to row[n..2n), and out[r] is its statistic which
-   (row_stat).  idx (3n + 1 slots: bucket counts, order, bucket keys) and
-   val (n slots) are scratch.  Returns 0, or 1 + the first row with a
-   uniform outside [0, 1) or a bit other than 0 or 1. */
-int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, const double *u,
-                     const int32_t *bits, int64_t *idx, double *val, int64_t *row,
-                     int64_t *out)
+/* Uniform windows of type 0, 1 or 2 (A, B or D), drawn row by row from
+   numpy bit generators (bitgen_t, numpy/random/bitgen.h): the uniforms
+   from ug by next_double and, under B and D, the sign bits from bg.  Row
+   r's window holds 1 + the positions of its n uniforms in increasing
+   order, ties in position order, which is numpy's argsort(u,
+   kind="stable") + 1: a counting sort into n buckets by floor(u * n),
+   which keeps position order inside a bucket, then an insertion sort that
+   moves an entry only past larger ones.  Entry i takes the sign 2 b - 1 of
+   the chunk's next bit b, except under D the last entry, whose bit is
+   drawn but whose sign is the product of the others', so that the signs
+   have even weight.  The bits are those of integers(0, 2, dtype=int32),
+   which splits each 64-bit word into two 32-bit halves, low half first, and
+   keeps bit 31 of each (Lemire's method never rejects at range 2): so
+   half >= 0, a 32-bit half left over in the caller's generator, gives the
+   first bit, then each next_uint64 word gives bit 31 and bit 63, and when
+   one bit is left for the last word, next_uint32 takes it and leaves the
+   other half in bg, as numpy would.  The sort gives the inverse too: entry
+   i is order[i] + 1 with its sign, so the inverse holds i + 1 with that
+   sign at order[i].  With which < 0 window r goes to row r of the (cnt, n)
+   array out; otherwise it goes to row[0..n), its inverse to row[n..2n),
+   and out[r] is its statistic which (row_stat).  idx (3n + 1 slots: bucket
+   starts, order, bucket keys) and val (2n slots: the sorted uniforms, then
+   the row's in draw order) are scratch.  Returns 0, or 1 + the first row
+   with a uniform outside [0, 1). */
+int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
+                     bitgen_t *bg, int64_t half, int32_t *restrict idx,
+                     double *restrict val, int64_t *restrict row, int64_t *restrict out)
 {
-    int64_t *count = idx, *order = idx + n + 1, *key = order + n, *inv = row + n;
+    int32_t *count = idx, *order = idx + n + 1, *key = order + n;
+    double *v = val + n;
+    int64_t *inv = row + n;
     int fused = which >= 0;
+    uint64_t word = (uint64_t)half;
+    int64_t held = half >= 0; /* bits left in word */
+    int64_t fresh = type ? cnt * n - held : 0; /* bits still to draw from bg */
     for (int64_t r = 0; r < cnt; r++) {
-        const double *v = u + r * n;
-        const int32_t *b = type ? bits + r * n : bits; /* NULL under A */
         int64_t *w = fused ? row : out + r * n;
         memset(count, 0, (size_t)(n + 1) * sizeof *count);
         for (int64_t j = 0; j < n; j++) {
-            if (!(v[j] >= 0.0 && v[j] < 1.0) || (type && (b[j] & ~(int32_t)1)))
+            double x = ug->next_double(ug->state);
+            if (!(x >= 0.0 && x < 1.0))
                 return r + 1;
-            int64_t k = (int64_t)(v[j] * n);
-            key[j] = k < n ? k : n - 1;
+            int32_t k = (int32_t)(x * n);
+            v[j] = x;
+            key[j] = k < n ? k : (int32_t)n - 1;
             count[key[j] + 1]++;
         }
-        for (int64_t k = 0; k < n; k++)
-            count[k + 1] += count[k];
+        int32_t start = 0;
+        for (int64_t k = 0; k < n; k++) {
+            start += count[k];
+            count[k] = start;
+        }
         for (int64_t j = 0; j < n; j++) {
-            int64_t i = count[key[j]]++;
+            int32_t i = count[key[j]]++;
             val[i] = v[j];
-            order[i] = j;
+            order[i] = (int32_t)j;
         }
         for (int64_t i = 1; i < n; i++) {
             double x = val[i];
-            int64_t j = order[i], k = i;
+            int32_t j = order[i];
+            int64_t k = i;
             for (; k > 0 && val[k - 1] > x; k--) {
                 val[k] = val[k - 1];
                 order[k] = order[k - 1];
@@ -760,18 +800,25 @@ int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, const double *
             order[k] = j;
         }
         /* signs by arithmetic, not branches: the bits are coin flips */
-        int64_t prod = 1, last = type == 2 ? n - 1 : n;
-        for (int64_t i = 0; i < last; i++) {
-            int64_t sg = type ? 2 * b[i] - 1 : 1;
+        int64_t prod = 1;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t sg = 1;
+            if (type) {
+                if (!held) {
+                    word = fresh > 1 ? bg->next_uint64(bg->state) : bg->next_uint32(bg->state);
+                    held = 2;
+                    fresh -= 2;
+                }
+                sg = 2 * (int64_t)(word >> 31 & 1) - 1;
+                word >>= 32;
+                held--;
+            }
+            if (type == 2 && i == n - 1)
+                sg = prod;
             prod *= sg;
             w[i] = sg * (order[i] + 1);
             if (fused)
                 inv[order[i]] = sg * (i + 1);
-        }
-        if (type == 2) {
-            w[n - 1] = prod * (order[n - 1] + 1);
-            if (fused)
-                inv[order[n - 1]] = prod * n;
         }
         if (fused)
             out[r] = row_stat(w, inv, n, type, which);
@@ -915,42 +962,71 @@ def _decode_lib() -> ctypes.CDLL:
     lib.decode_rows.restype = ctypes.c_int64
     lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
     lib.draw_choices.restype = ctypes.c_int64
-    lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 6
+    lib.uniform_rows.argtypes = (
+        (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 2 + (ctypes.c_int64,)
+        + (ctypes.c_void_p,) * 4
+    )
     lib.uniform_rows.restype = ctypes.c_int64
     lib.window_stats.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
     lib.window_stats.restype = ctypes.c_int64
     return lib
 
 
-def _uniform_windows(kind: str, n: int, cnt: int, rng) -> np.ndarray:
-    """cnt uniform windows: the stable argsort of a row of rng.random, plus 1,
-    with signs from rng.integers(0, 2) under B and D.  Under D the last sign
-    is the product of the others: the first n - 1 iid signs stay uniform
-    over the even-weight sign vectors."""
-    return _uniform(kind, n, cnt, rng, -1, np.empty((cnt, n), dtype=np.int64))
+def _uniform_windows(kind: str, n: int, cnt: int, rng, out=None) -> np.ndarray:
+    """cnt uniform windows, drawn inside the kernel (_uniform): the stable
+    argsort of a row of rng.random, plus 1, with signs from rng.integers(0,
+    2) under B and D.  Under D the last sign is the product of the others:
+    the first n - 1 iid signs stay uniform over the even-weight sign
+    vectors.  The windows go into out, if given."""
+    return _uniform(kind, n, cnt, rng, -1, _window_array(cnt, n, out))
 
 
 def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
-    """The C kernel uniform_rows on cnt rows of uniforms and sign bits from
-    rng: the windows of _uniform_windows into the (cnt, n) array out when
-    which < 0, else their statistic STATISTICS[which] into the (cnt,) array
-    out.  The bits are drawn as int32, which takes the same values and
-    leaves the generator in the same state as an int64 draw, in half the
-    memory (a test guards this).  The kernel releases the GIL for the whole
-    call; its scratch belongs to this call, so threads share none.
+    """The C kernel uniform_rows on cnt rows drawn from rng, a Generator on
+    PCG64 or PCG64DXSM: the windows of _uniform_windows into the (cnt, n)
+    array out when which < 0, else their statistic STATISTICS[which] into
+    the (cnt,) array out.
+
+    The kernel draws each row's uniforms and sign bits itself, so no
+    (cnt, n) input array exists, and it takes the stream of
+    rng.random((cnt, n)) followed by rng.integers(0, 2, (cnt, n), np.int32)
+    and leaves rng where those two calls would, a 32-bit half word left
+    over or held from before included (a test guards this).  Under B and D
+    the uniforms come from a copy of rng; rng itself is advanced past them
+    and gives the sign bits.  That needs advance(k) to skip k 64-bit draws,
+    which PCG64 and PCG64DXSM do and Philox, which counts 256-bit blocks,
+    does not.  rng's lock is held for the call, and the kernel releases the
+    GIL; its scratch belongs to this call, so threads share none.
     """
-    u = rng.random((cnt, n))
-    bits = None if kind == "A" else rng.integers(0, 2, size=(cnt, n), dtype=np.int32)
-    idx = np.empty(3 * n + 1, dtype=np.int64)
-    val = np.empty(n)
+    bg = rng.bit_generator
+    if not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValueError(f"q = 1 rows need a PCG64 or PCG64DXSM generator, got {type(bg).__name__}")
+    with bg.lock:
+        ug, bits, half = bg, None, -1
+        if kind != "A" and cnt:
+            state = bg.state
+            ug = type(bg)(0)  # a copy, seeded without OS entropy
+            ug.state = state
+            bg.advance(cnt * n)  # to the sign bits; this drops a held half word
+            bits = bg.ctypes.bit_generator
+            if state["has_uint32"]:
+                half = state["uinteger"]
+        return _uniform_rows(kind, n, cnt, which, ug.ctypes.bit_generator, bits, half, out)
+
+
+def _uniform_rows(kind: str, n: int, cnt: int, which: int, uniforms, bits, half: int, out):
+    """uniform_rows on the bitgen_t structs at the addresses uniforms and
+    bits (None under A), with half the 32-bit half word that gives the
+    first sign bit, or -1."""
+    idx = np.empty(3 * n + 1, dtype=np.int32)
+    val = np.empty(2 * n)
     row = np.empty(2 * n, dtype=np.int64)
     bad = _decode_lib().uniform_rows(
-        cnt, n, "ABD".index(kind), which, u.ctypes.data,
-        None if bits is None else bits.ctypes.data, idx.ctypes.data, val.ctypes.data,
-        row.ctypes.data, out.ctypes.data,
+        cnt, n, "ABD".index(kind), which, uniforms, bits, half,
+        idx.ctypes.data, val.ctypes.data, row.ctypes.data, out.ctypes.data,
     )
     if bad:
-        raise ValueError(f"uniform outside [0, 1) or sign bit not 0 or 1 in row {bad - 1}")
+        raise ValueError(f"uniform outside [0, 1) in row {bad - 1}")
     return out
 
 
@@ -1026,18 +1102,20 @@ def sample_statistic(
 
 
 def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
-    """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
+    """The draw(lo, hi, rng) of _map_chunks that returns hi - lo values of statistic."""
     if g.kind == "I2":
         vals = _dihedral_stat_values(g, statistic)
         probs = _dihedral_table(g, q)[1]
-        return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
+        return lambda lo, hi, rng: vals[rng.choice(len(probs), size=hi - lo, p=probs)]
     kind, n = g.kind, g.window_size
     if statistic == "length" or q != 1.0:
         _prime_tower_tables(kind, n, q)
     if statistic == "length":
-        return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+        return lambda lo, hi, rng: _choice_lengths(
+            kind, n, *_draw_choices(kind, n, q, hi - lo, rng)
+        )
     which = STATISTICS.index(statistic)
-    return lambda cnt, rng: _chunk_stats(kind, n, q, cnt, rng, which)
+    return lambda lo, hi, rng: _chunk_stats(kind, n, q, hi - lo, rng, which)
 
 
 # ---------------------------------------------------------------------------

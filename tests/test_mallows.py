@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from coxmal.coxeter import (
     two_sided_descent,
 )
 from coxmal.mallows import (
+    _DECODE_C,
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
     STAGE_BLOCK,
@@ -47,6 +49,7 @@ from coxmal.mallows import (
     _tower_stages,
     _tower_tables,
     _uniform,
+    _uniform_rows,
     _uniform_windows,
     _windows_and_weights,
     _windows_stat,
@@ -473,19 +476,68 @@ def test_draw_choices_rejects_bad_uniforms():
             _draw_choices("B", 5, 0.5, 10, _Rows(v))
 
 
-class _Uniforms:
-    """Stands in for the generator of _uniform_windows: hands out u, then bits."""
+class _Bitgen(ctypes.Structure):
+    """numpy's bitgen_t (numpy/random/bitgen.h)."""
 
-    def __init__(self, u, bits):
-        self.u, self.bits = u, bits
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+        ("next_uint32", ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)),
+        ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
+        ("next_raw", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+    ]
 
-    def random(self, size):
-        assert size == self.u.shape
-        return self.u
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high, size, dtype) == (0, 2, self.bits.shape, np.int32)
-        return self.bits
+class _FakeBitgen:
+    """A bitgen_t whose next_double hands out the given doubles, and whose
+    next_uint64 and next_uint32 hand out the given words in order (the low
+    32 bits of one for next_uint32).  left counts what is not handed out
+    yet, and calls logs which of the two word functions ran."""
+
+    def __init__(self, doubles=(), words=()):
+        doubles, words = np.asarray(doubles).tolist(), np.asarray(words).tolist()
+        self.left, self.calls = len(doubles) + len(words), []
+        doubles, words = iter(doubles), iter(words)
+
+        def take(it):
+            self.left -= 1
+            return next(it)
+
+        def word(bits):
+            self.calls.append(bits)
+            return take(words) & (2**bits - 1)
+
+        types = [t for _, t in _Bitgen._fields_[1:]]
+        self._fns = [  # next_raw stays NULL: the kernel never calls it
+            types[0](lambda st: word(64)),
+            types[1](lambda st: word(32)),
+            types[2](lambda st: take(doubles)),
+        ]
+        self.struct = _Bitgen(None, *self._fns)
+        self.address = ctypes.addressof(self.struct)
+
+
+def _sign_words(bits, rng):
+    """Words that give the sign bits in order, bit 31 and then bit 63 of
+    each, as numpy's integers(0, 2, dtype=int32) reads them; every other bit
+    is noise, which the kernel must ignore."""
+    b = np.append(bits.ravel(), [0] * (bits.size % 2)).astype(np.uint64)
+    noise = rng.integers(0, 2**64, len(b) // 2, dtype=np.uint64) & ~np.uint64(2**31 + 2**63)
+    return noise | b[0::2] << np.uint64(31) | b[1::2] << np.uint64(63)
+
+
+def _fed_uniform_rows(kind, u, bits, which, rng):
+    """uniform_rows fed the uniforms u and the sign bits by fake bit
+    generators: windows when which < 0, else statistic which per row."""
+    cnt, n = u.shape
+    ug = _FakeBitgen(doubles=u.ravel())
+    bg = None if kind == "A" else _FakeBitgen(words=_sign_words(bits, rng))
+    out = np.empty((cnt, n) if which < 0 else cnt, dtype=np.int64)
+    _uniform_rows(kind, n, cnt, which, ug.address, bg and bg.address, -1, out)
+    assert ug.left == 0 and (bg is None or bg.left == 0)  # every input drawn
+    if bg is not None:  # one next_uint32, for the last bit of an odd count
+        assert bg.calls == [64] * (u.size // 2) + [32] * (u.size % 2)
+    return out
 
 
 def _reference_uniform(kind, u, bits, parity=True, ties_reversed=False):
@@ -505,7 +557,8 @@ def _reference_uniform(kind, u, bits, parity=True, ties_reversed=False):
 @pytest.mark.parametrize("n", [2, 3, 49, 50, 149, 200, 201])
 def test_uniform_rows_matches_stable_argsort(kind, n):
     """The counting-sort kernel equals numpy's stable argsort, on the seeded
-    stream and on rows whose uniforms are multiples of 1/8, which tie."""
+    stream and, fed by fake bit generators, on rows whose uniforms are
+    multiples of 1/8, which tie; in window mode and in fused mode."""
     cnt = 600
     got = _uniform_windows(kind, n, cnt, np.random.default_rng(n))
     rng = np.random.default_rng(n)
@@ -515,11 +568,16 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
     assert np.array_equal(got, _reference_uniform(kind, u, bits))
 
     rng = np.random.default_rng(1000 * n + ord(kind))
+    cnt = 101  # an odd bit count when n is odd
     u = rng.random((cnt, n))
     u[: cnt // 2] = np.floor(u[: cnt // 2] * 8) / 8
     bits = rng.integers(0, 2, (cnt, n), np.int32)
-    got = _uniform_windows(kind, n, cnt, _Uniforms(u, bits))
-    assert np.array_equal(got, _reference_uniform(kind, u, bits))
+    got = _fed_uniform_rows(kind, u, bits, -1, rng)
+    want = _reference_uniform(kind, u, bits)
+    assert np.array_equal(got, want)
+    for which, stat in enumerate(WINDOW_STATS):
+        values = _fed_uniform_rows(kind, u, bits, which, rng)
+        assert np.array_equal(values, windows_statistic(kind, want, stat))
     # negative control: the ties are there, and the comparison sees their order
     assert not np.array_equal(got, _reference_uniform(kind, u, bits, ties_reversed=True))
     if kind == "D":
@@ -529,11 +587,11 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
 
 
 def test_int32_sign_bits_keep_the_int64_stream():
-    """_uniform_windows draws its sign bits as int32 for the stream of the
-    int64 draw: the same values, and the generator left in the same state,
-    so the next uniforms are the same too.  Both draw from the buffered
-    32-bit source; an int16 or uint8 draw would not.  A numpy release that
-    changes this fails here."""
+    """The sign bits of the q = 1 rows are those of an int32 draw, which
+    takes the same values and leaves the generator in the same state as an
+    int64 draw, so the next uniforms are the same too.  Both draw from the
+    buffered 32-bit source; an int16 or uint8 draw would not.  A numpy
+    release that changes this fails here."""
     for shape in ((600, 201), (3, 7), (1, 1), (0, 5)):
         a, b = np.random.default_rng(17), np.random.default_rng(17)
         assert np.array_equal(a.integers(0, 2, shape, np.int32), b.integers(0, 2, shape, np.int64))
@@ -541,27 +599,102 @@ def test_int32_sign_bits_keep_the_int64_stream():
         assert np.array_equal(a.random(9), b.random(9))
 
 
+def _assert_same_stream(a, b):
+    """a and b are in the same state: has_uint32 always, the held half word
+    when there is one, and the next draws of both kinds."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    assert sa["state"] == sb["state"] and sa["has_uint32"] == sb["has_uint32"]
+    if sa["has_uint32"]:
+        assert sa["uinteger"] == sb["uinteger"]
+    assert np.array_equal(a.integers(0, 2, 5, np.int32), b.integers(0, 2, 5, np.int32))
+    assert np.array_equal(a.random(3), b.random(3))
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+def test_uniform_rows_keep_the_two_call_stream(kind, bit_generator):
+    """uniform_rows draws each row's uniforms and sign bits itself, yet takes
+    the stream of rng.random((cnt, n)) followed by rng.integers(0, 2,
+    (cnt, n), np.int32) and leaves rng where those two calls do, in window
+    mode and in fused mode: at an odd, an even and a zero cnt * n, and with
+    a half word held from an odd-sized int32 draw before."""
+    held_after = set()
+    for cnt, n in ((3, 7), (4, 7), (3, 8), (0, 5), (1, 201), (773, 50)):
+        for before in (0, 3):
+
+            def fresh(state=None):
+                rng = np.random.Generator(bit_generator(1000 * cnt + n))
+                rng.integers(0, 2, before, np.int32)
+                assert rng.bit_generator.state["has_uint32"] == before % 2
+                if state is not None:
+                    rng.bit_generator.state = state
+                return rng
+
+            ref = fresh()
+            u = ref.random((cnt, n))
+            bits = None if kind == "A" else ref.integers(0, 2, (cnt, n), np.int32)
+            want = _reference_uniform(kind, u, bits)
+            after = ref.bit_generator.state
+            held_after.add(after["has_uint32"])
+            for which in range(-1, 3):
+                rng = fresh()
+                if which < 0:
+                    assert np.array_equal(_uniform_windows(kind, n, cnt, rng), want)
+                else:
+                    got = _uniform(kind, n, cnt, rng, which, np.empty(cnt, dtype=np.int64))
+                    assert np.array_equal(got, windows_statistic(kind, want, WINDOW_STATS[which]))
+                _assert_same_stream(rng, fresh(after))
+    assert held_after == {0, 1}
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_uniform_rows_need_a_word_advance(bit_generator):
+    """A bit generator whose advance(k) does not skip k 64-bit draws (MT19937
+    and SFC64 have none, Philox counts 256-bit blocks) is refused before
+    anything is drawn."""
+    for kind in "ABD":
+        rng = np.random.Generator(bit_generator(5))
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="PCG64"):
+            _uniform_windows(kind, 5, 3, rng)
+        with pytest.raises(ValueError, match="PCG64"):
+            _uniform(kind, 5, 3, rng, 0, np.empty(3, dtype=np.int64))
+        assert repr(rng.bit_generator.state) == repr(before)
+
+
+def test_bitgen_layout_matches_numpy():
+    """The bitgen_t that the kernels declare is numpy's, field for field, so
+    a numpy release that changes the interface fails here, not in a run."""
+
+    def fields(text):
+        [body] = re.findall(r"typedef struct bitgen \{(.*?)\} bitgen_t;", text, re.S)
+        return [" ".join(f.split()) for f in body.split(";") if f.strip()]
+
+    with open(os.path.join(np.get_include(), "numpy", "random", "bitgen.h")) as f:
+        want = fields(f.read())
+    assert fields(_DECODE_C) == want
+    assert [name for name, _ in _Bitgen._fields_] == [re.search(r"\*(\w+)", f)[1] for f in want]
+
+
 def test_uniform_rows_rejects_bad_input():
+    """A uniform outside [0, 1) names its row, in window mode and in fused
+    mode; a window array of the wrong shape, layout or type is refused
+    before anything is drawn."""
     rng = np.random.default_rng(0)
     u, bits = rng.random((10, 5)), rng.integers(0, 2, (10, 5), np.int32)
     for bad in (1.0, -0.25, np.nan):
         v = u.copy()
         v[3, 2] = bad
         for kind in "ABD":
-            with pytest.raises(ValueError, match="row 3"):
-                _uniform_windows(kind, 5, 10, _Uniforms(v, bits))
-            for which in range(3):  # the fused mode checks the same
+            for which in range(-1, 3):  # window mode, then the fused mode
                 with pytest.raises(ValueError, match="row 3"):
-                    _uniform(kind, 5, 10, _Uniforms(v, bits), which, np.empty(10, dtype=np.int64))
-    for col in (2, 4):  # under D the last bit is drawn but not used: still checked
-        b = bits.copy()
-        b[3, col] = 2
-        for kind in "BD":
-            with pytest.raises(ValueError, match="row 3"):
-                _uniform_windows(kind, 5, 10, _Uniforms(u, b))
-            for which in range(3):
-                with pytest.raises(ValueError, match="row 3"):
-                    _uniform(kind, 5, 10, _Uniforms(u, b), which, np.empty(10, dtype=np.int64))
+                    _fed_uniform_rows(kind, v, bits, which, rng)
+    out = np.zeros((10, 10), dtype=np.int64)
+    for bad in (out[:9, :5], out[:, :5], out[:, :5].astype(np.int32)):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="output array"):
+            _uniform_windows("B", 5, 10, rng, out=bad)
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 @pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
@@ -692,8 +825,8 @@ def _factor_tower_windows(spec, count, seed):
     for (g, q), child in zip(spec.factor_specs(), children):
         kind, n = g.kind, g.window_size
 
-        def draw(cnt, rng):
-            return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+        def draw(lo, hi, rng):
+            return _decode_rows(kind, n, *_draw_choices(kind, n, q, hi - lo, rng))
 
         out.append((kind, np.concatenate(_map_chunks(g, q, count, child, 1, draw))))
     return out
@@ -771,13 +904,14 @@ def test_sampled_statistics_build_no_windows(monkeypatch):
 def test_sampled_t_holds_no_window_array(q):
     """Sampling t of one B200 chunk holds the chunk's inputs and little
     more: at q = 0.5 the choices and the STAGE_BLOCK uniform buffer, at
-    q = 1 the uniforms and the int32 sign bits.  A (SAMPLE_CHUNK, 200)
-    int64 window array alone is 26 MB."""
+    q = 1 only the (cnt,) output, because uniform_rows draws each row's
+    uniforms and sign bits itself.  A (SAMPLE_CHUNK, 200) int64 window
+    array alone is 26 MB."""
     n = 200
     spec = MallowsSpec.make(f"B{n}", q)
     sample_statistic(spec, "t", 64, seed=1)  # kernels and tables built untraced
     if q == 1.0:
-        inputs = SAMPLE_CHUNK * n * (8 + 4)
+        inputs = SAMPLE_CHUNK * 8
     else:
         inputs = SAMPLE_CHUNK * n * (4 + 1) + STAGE_BLOCK * SAMPLE_CHUNK * 8
     tracemalloc.start()
@@ -787,6 +921,23 @@ def test_sampled_t_holds_no_window_array(q):
     finally:
         tracemalloc.stop()
     assert peak < inputs + 2**20, (peak, inputs)
+
+
+def test_uniform_windows_hold_only_the_window_array():
+    """sample_windows at q = 1 holds the window array and little more: each
+    chunk is drawn into its rows of the output, and uniform_rows draws its
+    own uniforms and sign bits.  Two chunks, the second one partial."""
+    g = parse_group("B200")
+    sample_windows(g, 1.0, 64, seed=1)  # kernels built untraced
+    count = SAMPLE_CHUNK + 100
+    tracemalloc.start()
+    try:
+        sample_windows(g, 1.0, count, seed=2, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    windows = count * g.window_size * 8
+    assert peak < windows + 2**20, (peak, windows)
 
 
 def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
@@ -803,7 +954,7 @@ def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
     monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
     g = parse_group("B4")
 
-    def draw(cnt, rng):
+    def draw(lo, hi, rng):
         return threading.current_thread()
 
     assert _map_chunks(g, 0.5, 256, 1, 2, draw) == [threading.current_thread()]
