@@ -37,7 +37,6 @@ from .mallows import (
     reversal_identity_check,
     sample_one,
     sample_statistic,
-    sample_windows,
 )
 from .moments import (
     DiscreteDistribution,

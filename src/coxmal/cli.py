@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coxeter import GroupDescriptor, descriptor_factors, parse_group
+from .coxeter import EnumerationCapError, GroupDescriptor, descriptor_factors, parse_group
 from .mallows import (
     MallowsSpec,
     normalization_enumeration_check,
@@ -603,7 +603,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for result in report.results:

@@ -9,10 +9,11 @@ there are the whole D2 base) and the first window entry is forced by the
 remaining label.  Dihedral factors are sampled directly from their 2m
 element table.
 
-Batch draws at q != 1 run two small C kernels per chunk, shared by A, B
-and D: draw_choices turns one uniform per stage into that stage's choice by
+Batch draws have one output, a statistic per draw (sample_statistic).  At
+q != 1 they run two small C kernels per chunk, shared by A, B and D:
+draw_choices turns one uniform per stage into that stage's choice by
 indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
-decode_rows turns the choices into windows.  The search starts from a guide
+decode_rows places the chosen labels.  The search starts from a guide
 entry that is a lower bound on the choice, so it only steps up and checks no
 bound (the proof is at the kernel).  A pop closes its gap from the shorter
 side, the labels below moving up or those above moving down, by four scalar
@@ -21,31 +22,31 @@ four pad slots at each end for those moves.  Neither loop then branches on
 where the stage mass sits, which at q far from 1 is the first or the last
 choice.  The stage tables are built together, once per cell, before the
 sampler threads start.  At q = 1 the kernel uniform_rows draws each row's
-uniforms and sign bits itself, through numpy's bitgen_t interface, sorts
-the uniforms by a counting sort, bit-identical to numpy's stable argsort,
-and signs the row; no (rows, n) input array is built.  It takes the
-stream of rng.random((rows, n)) followed by rng.integers(0, 2, (rows, n),
-np.int32) and leaves the generator where those calls would: the uniforms
-come from a copy of the generator, and the generator itself, advanced past
-them (PCG64 advance), gives the sign bits, two per 64-bit word.
-sample_one is the independent single-draw walk.  A length
-is the sum of its tower choices' contributions, so sampled lengths decode
-nothing, and the exact laws decode every tuple of choices once per group
-(_tower_enumeration).  For sample_statistic's t, des and des_inv,
-decode_rows and uniform_rows compute each row's value while the row is in
-cache: the decode records the inverse as it places each label, the sort
+uniforms and sign bits itself, through numpy's bitgen_t interface, and
+orders the row by a counting sort: the row is numpy's stable argsort of
+rng.random((rows, n)), plus 1, signed by rng.integers(0, 2, (rows, n),
+np.int32), and the generator is left where those calls would leave it.
+The uniforms come from a copy of the generator, and the generator itself,
+advanced past them (PCG64 advance), gives the sign bits, two per 64-bit
+word.  Both kernels compute each row's t, des or des_inv while the row is
+in cache: the decode records the inverse as it places each label, the sort
 reads it off the sorted order, and one shared routine counts the descents
-of both, so no window array is built.  A fourth kernel, window_stats,
-runs that routine on window rows from elsewhere (the exact laws, the
-size-bias stars), after checking that each is a signed permutation.  The
-kernels run without the GIL, so sampler threads overlap.  They are
-compiled with the system C compiler on first use (about 0.15 s with gcc
-12) into a per-user cache, $XDG_CACHE_HOME/coxmal or ~/.cache/coxmal,
-keyed by the source, flags, compiler and platform; later processes load
-the cached library (under 1 ms), and rebuild one that is cut short or
-that the loader rejects.  A cache directory that cannot be written or
-that another user could write is not used: each process then
-compiles into a private temporary directory.
+of both, so no window array is built.  A length is the sum of its tower
+choices' contributions, so sampled lengths decode nothing, q = 1 included.
+The only windows the package writes out are the exact laws' rows
+(_tower_enumeration): decode_rows' window mode decodes every tuple of
+choices once per group.  sample_one is the independent single-draw walk.
+A fourth kernel, window_stats, runs the shared descent routine on window
+rows from elsewhere (the exact laws, the size-bias stars), after checking
+that each is a signed permutation.  The kernels run without the GIL, so
+sampler threads overlap.  They are compiled with the system C compiler on
+first use (about 0.15 s with gcc 12) into a per-user cache,
+$XDG_CACHE_HOME/coxmal or ~/.cache/coxmal, keyed by the source, flags,
+compiler and platform; later processes load the cached library (under
+1 ms), and rebuild one that is cut short or that the loader rejects.  A
+cache directory that cannot be written or that another user could write
+is not used: each process then compiles into a private temporary
+directory.
 """
 
 from __future__ import annotations
@@ -378,41 +379,16 @@ def _dihedral_table(g: GroupDescriptor, q: float):
 # batch draws
 
 
-def sample_windows(
-    g: GroupDescriptor, q: float, count: int, seed, threads: int = 1
-) -> np.ndarray:
-    """(count, n) array of windows, deterministic in (g, q, count, seed).
-
-    Each chunk is drawn into its rows of the output, so nothing else of the
-    window array's size is held."""
-    if g.kind == "I2":
-        raise ValueError("dihedral factors have no windows; sample stats instead")
-    kind, n = g.kind, g.window_size
-    if q != 1.0:
-        _prime_tower_tables(kind, n, q)
-    out = np.empty((max(count, 0), n), dtype=np.int64)
-
-    def draw(lo, hi, rng):
-        _chunk_windows(kind, n, q, hi - lo, rng, out[lo:hi])
-
-    _map_chunks(g, q, count, seed, threads, draw)
-    return out
-
-
-def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, draw):
-    """draw(lo, hi, rng) for each chunk, rows lo to hi - 1 of count seeded
-    draws from g at q, in chunk order.
+def _map_chunks(g: GroupDescriptor, count: int, seed, threads: int, draw):
+    """draw(cnt, rng) for each chunk of count seeded draws from g, in chunk
+    order.
 
     The chunk layout is fixed and each chunk's rng is default_rng of its own
     spawned seed, so the thread count never changes the results.  draw runs
-    in the thread that handles the chunk and should reduce its rows there,
-    or write them into their place, so that only one chunk of windows per
-    thread is alive.  No pool starts for one chunk, and never more workers
-    than chunks.
+    in the thread that handles the chunk and reduces its rows there, so that
+    only one chunk of rows per thread is alive.  No pool starts for one
+    chunk, and never more workers than chunks.
     """
-    _check_q(q)
-    if count < 0:
-        raise ValueError("count must be >= 0")
     if count == 0:
         return []
     if g.kind != "I2":
@@ -422,7 +398,7 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, dr
     children = seq.spawn(len(starts))
 
     def worker(lo, child):
-        return draw(lo, min(lo + SAMPLE_CHUNK, count), np.random.default_rng(child))
+        return draw(min(SAMPLE_CHUNK, count - lo), np.random.default_rng(child))
 
     workers = min(threads, len(starts))
     if workers > 1:
@@ -431,26 +407,10 @@ def _map_chunks(g: GroupDescriptor, q: float, count: int, seed, threads: int, dr
     return [worker(lo, s) for lo, s in zip(starts, children)]
 
 
-def _prime_tower_tables(kind: str, n: int, q: float) -> None:
-    """Build the tower tables in the calling thread, before the sampler
-    threads start: otherwise each thread misses the cache at once and builds
-    the same tables under the GIL."""
-    _check_q(q)
-    _tower_tables(kind, n, q)
-
-
-def _chunk_windows(kind: str, n: int, q: float, cnt: int, rng, out=None) -> np.ndarray:
-    """cnt windows drawn from rng (a Generator, or a seed for one), into out if given."""
-    rng = np.random.default_rng(rng)
-    if q == 1.0:
-        return _uniform_windows(kind, n, cnt, rng, out)
-    return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng), out)
-
-
 def _chunk_stats(kind: str, n: int, q: float, cnt: int, rng, which: int) -> np.ndarray:
-    """Statistic STATISTICS[which] of the cnt windows _chunk_windows draws
-    from rng, computed by the kernel that makes each row while the row is
-    in cache: no window array is built."""
+    """Statistic STATISTICS[which] of cnt draws from rng, computed by the
+    kernel that makes each row while the row is in cache: the tower decode
+    at q != 1, uniform_rows at q = 1.  No window array is built."""
     out = np.empty(cnt, dtype=np.int64)
     if q == 1.0:
         return _uniform(kind, n, cnt, rng, which, out)
@@ -491,18 +451,14 @@ def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=Non
 
     Stage m pops the pops[:, t]-th smallest remaining label into position m
     with sign signs[:, t]; type D's last label fills position 1.  The
-    windows go into out, if given (the exact enumeration decodes in place).
+    windows go into out, if given, a writable C-contiguous (rows, n) int64
+    array (the exact enumeration decodes in place).
     """
-    return _decode(kind, n, pops, signs, -1, _window_array(len(pops), n, out))
-
-
-def _window_array(cnt: int, n: int, out=None) -> np.ndarray:
-    """out, checked to be a writable C-contiguous (cnt, n) int64 array for a
-    kernel to write windows into, or a new one when out is None."""
-    out = np.empty((cnt, n), dtype=np.int64) if out is None else out
-    if out.shape != (cnt, n) or out.dtype != np.int64 or not out.flags.carray:
-        raise ValueError(f"need a writable C-contiguous ({cnt}, {n}) int64 output array")
-    return out
+    shape = (len(pops), n)
+    out = np.empty(shape, dtype=np.int64) if out is None else out
+    if out.shape != shape or out.dtype != np.int64 or not out.flags.carray:
+        raise ValueError(f"need a writable C-contiguous {shape} int64 output array")
+    return _decode(kind, n, pops, signs, -1, out)
 
 
 def _decode(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, which: int, out) -> np.ndarray:
@@ -731,30 +687,29 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
     return 0;
 }
 
-/* Uniform windows of type 0, 1 or 2 (A, B or D), drawn row by row from
-   numpy bit generators (bitgen_t, numpy/random/bitgen.h): the uniforms
-   from ug by next_double and, under B and D, the sign bits from bg.  Row
-   r's window holds 1 + the positions of its n uniforms in increasing
-   order, ties in position order, which is numpy's argsort(u,
-   kind="stable") + 1: a counting sort into n buckets by floor(u * n),
-   which keeps position order inside a bucket, then an insertion sort that
-   moves an entry only past larger ones.  Entry i takes the sign 2 b - 1 of
-   the chunk's next bit b, except under D the last entry, whose bit is
-   drawn but whose sign is the product of the others', so that the signs
-   have even weight.  The bits are those of integers(0, 2, dtype=int32),
-   which splits each 64-bit word into two 32-bit halves, low half first, and
-   keeps bit 31 of each (Lemire's method never rejects at range 2): so
-   half >= 0, a 32-bit half left over in the caller's generator, gives the
-   first bit, then each next_uint64 word gives bit 31 and bit 63, and when
-   one bit is left for the last word, next_uint32 takes it and leaves the
-   other half in bg, as numpy would.  The sort gives the inverse too: entry
-   i is order[i] + 1 with its sign, so the inverse holds i + 1 with that
-   sign at order[i].  With which < 0 window r goes to row r of the (cnt, n)
-   array out; otherwise it goes to row[0..n), its inverse to row[n..2n),
-   and out[r] is its statistic which (row_stat).  idx (3n + 1 slots: bucket
-   starts, order, bucket keys) and val (2n slots: the sorted uniforms, then
-   the row's in draw order) are scratch.  Returns 0, or 1 + the first row
-   with a uniform outside [0, 1). */
+/* Statistic which (row_stat) of uniform windows of type 0, 1 or 2 (A, B or
+   D), drawn row by row from numpy bit generators (bitgen_t,
+   numpy/random/bitgen.h): the uniforms from ug by next_double and, under B
+   and D, the sign bits from bg.  Row r's window holds 1 + the positions of
+   its n uniforms in increasing order, ties in position order, which is
+   numpy's argsort(u, kind="stable") + 1: a counting sort into n buckets by
+   floor(u * n), which keeps position order inside a bucket, then an
+   insertion sort that moves an entry only past larger ones.  Entry i takes
+   the sign 2 b - 1 of the chunk's next bit b, except under D the last
+   entry, whose bit is drawn but whose sign is the product of the others',
+   so that the signs have even weight.  The bits are those of integers(0,
+   2, dtype=int32), which splits each 64-bit word into two 32-bit halves,
+   low half first, and keeps bit 31 of each (Lemire's method never rejects
+   at range 2): so half >= 0, a 32-bit half left over in the caller's
+   generator, gives the first bit, then each next_uint64 word gives bit 31
+   and bit 63, and when one bit is left for the last word, next_uint32
+   takes it and leaves the other half in bg, as numpy would.  The sort
+   gives the inverse too: entry i is order[i] + 1 with its sign, so the
+   inverse holds i + 1 with that sign at order[i].  Window r goes to
+   row[0..n), its inverse to row[n..2n), and out[r] is its statistic which.
+   idx (3n + 1 slots: bucket starts, order, bucket keys) and val (2n slots:
+   the sorted uniforms, then the row's in draw order) are scratch.  Returns
+   0, or 1 + the first row with a uniform outside [0, 1). */
 int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
                      bitgen_t *bg, int64_t half, int32_t *restrict idx,
                      double *restrict val, int64_t *restrict row, int64_t *restrict out)
@@ -762,12 +717,10 @@ int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
     int32_t *count = idx, *order = idx + n + 1, *key = order + n;
     double *v = val + n;
     int64_t *inv = row + n;
-    int fused = which >= 0;
     uint64_t word = (uint64_t)half;
     int64_t held = half >= 0; /* bits left in word */
     int64_t fresh = type ? cnt * n - held : 0; /* bits still to draw from bg */
     for (int64_t r = 0; r < cnt; r++) {
-        int64_t *w = fused ? row : out + r * n;
         memset(count, 0, (size_t)(n + 1) * sizeof *count);
         for (int64_t j = 0; j < n; j++) {
             double x = ug->next_double(ug->state);
@@ -816,12 +769,10 @@ int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
             if (type == 2 && i == n - 1)
                 sg = prod;
             prod *= sg;
-            w[i] = sg * (order[i] + 1);
-            if (fused)
-                inv[order[i]] = sg * (i + 1);
+            row[i] = sg * (order[i] + 1);
+            inv[order[i]] = sg * (i + 1);
         }
-        if (fused)
-            out[r] = row_stat(w, inv, n, type, which);
+        out[r] = row_stat(row, inv, n, type, which);
     }
     return 0;
 }
@@ -972,20 +923,13 @@ def _decode_lib() -> ctypes.CDLL:
     return lib
 
 
-def _uniform_windows(kind: str, n: int, cnt: int, rng, out=None) -> np.ndarray:
-    """cnt uniform windows, drawn inside the kernel (_uniform): the stable
-    argsort of a row of rng.random, plus 1, with signs from rng.integers(0,
-    2) under B and D.  Under D the last sign is the product of the others:
-    the first n - 1 iid signs stay uniform over the even-weight sign
-    vectors.  The windows go into out, if given."""
-    return _uniform(kind, n, cnt, rng, -1, _window_array(cnt, n, out))
-
-
 def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
     """The C kernel uniform_rows on cnt rows drawn from rng, a Generator on
-    PCG64 or PCG64DXSM: the windows of _uniform_windows into the (cnt, n)
-    array out when which < 0, else their statistic STATISTICS[which] into
-    the (cnt,) array out.
+    PCG64 or PCG64DXSM: statistic STATISTICS[which] of each into the (cnt,)
+    array out.  A row is the stable argsort of a row of rng.random, plus 1,
+    with signs from rng.integers(0, 2) under B and D.  Under D the last sign
+    is the product of the others: the first n - 1 iid signs stay uniform
+    over the even-weight sign vectors.
 
     The kernel draws each row's uniforms and sign bits itself, so no
     (cnt, n) input array exists, and it takes the stream of
@@ -1084,38 +1028,39 @@ def sample_statistic(
 ) -> np.ndarray:
     """Seeded batch of statistic values; sums over product factors.
 
-    Window factors draw the same chunks as sample_windows, and the kernel
-    that makes each row computes its statistic, in the thread that drew
-    the chunk, so no window array is built.  Lengths are
-    summed from drawn tower choices, not decoded, also at q = 1, where
-    sample_windows does not walk the tower.
+    The kernel that makes each row computes its statistic, in the thread
+    that drew the chunk, so no window array is built.  Lengths are summed
+    from drawn tower choices, not decoded, also at q = 1, where t, des and
+    des_inv do not walk the tower.
     """
     _check_statistic(statistic)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     factor_seeds = seq.spawn(len(descriptor_factors(spec.group)))
     total = np.zeros(count, dtype=np.int64)
     for (g, q), child in zip(spec.factor_specs(), factor_seeds):
-        chunks = _map_chunks(g, q, count, child, threads, _statistic_draw(g, q, statistic))
+        chunks = _map_chunks(g, count, child, threads, _statistic_draw(g, q, statistic))
         if chunks:
             total += np.concatenate(chunks)
     return total
 
 
 def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
-    """The draw(lo, hi, rng) of _map_chunks that returns hi - lo values of statistic."""
+    """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
     if g.kind == "I2":
         vals = _dihedral_stat_values(g, statistic)
         probs = _dihedral_table(g, q)[1]
-        return lambda lo, hi, rng: vals[rng.choice(len(probs), size=hi - lo, p=probs)]
+        return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
     if statistic == "length" or q != 1.0:
-        _prime_tower_tables(kind, n, q)
+        # built here, before the sampler threads start: otherwise each thread
+        # misses the cache at once and builds the same tables under the GIL
+        _tower_tables(kind, n, q)
     if statistic == "length":
-        return lambda lo, hi, rng: _choice_lengths(
-            kind, n, *_draw_choices(kind, n, q, hi - lo, rng)
-        )
+        return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
     which = STATISTICS.index(statistic)
-    return lambda lo, hi, rng: _chunk_stats(kind, n, q, hi - lo, rng, which)
+    return lambda cnt, rng: _chunk_stats(kind, n, q, cnt, rng, which)
 
 
 # ---------------------------------------------------------------------------

@@ -201,3 +201,15 @@ def test_bad_mode_and_missing_command(capsys):
 
 def test_main_no_args_returns_usage(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["exact-dist", "--group", "A12"], ["verify", "--group", "B9", "--q", "0.5"]]
+)
+def test_group_above_the_enumeration_cap_is_usage_error(argv, capsys):
+    """A group too large to enumerate is refused with a message and exit 2,
+    not a traceback and the exit code of a failed check."""
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("error: ") and "above the cap" in err
+    assert out == ""

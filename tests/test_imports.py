@@ -12,6 +12,7 @@ import coxmal
 MODULES = sorted(
     p for p in pathlib.Path(coxmal.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -32,7 +33,7 @@ def test_scan_sees_unused_imports():
     assert _unused_imports(src) == ["a", "json"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

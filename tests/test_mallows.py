@@ -34,7 +34,6 @@ from coxmal.mallows import (
     STAGE_BLOCK,
     MallowsSpec,
     _chunk_stats,
-    _chunk_windows,
     _compile_decoder,
     _decode,
     _decode_lib,
@@ -50,7 +49,6 @@ from coxmal.mallows import (
     _tower_tables,
     _uniform,
     _uniform_rows,
-    _uniform_windows,
     _windows_and_weights,
     _windows_stat,
     normalization_constant,
@@ -63,12 +61,18 @@ from coxmal.mallows import (
     reversal_identity_check,
     sample_one,
     sample_statistic,
-    sample_windows,
     stage_candidates,
     stage_distribution,
 )
 from coxmal.moments import exact_distribution, goodness_of_fit, two_sample_chi_square
-from window_reference import enumerate_windows, windows_lengths, windows_statistic
+from window_reference import (
+    chunk_windows,
+    enumerate_windows,
+    reference_uniform,
+    sampled_windows,
+    windows_lengths,
+    windows_statistic,
+)
 
 STATS = ("t", "des", "des_inv", "length")
 WINDOW_STATS = ("t", "des", "des_inv")  # the statistics of the window_stats kernel
@@ -285,15 +289,17 @@ def test_stage_products_telescope_to_normalization():
     [("A4", 0.5), ("B4", 0.5), ("D4", 2.0), ("A200", 0.5), ("B200", 0.5), ("D200", 2.0)],
 )
 def test_sample_windows_deterministic_across_threads(name, q):
-    """More than two chunks, so threads=3 really splits the work; at rank 200
-    the decoder runs long enough without the GIL for the threads to overlap."""
-    g = parse_group(name)
+    """Sampled t and lengths do not depend on the thread count.  More than
+    two chunks, so threads=3 really splits the work; at rank 200 the decoder
+    runs long enough without the GIL for the threads to overlap."""
+    spec = MallowsSpec.make(name, q)
     count = 2 * SAMPLE_CHUNK + 1
-    a = sample_windows(g, q, count, seed=42, threads=1)
-    b = sample_windows(g, q, count, seed=42, threads=3)
-    assert np.array_equal(a, b)
-    c = sample_windows(g, q, count, seed=43, threads=1)
-    assert not np.array_equal(a, c)
+    for stat in ("t", "length"):
+        a = sample_statistic(spec, stat, count, seed=42, threads=1)
+        b = sample_statistic(spec, stat, count, seed=42, threads=3)
+        assert np.array_equal(a, b), stat
+        c = sample_statistic(spec, stat, count, seed=43, threads=1)
+        assert not np.array_equal(a, c), stat
 
 
 def _reference_decode(kind, n, pops, signs, d_flip=True):
@@ -455,7 +461,7 @@ def test_stage_choices_match_reference(kind, n, q):
     want = _reference_choices(kind, n, q, cnt, (rng.random(cnt) for _ in range(stages)))
     assert got[0].dtype == np.int32 and got[1].dtype == np.int8
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    W = _chunk_windows(kind, n, q, cnt, np.random.SeedSequence(seed))
+    W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
     assert np.array_equal(W, _decode_rows(kind, n, *want))
 
     u = _tie_uniforms(kind, n, q, cnt, np.random.default_rng(seed))
@@ -528,11 +534,11 @@ def _sign_words(bits, rng):
 
 def _fed_uniform_rows(kind, u, bits, which, rng):
     """uniform_rows fed the uniforms u and the sign bits by fake bit
-    generators: windows when which < 0, else statistic which per row."""
+    generators: statistic which of each row."""
     cnt, n = u.shape
     ug = _FakeBitgen(doubles=u.ravel())
     bg = None if kind == "A" else _FakeBitgen(words=_sign_words(bits, rng))
-    out = np.empty((cnt, n) if which < 0 else cnt, dtype=np.int64)
+    out = np.empty(cnt, dtype=np.int64)
     _uniform_rows(kind, n, cnt, which, ug.address, bg and bg.address, -1, out)
     assert ug.left == 0 and (bg is None or bg.left == 0)  # every input drawn
     if bg is not None:  # one next_uint32, for the last bit of an odd count
@@ -540,50 +546,37 @@ def _fed_uniform_rows(kind, u, bits, which, rng):
     return out
 
 
-def _reference_uniform(kind, u, bits, parity=True, ties_reversed=False):
-    if ties_reversed:  # equal uniforms in decreasing position order
-        W = u.shape[1] - np.argsort(u[:, ::-1], axis=1, kind="stable")
-    else:
-        W = np.argsort(u, axis=1, kind="stable") + 1
-    if kind == "A":
-        return W
-    signs = 2 * bits - 1
-    if kind == "D" and parity:
-        signs[:, -1] = np.prod(signs[:, :-1], axis=1)
-    return W * signs
-
-
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 @pytest.mark.parametrize("n", [2, 3, 49, 50, 149, 200, 201])
 def test_uniform_rows_matches_stable_argsort(kind, n):
-    """The counting-sort kernel equals numpy's stable argsort, on the seeded
-    stream and, fed by fake bit generators, on rows whose uniforms are
-    multiples of 1/8, which tie; in window mode and in fused mode."""
+    """The counting-sort kernel's t, des and des_inv are those of numpy's
+    stable argsort, on the seeded stream and, fed by fake bit generators,
+    on rows whose uniforms are multiples of 1/8, which tie."""
     cnt = 600
-    got = _uniform_windows(kind, n, cnt, np.random.default_rng(n))
     rng = np.random.default_rng(n)
     u = rng.random((cnt, n))
     bits = None if kind == "A" else rng.integers(0, 2, (cnt, n), np.int64)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _reference_uniform(kind, u, bits))
+    want = reference_uniform(kind, u, bits)
+    for which, stat in enumerate(WINDOW_STATS):
+        got = _uniform(kind, n, cnt, np.random.default_rng(n), which, np.empty(cnt, dtype=np.int64))
+        assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
 
     rng = np.random.default_rng(1000 * n + ord(kind))
     cnt = 101  # an odd bit count when n is odd
     u = rng.random((cnt, n))
     u[: cnt // 2] = np.floor(u[: cnt // 2] * 8) / 8
     bits = rng.integers(0, 2, (cnt, n), np.int32)
-    got = _fed_uniform_rows(kind, u, bits, -1, rng)
-    want = _reference_uniform(kind, u, bits)
-    assert np.array_equal(got, want)
+    want = reference_uniform(kind, u, bits)
+    ties_reversed = reference_uniform(kind, u, bits, ties_reversed=True)
+    unfixed = reference_uniform(kind, u, bits, parity=False)
     for which, stat in enumerate(WINDOW_STATS):
-        values = _fed_uniform_rows(kind, u, bits, which, rng)
-        assert np.array_equal(values, windows_statistic(kind, want, stat))
-    # negative control: the ties are there, and the comparison sees their order
-    assert not np.array_equal(got, _reference_uniform(kind, u, bits, ties_reversed=True))
-    if kind == "D":
-        assert ((got < 0).sum(axis=1) % 2 == 0).all()
-        # negative control: the comparison sees the parity fix
-        assert not np.array_equal(got, _reference_uniform(kind, u, bits, parity=False))
+        got = _fed_uniform_rows(kind, u, bits, which, rng)
+        assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
+        # negative control: the ties are there, and the comparison sees their order
+        assert not np.array_equal(got, windows_statistic(kind, ties_reversed, stat)), stat
+        if kind == "D":
+            # negative control: the comparison sees the parity fix
+            assert not np.array_equal(got, windows_statistic(kind, unfixed, stat)), stat
 
 
 def test_int32_sign_bits_keep_the_int64_stream():
@@ -615,9 +608,9 @@ def _assert_same_stream(a, b):
 def test_uniform_rows_keep_the_two_call_stream(kind, bit_generator):
     """uniform_rows draws each row's uniforms and sign bits itself, yet takes
     the stream of rng.random((cnt, n)) followed by rng.integers(0, 2,
-    (cnt, n), np.int32) and leaves rng where those two calls do, in window
-    mode and in fused mode: at an odd, an even and a zero cnt * n, and with
-    a half word held from an odd-sized int32 draw before."""
+    (cnt, n), np.int32) and leaves rng where those two calls do, for each
+    statistic: at an odd, an even and a zero cnt * n, and with a half word
+    held from an odd-sized int32 draw before."""
     held_after = set()
     for cnt, n in ((3, 7), (4, 7), (3, 8), (0, 5), (1, 201), (773, 50)):
         for before in (0, 3):
@@ -633,16 +626,13 @@ def test_uniform_rows_keep_the_two_call_stream(kind, bit_generator):
             ref = fresh()
             u = ref.random((cnt, n))
             bits = None if kind == "A" else ref.integers(0, 2, (cnt, n), np.int32)
-            want = _reference_uniform(kind, u, bits)
+            want = reference_uniform(kind, u, bits)
             after = ref.bit_generator.state
             held_after.add(after["has_uint32"])
-            for which in range(-1, 3):
+            for which, stat in enumerate(WINDOW_STATS):
                 rng = fresh()
-                if which < 0:
-                    assert np.array_equal(_uniform_windows(kind, n, cnt, rng), want)
-                else:
-                    got = _uniform(kind, n, cnt, rng, which, np.empty(cnt, dtype=np.int64))
-                    assert np.array_equal(got, windows_statistic(kind, want, WINDOW_STATS[which]))
+                got = _uniform(kind, n, cnt, rng, which, np.empty(cnt, dtype=np.int64))
+                assert np.array_equal(got, windows_statistic(kind, want, stat))
                 _assert_same_stream(rng, fresh(after))
     assert held_after == {0, 1}
 
@@ -655,8 +645,6 @@ def test_uniform_rows_need_a_word_advance(bit_generator):
     for kind in "ABD":
         rng = np.random.Generator(bit_generator(5))
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="PCG64"):
-            _uniform_windows(kind, 5, 3, rng)
         with pytest.raises(ValueError, match="PCG64"):
             _uniform(kind, 5, 3, rng, 0, np.empty(3, dtype=np.int64))
         assert repr(rng.bit_generator.state) == repr(before)
@@ -677,24 +665,16 @@ def test_bitgen_layout_matches_numpy():
 
 
 def test_uniform_rows_rejects_bad_input():
-    """A uniform outside [0, 1) names its row, in window mode and in fused
-    mode; a window array of the wrong shape, layout or type is refused
-    before anything is drawn."""
+    """A uniform outside [0, 1) names its row, for each statistic."""
     rng = np.random.default_rng(0)
     u, bits = rng.random((10, 5)), rng.integers(0, 2, (10, 5), np.int32)
     for bad in (1.0, -0.25, np.nan):
         v = u.copy()
         v[3, 2] = bad
         for kind in "ABD":
-            for which in range(-1, 3):  # window mode, then the fused mode
+            for which in range(3):
                 with pytest.raises(ValueError, match="row 3"):
                     _fed_uniform_rows(kind, v, bits, which, rng)
-    out = np.zeros((10, 10), dtype=np.int64)
-    for bad in (out[:9, :5], out[:, :5], out[:, :5].astype(np.int32)):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="output array"):
-            _uniform_windows("B", 5, 10, rng, out=bad)
-        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 @pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
@@ -717,7 +697,7 @@ def test_window_stats_matches_references_on_enumerations(name):
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
 def test_window_stats_matches_references_on_samples(name, q):
     g = parse_group(name)
-    W = sample_windows(g, q, 4096, seed=11)
+    W = sampled_windows(g, q, 4096, seed=11)
     for stat in WINDOW_STATS:
         want = windows_statistic(g.kind, W, stat)
         assert np.array_equal(_windows_stat(g.kind, W, stat), want), stat
@@ -755,7 +735,7 @@ def test_fused_rows_equal_window_stats(kind, n, q):
     the numpy reference on the same seeded windows, decoded (q != 1) or
     uniform (q = 1)."""
     cnt, seed = 300, 1000 * n + ord(kind)
-    W = _chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
+    W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
     for which, stat in enumerate(WINDOW_STATS):
         got = _chunk_stats(kind, n, q, cnt, np.random.default_rng(seed), which)
         want = _windows_stat(kind, W, stat)
@@ -811,24 +791,24 @@ def _factor_windows(spec, count, seed):
     """The windows sample_statistic draws for each factor of spec."""
     children = np.random.SeedSequence(seed).spawn(len(spec.qs))
     return [
-        (g.kind, sample_windows(g, q, count, child))
+        (g.kind, sampled_windows(g, q, count, child))
         for (g, q), child in zip(spec.factor_specs(), children)
     ]
 
 
 def _factor_tower_windows(spec, count, seed):
     """The windows of the tower choices that sample_statistic draws for each
-    factor's lengths: sample_windows' rows at q != 1, the decoded q = 1
+    factor's lengths: the sampled windows at q != 1, the decoded q = 1
     tower choices at q = 1."""
     children = np.random.SeedSequence(seed).spawn(len(spec.qs))
     out = []
     for (g, q), child in zip(spec.factor_specs(), children):
         kind, n = g.kind, g.window_size
 
-        def draw(lo, hi, rng):
-            return _decode_rows(kind, n, *_draw_choices(kind, n, q, hi - lo, rng))
+        def draw(cnt, rng):
+            return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
 
-        out.append((kind, np.concatenate(_map_chunks(g, q, count, child, 1, draw))))
+        out.append((kind, np.concatenate(_map_chunks(g, count, child, 1, draw))))
     return out
 
 
@@ -837,9 +817,9 @@ def _factor_tower_windows(spec, count, seed):
 )
 def test_sample_statistic_equals_reference_on_sampled_windows(monkeypatch, group, q):
     """The fused draw-and-reduce path changes no output: it equals the numpy
-    reference on sample_windows' rows, at any thread count; lengths equal the
+    reference on the sampled windows, at any thread count; lengths equal the
     reference on the rows of the drawn tower choices, which at q = 1 are not
-    sample_windows' rows.  A small chunk keeps several chunks, and a partial
+    the sampled windows.  A small chunk keeps several chunks, and a partial
     last one, cheap at rank 200."""
     monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
     spec = MallowsSpec.make(group, q)
@@ -893,7 +873,7 @@ def test_sampled_statistics_build_no_windows(monkeypatch):
     def no_windows(*args, **kwargs):
         raise AssertionError("built a window array for a sampled statistic")
 
-    for name in ("_decode_rows", "_uniform_windows", "_windows_stat", "_chunk_windows"):
+    for name in ("_decode_rows", "_windows_stat"):
         monkeypatch.setattr(coxmal.mallows, name, no_windows)
     for (g, q, stat), w in zip(cases, want):
         got = sample_statistic(MallowsSpec.make(g, q), stat, 600, seed=5, threads=2)
@@ -923,23 +903,6 @@ def test_sampled_t_holds_no_window_array(q):
     assert peak < inputs + 2**20, (peak, inputs)
 
 
-def test_uniform_windows_hold_only_the_window_array():
-    """sample_windows at q = 1 holds the window array and little more: each
-    chunk is drawn into its rows of the output, and uniform_rows draws its
-    own uniforms and sign bits.  Two chunks, the second one partial."""
-    g = parse_group("B200")
-    sample_windows(g, 1.0, 64, seed=1)  # kernels built untraced
-    count = SAMPLE_CHUNK + 100
-    tracemalloc.start()
-    try:
-        sample_windows(g, 1.0, count, seed=2, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    windows = count * g.window_size * 8
-    assert peak < windows + 2**20, (peak, windows)
-
-
 def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
     """One chunk runs in the calling thread, and a pool never starts more
     workers than there are chunks."""
@@ -954,12 +917,12 @@ def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
     monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
     g = parse_group("B4")
 
-    def draw(lo, hi, rng):
+    def draw(cnt, rng):
         return threading.current_thread()
 
-    assert _map_chunks(g, 0.5, 256, 1, 2, draw) == [threading.current_thread()]
+    assert _map_chunks(g, 256, 1, 2, draw) == [threading.current_thread()]
     assert started == []
-    assert len(_map_chunks(g, 0.5, 3 * 256, 1, 8, draw)) == 3
+    assert len(_map_chunks(g, 3 * 256, 1, 8, draw)) == 3
     assert started == [3]
 
 
@@ -971,7 +934,7 @@ def test_tower_tables_are_built_once_per_cell():
     _tower_tables.cache_clear()
     sample_statistic(spec, "t", 2 * SAMPLE_CHUNK, seed=3, threads=2)
     assert _tower_tables.cache_info().misses == 1
-    sample_windows(parse_group("D50"), 0.5, 2 * SAMPLE_CHUNK, seed=3, threads=2)
+    sample_statistic(MallowsSpec.make("D50", 0.5), "length", 2 * SAMPLE_CHUNK, seed=3, threads=2)
     assert _tower_tables.cache_info().misses == 2
     sample_statistic(MallowsSpec.make("B200", 1.0), "t", 10, seed=3, threads=2)
     assert _tower_tables.cache_info().misses == 2
@@ -997,10 +960,12 @@ def test_dihedral_draws_keep_their_stream(monkeypatch):
 
 
 def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
+    """So is a negative count, with its own message."""
     def no_windows(*args, **kwargs):
         raise AssertionError("built windows for an unknown statistic")
 
-    monkeypatch.setattr(coxmal.mallows, "_chunk_windows", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_chunk_stats", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_draw_choices", no_windows)
     monkeypatch.setattr(coxmal.mallows, "_tower_enumeration", no_windows)
     monkeypatch.setattr(coxmal.moments, "_tower_enumeration", no_windows)
     for group in ("B200", "I2(5)", "B4 x I2(5)"):
@@ -1008,6 +973,9 @@ def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
             sample_statistic(MallowsSpec.make(group, 0.5), "foo", 50_000, seed=1)
     with pytest.raises(ValueError, match="unknown statistic 'foo'"):
         exact_distribution(MallowsSpec.make("B4 x I2(5)", 0.5), "foo")
+    for group in ("B200", "I2(5)", "B4 x I2(5)"):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            sample_statistic(MallowsSpec.make(group, 0.5), "t", -1, seed=1)
 
 
 def test_decoder_compiles_without_warnings():
@@ -1048,7 +1016,7 @@ def test_compiler_failure_raises(monkeypatch, tmp_path, run):
         with monkeypatch.context() as m:
             m.setattr(subprocess, "run", run)
             with pytest.raises(RuntimeError, match=re.escape(compiler)) as err:
-                sample_windows(parse_group("B3"), 0.5, 10, seed=1)
+                sample_statistic(MallowsSpec.make("B3", 0.5), "t", 10, seed=1)
         if run is _failing_compiler:
             assert "fatal error: no input" in str(err.value)
     finally:
@@ -1065,13 +1033,14 @@ def test_compiler_not_on_path_raises(monkeypatch, tmp_path):
         with monkeypatch.context() as m:
             m.setattr(shutil, "which", lambda name: None)
             with pytest.raises(RuntimeError, match=re.escape(compiler)):
-                sample_windows(parse_group("B3"), 0.5, 10, seed=1)
+                sample_statistic(MallowsSpec.make("B3", 0.5), "t", 10, seed=1)
     finally:
         _decode_lib.cache_clear()
     assert list(tmp_path.iterdir()) == []
 
 
-# A fresh interpreter draws B3 at q = 0.5 and prints the windows, t and every
+# A fresh interpreter draws B3 at q = 0.5 and prints the decoded windows of
+# default_rng(1)'s tower choices, the sampled t and every
 # path it handed to ctypes.CDLL.  Settings (a JSON object in argv[1]): "warm"
 # makes any compile fail; "flags" and "source" are appended to the kernel
 # flags and source before the first draw.
@@ -1094,12 +1063,13 @@ def no_compiler(cmd, **kwargs):
 ctypes.CDLL = RecordingCDLL
 if settings.get("warm"):
     subprocess.run = no_compiler
+import numpy as np
 import coxmal.mallows as m
-from coxmal.coxeter import parse_group
 
 m._DECODE_FLAGS += tuple(settings.get("flags", ()))
 m._DECODE_C += settings.get("source", "")
-w = m.sample_windows(parse_group("B3"), 0.5, 2000, seed=1)
+choices = m._draw_choices("B", 3, 0.5, 2000, np.random.default_rng(1))
+w = m._decode_rows("B", 3, *choices)
 t = m.sample_statistic(m.MallowsSpec.make("B3", 0.5), "t", 2000, seed=1)
 print(json.dumps({"windows": w.tolist(), "t": t.tolist(), "loaded": loaded}))
 """
@@ -1132,8 +1102,9 @@ def _seed_cache(cache):
 
 
 def _reference_draws():
+    choices = _draw_choices("B", 3, 0.5, 2000, np.random.default_rng(1))
     return {
-        "windows": sample_windows(parse_group("B3"), 0.5, 2000, seed=1).tolist(),
+        "windows": _decode_rows("B", 3, *choices).tolist(),
         "t": sample_statistic(MallowsSpec.make("B3", 0.5), "t", 2000, seed=1).tolist(),
     }
 
@@ -1327,7 +1298,7 @@ def test_frequency_ratio_law():
     """Sampled frequencies of two fixed elements approach the q^dl ratio."""
     g = parse_group("B2")
     q = 0.5
-    xs = sample_windows(g, q, 60000, seed=77)
+    xs = sampled_windows(g, q, 60000, seed=77)
     e = (1, 2)
     s0 = (-1, 2)
     counts = {e: 0, s0: 0}

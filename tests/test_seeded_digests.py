@@ -13,7 +13,8 @@ import hashlib
 import pytest
 
 from coxmal.coxeter import GroupDescriptor
-from coxmal.mallows import SAMPLE_CHUNK, MallowsSpec, sample_statistic, sample_windows
+from coxmal.mallows import SAMPLE_CHUNK, MallowsSpec, sample_statistic
+from window_reference import sampled_windows
 
 QS = (1e-3, 0.5, 1.0, 2.0, 1e3)
 # window sizes n; type D starts at D4, its smallest group
@@ -35,7 +36,7 @@ def _digest(kind, n, q, threads):
     """sha256 (first 16 hex digits) of the sampled windows and of t, des,
     des_inv and length, seeded by the cell."""
     g, count, seed = _group(kind, n), _count(n), 1000 * n + ord(kind)
-    h = hashlib.sha256(sample_windows(g, q, count, seed, threads=threads).tobytes())
+    h = hashlib.sha256(sampled_windows(g, q, count, seed, threads=threads).tobytes())
     spec = MallowsSpec.make(g, q)
     for stat in ("t", "des", "des_inv", "length"):
         h.update(sample_statistic(spec, stat, count, seed, threads=threads).tobytes())

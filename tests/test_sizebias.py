@@ -14,7 +14,7 @@ from coxmal.coxeter import (
     parse_group,
     two_sided_descent,
 )
-from coxmal.mallows import MallowsSpec, sample_windows
+from coxmal.mallows import MallowsSpec
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
     TYPE_MULTIPLICITIES,
@@ -29,7 +29,7 @@ from coxmal.sizebias import (
 )
 
 from window_reference import coupling_descents as reference_coupling_descents
-from window_reference import enumerate_windows
+from window_reference import enumerate_windows, sampled_windows
 
 ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
 
@@ -250,7 +250,7 @@ def test_stein_error_terms_exact_values():
 def test_stein_error_terms_mc_agrees():
     b3 = parse_group("B3")
     exact = stein_error_terms(b3, 0.5)
-    mc = stein_error_terms(b3, 0.5, sample_windows(b3, 0.5, 200_000, seed=17, threads=2))
+    mc = stein_error_terms(b3, 0.5, sampled_windows(b3, 0.5, 200_000, seed=17, threads=2))
     assert abs(mc.expectation_term - exact.expectation_term) < 0.05
     assert abs(mc.variance_term - exact.variance_term) < 0.05
     assert mc.count == 200_000

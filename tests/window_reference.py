@@ -1,10 +1,11 @@
-"""Numpy references for the window kernels, the coupling kernel and the
-tower enumeration.
+"""Numpy references for the window kernels, the coupling kernel, the
+tower enumeration and the sampled windows.
 
 These are the array kernels the package used before the statistics moved
-into C, and the itertools enumeration it used before the exact laws walked
-the tower; the tests keep them to check the package bit for bit, the way
-_reference_decode checks the tower decoder.
+into C, the itertools enumeration it used before the exact laws walked the
+tower, and the seeded windows whose statistics the sampler returns; the
+tests keep them to check the package bit for bit, the way _reference_decode
+checks the tower decoder.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
+from coxmal.mallows import _decode_rows, _draw_choices, _map_chunks
 from coxmal.sizebias import _ensure_right_batch
 
 
@@ -90,3 +92,40 @@ def coupling_descents(kind: str, W: np.ndarray):
             star_des[:, s, i, 1 - s] = windows_descent_counts(kind, windows_invert(S))
     des = np.stack((windows_descent_counts(kind, W), windows_descent_counts(kind, V)), axis=1)
     return des, star_des
+
+
+def reference_uniform(kind: str, u, bits, parity=True, ties_reversed=False) -> np.ndarray:
+    """Uniform windows: the stable argsort of each row of uniforms u, plus 1,
+    signed 2 b - 1 by the sign bits b under B and D, with type D's last sign
+    the product of the others (parity=False drops that fix, ties_reversed
+    breaks ties in decreasing position order: the negative controls)."""
+    if ties_reversed:
+        W = u.shape[1] - np.argsort(u[:, ::-1], axis=1, kind="stable")
+    else:
+        W = np.argsort(u, axis=1, kind="stable") + 1
+    if kind == "A":
+        return W
+    signs = 2 * bits - 1
+    if kind == "D" and parity:
+        signs[:, -1] = np.prod(signs[:, :-1], axis=1)
+    return W * signs
+
+
+def chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
+    """The cnt windows whose statistics the sampler draws from rng: the
+    decoded tower choices at q != 1; at q = 1 the uniform windows of
+    rng.random((cnt, n)) and rng.integers(0, 2, (cnt, n), np.int32)."""
+    if q != 1.0:
+        return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+    u = rng.random((cnt, n))
+    return reference_uniform(kind, u, None if kind == "A" else rng.integers(0, 2, (cnt, n), np.int32))
+
+
+def sampled_windows(g, q: float, count: int, seed, threads: int = 1) -> np.ndarray:
+    """(count, n) windows of count seeded draws from the A, B or D group g at
+    q, chunk by chunk as sample_statistic draws a factor from that factor's
+    seed: t, des and des_inv of a one-factor spec seeded by s are the
+    statistics of sampled_windows(g, q, count, SeedSequence(s).spawn(1)[0])."""
+    kind, n = g.kind, g.window_size
+    chunks = _map_chunks(g, count, seed, threads, lambda cnt, rng: chunk_windows(kind, n, q, cnt, rng))
+    return np.concatenate(chunks) if chunks else np.empty((0, n), dtype=np.int64)
