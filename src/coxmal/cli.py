@@ -3,6 +3,8 @@
 Commands: verify (exact check suite over a small-rank grid), clt (Monte Carlo
 normal-approximation experiment on product groups), sample / exact-dist /
 moments (file dumps).  Reports are JSON, tables and distributions are CSV.
+One argparse parser reads the flags and the --config file, whose entries
+are flags written as key = value; no setting moves a check's bound.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
 """
 
@@ -12,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,13 +50,7 @@ from .sizebias import coupling_boundedness_check, covariance_type_sums, size_bia
 VERIFY_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "I2(3)", "I2(4)", "I2(5)", "I2(6)"]
 VERIFY_QS = [0.25, 0.5, 1.0, 2.0, 4.0]
 GOF_GROUPS = ["A3", "B3", "D4", "I2(4)"]
-
-DEFAULT_TOLERANCES = {
-    "rel_tol": 1e-10,
-    "tv_tol": 1e-12,
-    "recon_tol": 1e-8,
-    "gof_alpha": 1e-3,
-}
+GOF_ALPHA = 1e-3  # a sampler-gof cell fails below this chi-square p-value
 
 
 class UsageError(Exception):
@@ -64,53 +60,22 @@ class UsageError(Exception):
 @dataclass
 class ExperimentConfig:
     command: str
-    group: str | None = None
-    qs: list[float] = field(default_factory=list)
-    seed: int = 0
-    samples: int = 100_000
-    mode: str = "exact"
-    out: str | None = None
-    threads: int = 1
-    tolerances: dict = field(default_factory=dict)
-
-    def tolerance(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "group": self.group,
-            "qs": list(self.qs),
-            "seed": self.seed,
-            "samples": self.samples,
-            "mode": self.mode,
-            "out": self.out,
-            "threads": self.threads,
-            "tolerances": dict(self.tolerances),
-        }
+    group: str | None
+    qs: list[float]
+    seed: int
+    samples: int
+    mode: str
+    out: str | None
+    threads: int
 
 
 # ---------------------------------------------------------------------------
 # config file: sections per command, key = value, '#' comments
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
-def read_config(path: str) -> dict:
-    sections: dict[str, dict] = {}
+def read_config(path: str) -> dict[str, dict[str, str]]:
+    """The file's entries as {section: {key: text}}; "" is the top section."""
+    sections: dict[str, dict[str, str]] = {}
     current = sections.setdefault("", {})
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -124,55 +89,47 @@ def read_config(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             value = value.strip()
-            if "," in value:
-                parsed = [_parse_scalar(v) for v in value.split(",") if v.strip()]
-            else:
-                parsed = _parse_scalar(value)
-            current[key.strip()] = parsed
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                value = value[1:-1]
+            current[key.strip()] = value
     return sections
 
 
-def _as_float_list(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, str):
-        return [float(v) for v in value.split(",") if v.strip()]
-    return [float(v) for v in value]
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line, with each --config entry read as a flag.
+
+    An entry key = value of the top section, then of the command's section,
+    becomes --key=value, placed before the command line's own flags and
+    parsed by the same subparser: flags win over the file, file values get
+    the flags' types and choices, and an unknown key is a usage error.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        sections = read_config(args.config)
+        entries = [
+            f"--{key}={value}"
+            for name in ("", args.command)
+            for key, value in sections.get(name, {}).items()
+        ]
+        # the top-level parser has no options, so argv[0] is the command
+        args = parser.parse_args([args.command, *entries, *argv[1:]])
+    return args
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    section = {}
-    if args.config:
-        sections = read_config(args.config)
-        section = {**sections.get("", {}), **sections.get(args.command, {})}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in section:
-            return section[key]
-        return default
-
-    qs = pick(args.q, "q", None)
-    if qs is None:
-        qs = section.get("qs")
-    # only moments has a choice; the other commands record the mode they run
-    mode = "mc" if args.command in ("clt", "sample") else "exact"
-    if args.command == "moments":
-        mode = str(pick(args.mode, "mode", mode))
     cfg = ExperimentConfig(
         command=args.command,
-        group=pick(args.group, "group", None),
-        qs=_as_float_list(qs) if qs is not None else [],
-        seed=int(pick(args.seed, "seed", 0)),
-        samples=int(pick(args.samples, "samples", 100_000)),
-        mode=mode,
-        out=pick(args.out, "out", None),
-        threads=int(pick(args.threads, "threads", 1)),
-        tolerances={k: section[k] for k in DEFAULT_TOLERANCES if k in section},
+        group=args.group,
+        qs=[float(v) for v in args.q.split(",") if v.strip()] if args.q else [],
+        seed=args.seed,
+        samples=args.samples,
+        # only moments has a choice; the other commands record the mode they run
+        mode=getattr(args, "mode", "mc" if args.command in ("clt", "sample") else "exact"),
+        out=args.out,
+        threads=args.threads,
     )
-    if cfg.mode not in ("exact", "mc"):
-        raise UsageError(f"unknown mode {cfg.mode!r}")
     if cfg.samples <= 1:
         raise UsageError("--samples must be at least 2")
     if cfg.threads < 1:
@@ -192,31 +149,25 @@ def _parse_groups(text: str) -> list[str]:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
-    report = ExperimentReport("verify", cfg.as_dict())
+    report = ExperimentReport("verify", asdict(cfg))
     groups = _parse_groups(cfg.group) if cfg.group else list(VERIFY_GROUPS)
     qs = cfg.qs or list(VERIFY_QS)
-    rel_tol = cfg.tolerance("rel_tol")
-    tv_tol = cfg.tolerance("tv_tol")
-    recon_tol = cfg.tolerance("recon_tol")
-    gof_alpha = cfg.tolerance("gof_alpha")
 
     for name in groups:
         g = parse_group(name)
         if not isinstance(g, GroupDescriptor):
             raise UsageError("verify expects irreducible groups; use clt for products")
         for q in qs:
-            report.add(_retol(normalization_enumeration_check(g, q), rel_tol))
-            report.add(_mean_check(g, q, rel_tol))
-            report.add(_retol(reversal_identity_check(g, q, "t"), tv_tol))
-            report.add(_retol(size_bias_law_check(g, q), tv_tol))
+            report.add(normalization_enumeration_check(g, q))
+            report.add(_mean_check(g, q))
+            report.add(reversal_identity_check(g, q, "t"))
+            report.add(size_bias_law_check(g, q))
             if g.kind in ("A", "B", "D"):
                 report.add(_variance_check(g, q))
-                report.add(_retol(descent_indicator_mean_check(g, q), rel_tol))
+                report.add(descent_indicator_mean_check(g, q))
                 report.add(cube_moment_bound_check(g, q))
                 report.add(tail_bound_check(g, q))
-                _, cov_checks = covariance_type_sums(g, q)
-                report.add(_retol(cov_checks[0], recon_tol))
-                for c in cov_checks[1:]:
+                for c in covariance_type_sums(g, q)[1]:
                     report.add(c)
         if g.kind in ("A", "B", "D"):
             report.add(coupling_boundedness_check(g))
@@ -248,41 +199,27 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
                 CheckResult(
                     name="sampler-gof",
                     target=f"{spec}",
-                    passed=pval > gof_alpha,
+                    passed=pval > GOF_ALPHA,
                     observed=pval,
-                    bound=gof_alpha,
+                    bound=GOF_ALPHA,
                     note="chi-square p-value must exceed the bound",
                 )
             )
     return report
 
 
-def _retol(check: CheckResult, tol: float) -> CheckResult:
-    """Re-evaluate a |observed| <= tolerance check under an overridden tolerance."""
-    if check.observed is None:
-        return check
-    return CheckResult(
-        name=check.name,
-        target=check.target,
-        passed=abs(check.observed) <= tol,
-        observed=check.observed,
-        bound=tol,
-        note=check.note,
-        detail=check.detail,
-    )
-
-
-def _mean_check(g, q: float, rel_tol: float) -> CheckResult:
+def _mean_check(g, q: float) -> CheckResult:
     spec = MallowsSpec.make(g, q)
+    tol = 1e-10
     measured = exact_distribution(spec, "t").mean()
     formula = mean_two_sided(g, q)
     rel = abs(measured - formula) / formula
     return CheckResult(
         name="mean-formula",
         target=str(spec),
-        passed=rel <= rel_tol,
+        passed=rel <= tol,
         observed=rel,
-        bound=rel_tol,
+        bound=tol,
         detail={"measured": measured, "formula": formula},
     )
 
@@ -357,7 +294,7 @@ def _clt_one(cfg: ExperimentConfig, report: ExperimentReport, desc: str, out_dir
 
 
 def cmd_clt(cfg: ExperimentConfig) -> ExperimentReport:
-    report = ExperimentReport("clt", cfg.as_dict())
+    report = ExperimentReport("clt", asdict(cfg))
     out_dir = None
     if cfg.out:
         out_dir = cfg.out
@@ -449,7 +386,7 @@ def cmd_sample(cfg: ExperimentConfig) -> ExperimentReport:
     finally:
         if fh is not sys.stdout:
             fh.close()
-    report = ExperimentReport("sample", cfg.as_dict())
+    report = ExperimentReport("sample", asdict(cfg))
     report.add(CheckResult("sample-dump", str(spec), None, observed=float(len(xs))))
     return report
 
@@ -463,7 +400,7 @@ def cmd_exact_dist(cfg: ExperimentConfig) -> ExperimentReport:
         dist.to_csv(cfg.out)
     else:
         dist.to_csv(sys.stdout)
-    report = ExperimentReport("exact-dist", cfg.as_dict())
+    report = ExperimentReport("exact-dist", asdict(cfg))
     report.add(
         CheckResult(
             "pmf-total",
@@ -479,7 +416,7 @@ def cmd_exact_dist(cfg: ExperimentConfig) -> ExperimentReport:
 def cmd_moments(cfg: ExperimentConfig) -> ExperimentReport:
     if not cfg.group:
         raise UsageError("moments needs --group")
-    report = ExperimentReport("moments", cfg.as_dict())
+    report = ExperimentReport("moments", asdict(cfg))
     qs = cfg.qs or [1.0]
     rows = []
     for name in _parse_groups(cfg.group):
@@ -571,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--group", help="group descriptor, e.g. B4 or B50 x B50; comma-separates a list")
         sp.add_argument("--q", help="q parameter; comma-separates per-factor or grid values")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--samples", type=int, default=100_000)
         sp.add_argument("--out", help="output path (directory for clt)")
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--config", help="key=value config file with [command] sections")
+        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--config", help="file of key = value flags, in [command] sections")
         if name == "moments":
-            sp.add_argument("--mode", choices=("exact", "mc"))
+            sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
     return parser
 
 
@@ -591,19 +528,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = build_config(parse_args(argv))
+        report = COMMANDS[cfg.command](cfg)
     except SystemExit as exc:
         # argparse exits on usage problems; keep main() returning instead
         return int(exc.code or 0)
-    try:
-        cfg = build_config(args)
-        report = COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, EnumerationCapError) as exc:
+    except (UsageError, ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for result in report.results:

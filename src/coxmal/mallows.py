@@ -84,6 +84,9 @@ from .reports import CheckResult
 Q_ONE_WINDOW = 1e-6  # |q-1| below this: evaluate q-integers by direct summation
 SAMPLE_CHUNK = 16384
 STAGE_BLOCK = 16  # stages whose uniforms are drawn at once: bounds the buffer
+# tower-table cells kept: a B or D cell holds 17 n^2 bytes (44 MB at B1600), and
+# four cover the factors of a product that sample_one walks draw by draw
+TOWER_CACHE_CELLS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +184,6 @@ class MallowsSpec:
     def factor_specs(self):
         return list(zip(descriptor_factors(self.group), self.qs))
 
-    def normalization(self) -> float:
-        return math.prod(normalization_constant(f, q) for f, q in self.factor_specs())
-
     def __str__(self) -> str:
         qs = sorted(set(self.qs))
         qtxt = f"q={self.qs[0]:g}" if len(qs) == 1 else "q=" + ",".join(
@@ -268,7 +268,7 @@ def _tower_stages(kind: str, n: int):
     return range(n, 1 if kind == "D" else 0, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TOWER_CACHE_CELLS)
 def _tower_tables(kind: str, n: int, q: float):
     """Every stage table of the tower, concatenated for the draw_choices kernel.
 

@@ -1,4 +1,8 @@
 import json
+import re
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,7 @@ import coxmal.cli
 import coxmal.mallows
 import coxmal.moments
 import coxmal.normal
-from coxmal.cli import UsageError, build_config, build_parser, main, read_config
+from coxmal.cli import UsageError, build_config, build_parser, main, parse_args, read_config
 
 
 def run(argv, capsys):
@@ -24,18 +28,13 @@ def test_read_config(tmp_path):
         "q = 0.5, 1, 2\n"
         "seed = 7\n"
         'out = "results dir"\n'
-        "strict = true\n"
         "\n"
         "[sample]\n"
         "samples = 500\n"
     )
     cfg = read_config(str(p))
-    assert cfg["verify"]["group"] == "B3"
-    assert cfg["verify"]["q"] == [0.5, 1, 2]
-    assert cfg["verify"]["seed"] == 7
-    assert cfg["verify"]["out"] == "results dir"
-    assert cfg["verify"]["strict"] is True
-    assert cfg["sample"]["samples"] == 500
+    assert cfg["verify"] == {"group": "B3", "q": "0.5, 1, 2", "seed": "7", "out": "results dir"}
+    assert cfg["sample"] == {"samples": "500"}
 
 
 def test_read_config_rejects_junk(tmp_path):
@@ -46,16 +45,50 @@ def test_read_config_rejects_junk(tmp_path):
 
 
 def test_config_precedence(tmp_path):
+    """A flag beats the file, the command's section beats the top section,
+    and the file beats the default."""
     p = tmp_path / "run.cfg"
-    p.write_text("[sample]\ngroup = B3\nseed = 11\nsamples = 250\n")
-    parser = build_parser()
-    args = parser.parse_args(
-        ["sample", "--config", str(p), "--seed", "3"]
-    )
-    cfg = build_config(args)
-    assert cfg.group == "B3"  # from file
-    assert cfg.seed == 3  # flag wins
-    assert cfg.samples == 250
+    p.write_text("seed = 5\nsamples = 250\n[sample]\ngroup = B3\nseed = 11\n")
+    cfg = build_config(parse_args(["sample", "--config", str(p), "--seed", "3"]))
+    assert (cfg.group, cfg.seed, cfg.samples, cfg.threads) == ("B3", 3, 250, 1)
+    assert build_config(parse_args(["sample", "--config", str(p)])).seed == 11
+
+
+def test_config_lists_run_verify(tmp_path, capsys):
+    p = tmp_path / "experiment.cfg"
+    p.write_text("[verify]\ngroup = B3, B4\nq = 0.5, 1\n")
+    rc, out, _ = run(["verify", "--config", str(p)], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1] == "verify: 92 checks, all checks passed"
+
+
+@pytest.mark.parametrize("entry", ["sampels = 5", "tv_tol = 1", "gof_alpha = 0"])
+def test_unknown_config_key_is_usage_error(entry, tmp_path, capsys):
+    """A misspelt key is not ignored, and no key moves a check's bound."""
+    p = tmp_path / "run.cfg"
+    p.write_text(f"[verify]\n{entry}\n")
+    rc, out, err = run(["verify", "--group", "B2", "--q", "1", "--config", str(p)], capsys)
+    assert rc == 2
+    assert f"unrecognized arguments: --{entry.split()[0]}=" in err
+    assert out == ""
+
+
+def test_readme_commands_and_config_parse(tmp_path):
+    """Every coxmal line in README's fenced blocks parses, and so does its
+    config example, for each command it has a section for."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    commands = [line for b in blocks for line in b.splitlines() if line.startswith("coxmal ")]
+    assert len(commands) >= 8
+    for line in commands:
+        build_config(build_parser().parse_args(shlex.split(line)[1:]))
+    (example,) = [b for b in blocks if re.search(r"^\[\w", b, re.M)]
+    p = tmp_path / "experiment.cfg"
+    p.write_text(example)
+    sections = [name for name in read_config(str(p)) if name]
+    assert "verify" in sections
+    for name in sections:
+        build_config(parse_args([name, "--config", str(p)]))
 
 
 def test_verify_small_grid_passes(capsys):
@@ -71,14 +104,15 @@ def test_verify_rejects_d3(capsys):
     assert "rank" in err
 
 
-def test_verify_fails_with_zero_tolerances(tmp_path, capsys):
-    p = tmp_path / "broken.cfg"
-    p.write_text("[verify]\nrel_tol = 0\ntv_tol = 0\nrecon_tol = 0\n")
-    rc, out, _ = run(
-        ["verify", "--group", "B3,B4", "--q", "1", "--config", str(p)], capsys
+def test_verify_fails_when_a_check_fails(monkeypatch, capsys):
+    real = coxmal.cli.reversal_identity_check
+    monkeypatch.setattr(
+        coxmal.cli, "reversal_identity_check", lambda *a: replace(real(*a), passed=False)
     )
+    rc, out, _ = run(["verify", "--group", "B3", "--q", "1"], capsys)
     assert rc == 1
-    assert "FAIL" in out
+    assert "FAIL reversal-t B3 q=1 " in out
+    assert out.splitlines()[-1].endswith("CHECK FAILURES")
 
 
 def test_verify_writes_report(tmp_path, capsys):

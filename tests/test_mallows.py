@@ -32,6 +32,7 @@ from coxmal.mallows import (
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
     STAGE_BLOCK,
+    TOWER_CACHE_CELLS,
     MallowsSpec,
     _chunk_stats,
     _compile_decoder,
@@ -938,6 +939,15 @@ def test_tower_tables_are_built_once_per_cell():
     assert _tower_tables.cache_info().misses == 2
     sample_statistic(MallowsSpec.make("B200", 1.0), "t", 10, seed=3, threads=2)
     assert _tower_tables.cache_info().misses == 2
+
+
+def test_tower_table_cache_is_bounded():
+    """A q sweep longer than the cache keeps only the last cells: at B1600
+    a cell is 44 MB, so an unbounded cache grows by that much per q."""
+    _tower_tables.cache_clear()
+    for k in range(TOWER_CACHE_CELLS + 3):
+        _tower_tables("B", 20, 0.5 + 0.1 * k)
+    assert _tower_tables.cache_info().currsize == TOWER_CACHE_CELLS
 
 
 def test_dihedral_draws_keep_their_stream(monkeypatch):
