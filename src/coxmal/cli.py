@@ -5,7 +5,8 @@ normal-approximation experiment on product groups), sample / exact-dist /
 moments (file dumps).  Reports are JSON, tables and distributions are CSV.
 One argparse parser reads the flags and the --config file, whose entries
 are flags written as key = value; no setting moves a check's bound.
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
+141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -495,6 +496,7 @@ def _cell(value) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxmal",
+        allow_abbrev=False,
         description="Mallows-distributed Coxeter group elements: verification suite and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -505,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("exact-dist", "dump the exact distribution as CSV"),
         ("moments", "formula-vs-measured moment table"),
     ):
-        sp = sub.add_parser(name, help=doc)
+        sp = sub.add_parser(name, help=doc, allow_abbrev=False)  # so --sam is not --samples
         sp.add_argument("--group", help="group descriptor, e.g. B4 or B50 x B50; comma-separates a list")
         sp.add_argument("--q", help="q parameter; comma-separates per-factor or grid values")
         sp.add_argument("--seed", type=int, default=0)
@@ -531,16 +533,24 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(parse_args(argv))
         report = COMMANDS[cfg.command](cfg)
+        for result in report.results:
+            print(result.line())
+        summary = "all checks passed" if report.all_passed else "CHECK FAILURES"
+        print(f"{report.command}: {len(report.results)} checks, {summary}")
+        sys.stdout.flush()
     except SystemExit as exc:
         # argparse exits on usage problems; keep main() returning instead
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader of stdout has gone (as under `| head`): write nothing
+        # more, and point stdout at devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
     except (UsageError, ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for result in report.results:
-        print(result.line())
-    summary = "all checks passed" if report.all_passed else "CHECK FAILURES"
-    print(f"{report.command}: {len(report.results)} checks, {summary}")
     if cfg.out and cfg.command == "verify":
         report.to_json(cfg.out)
     return 0 if report.all_passed else 1

@@ -21,14 +21,14 @@ moves next to the gap and memmove only for the rest; the label scratch has
 four pad slots at each end for those moves.  Neither loop then branches on
 where the stage mass sits, which at q far from 1 is the first or the last
 choice.  The stage tables are built together, once per cell, before the
-sampler threads start.  At q = 1 the kernel uniform_rows draws each row's
-uniforms and sign bits itself, through numpy's bitgen_t interface, and
-orders the row by a counting sort: the row is numpy's stable argsort of
-rng.random((rows, n)), plus 1, signed by rng.integers(0, 2, (rows, n),
-np.int32), and the generator is left where those calls would leave it.
-The uniforms come from a copy of the generator, and the generator itself,
-advanced past them (PCG64 advance), gives the sign bits, two per 64-bit
-word.  Both kernels compute each row's t, des or des_inv while the row is
+sampler threads start.  At q = 1 the kernel uniform_rows draws each row
+itself, one 64-bit word per entry from any numpy bit generator through its
+bitgen_t interface, and orders the row by a counting sort: the words are
+those of rng.integers(0, 2**64, (rows, n), dtype=np.uint64), whose top 53
+bits give each entry's uniform and whose low bit gives the sign at its
+position under B and D, and the row is numpy's stable argsort of the
+uniforms, plus 1, so the generator ends where that call would leave it.
+Both kernels compute each row's t, des or des_inv while the row is
 in cache: the decode records the inverse as it places each label, the sort
 reads it off the sorted order, and one shared routine counts the descents
 of both, so no window array is built.  A length is the sum of its tower
@@ -688,48 +688,39 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
 }
 
 /* Statistic which (row_stat) of uniform windows of type 0, 1 or 2 (A, B or
-   D), drawn row by row from numpy bit generators (bitgen_t,
-   numpy/random/bitgen.h): the uniforms from ug by next_double and, under B
-   and D, the sign bits from bg.  Row r's window holds 1 + the positions of
-   its n uniforms in increasing order, ties in position order, which is
-   numpy's argsort(u, kind="stable") + 1: a counting sort into n buckets by
-   floor(u * n), which keeps position order inside a bucket, then an
-   insertion sort that moves an entry only past larger ones.  Entry i takes
-   the sign 2 b - 1 of the chunk's next bit b, except under D the last
-   entry, whose bit is drawn but whose sign is the product of the others',
-   so that the signs have even weight.  The bits are those of integers(0,
-   2, dtype=int32), which splits each 64-bit word into two 32-bit halves,
-   low half first, and keeps bit 31 of each (Lemire's method never rejects
-   at range 2): so half >= 0, a 32-bit half left over in the caller's
-   generator, gives the first bit, then each next_uint64 word gives bit 31
-   and bit 63, and when one bit is left for the last word, next_uint32
-   takes it and leaves the other half in bg, as numpy would.  The sort
-   gives the inverse too: entry i is order[i] + 1 with its sign, so the
-   inverse holds i + 1 with that sign at order[i].  Window r goes to
-   row[0..n), its inverse to row[n..2n), and out[r] is its statistic which.
+   D), drawn row by row from a numpy bit generator (bitgen_t,
+   numpy/random/bitgen.h): entry j of a row takes one word x = next_uint64,
+   whose top 53 bits give its uniform (x >> 11) 2^-53 (numpy's PCG64
+   next_double) and, under B and D, whose low bit gives the sign
+   2 (x & 1) - 1 at position j.  Under D the last position's sign is the
+   product of the others', so that the signs have even weight.  Row r's
+   window holds 1 + the positions of its n uniforms in increasing order,
+   ties in position order, which is numpy's argsort(u, kind="stable") + 1: a
+   counting sort into n buckets by floor(u * n), which keeps position order
+   inside a bucket, then an insertion sort that moves an entry only past
+   larger ones.  The sort gives the inverse too: entry i is order[i] + 1
+   with its sign, so the inverse holds i + 1 with that sign at order[i].
+   row[0..n) holds the words' signs until the window replaces them,
+   row[n..2n) the inverse, and out[r] is the window's statistic which.
    idx (3n + 1 slots: bucket starts, order, bucket keys) and val (2n slots:
-   the sorted uniforms, then the row's in draw order) are scratch.  Returns
-   0, or 1 + the first row with a uniform outside [0, 1). */
-int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
-                     bitgen_t *bg, int64_t half, int32_t *restrict idx,
-                     double *restrict val, int64_t *restrict row, int64_t *restrict out)
+   the sorted uniforms, then the row's in draw order) are scratch. */
+void uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *bg,
+                  int32_t *restrict idx, double *restrict val, int64_t *restrict row,
+                  int64_t *restrict out)
 {
     int32_t *count = idx, *order = idx + n + 1, *key = order + n;
     double *v = val + n;
     int64_t *inv = row + n;
-    uint64_t word = (uint64_t)half;
-    int64_t held = half >= 0; /* bits left in word */
-    int64_t fresh = type ? cnt * n - held : 0; /* bits still to draw from bg */
     for (int64_t r = 0; r < cnt; r++) {
         memset(count, 0, (size_t)(n + 1) * sizeof *count);
         for (int64_t j = 0; j < n; j++) {
-            double x = ug->next_double(ug->state);
-            if (!(x >= 0.0 && x < 1.0))
-                return r + 1;
-            int32_t k = (int32_t)(x * n);
-            v[j] = x;
+            uint64_t x = bg->next_uint64(bg->state);
+            double u = (double)(x >> 11) * (1.0 / 9007199254740992.0);
+            int32_t k = (int32_t)(u * n);
+            v[j] = u;
             key[j] = k < n ? k : (int32_t)n - 1;
             count[key[j] + 1]++;
+            row[j] = 2 * (int64_t)(x & 1) - 1; /* the sign at position j under B and D */
         }
         int32_t start = 0;
         for (int64_t k = 0; k < n; k++) {
@@ -755,17 +746,7 @@ int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
         /* signs by arithmetic, not branches: the bits are coin flips */
         int64_t prod = 1;
         for (int64_t i = 0; i < n; i++) {
-            int64_t sg = 1;
-            if (type) {
-                if (!held) {
-                    word = fresh > 1 ? bg->next_uint64(bg->state) : bg->next_uint32(bg->state);
-                    held = 2;
-                    fresh -= 2;
-                }
-                sg = 2 * (int64_t)(word >> 31 & 1) - 1;
-                word >>= 32;
-                held--;
-            }
+            int64_t sg = type ? row[i] : 1;
             if (type == 2 && i == n - 1)
                 sg = prod;
             prod *= sg;
@@ -774,7 +755,6 @@ int64_t uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *ug,
         }
         out[r] = row_stat(row, inv, n, type, which);
     }
-    return 0;
 }
 
 /* Statistic which (row_stat) of each row of the row-major (cnt, n) windows
@@ -913,11 +893,8 @@ def _decode_lib() -> ctypes.CDLL:
     lib.decode_rows.restype = ctypes.c_int64
     lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
     lib.draw_choices.restype = ctypes.c_int64
-    lib.uniform_rows.argtypes = (
-        (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 2 + (ctypes.c_int64,)
-        + (ctypes.c_void_p,) * 4
-    )
-    lib.uniform_rows.restype = ctypes.c_int64
+    lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 5
+    lib.uniform_rows.restype = None
     lib.window_stats.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
     lib.window_stats.restype = ctypes.c_int64
     return lib
@@ -925,52 +902,26 @@ def _decode_lib() -> ctypes.CDLL:
 
 def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
     """The C kernel uniform_rows on cnt rows drawn from rng, a Generator on
-    PCG64 or PCG64DXSM: statistic STATISTICS[which] of each into the (cnt,)
-    array out.  A row is the stable argsort of a row of rng.random, plus 1,
-    with signs from rng.integers(0, 2) under B and D.  Under D the last sign
-    is the product of the others: the first n - 1 iid signs stay uniform
-    over the even-weight sign vectors.
-
-    The kernel draws each row's uniforms and sign bits itself, so no
-    (cnt, n) input array exists, and it takes the stream of
-    rng.random((cnt, n)) followed by rng.integers(0, 2, (cnt, n), np.int32)
-    and leaves rng where those two calls would, a 32-bit half word left
-    over or held from before included (a test guards this).  Under B and D
-    the uniforms come from a copy of rng; rng itself is advanced past them
-    and gives the sign bits.  That needs advance(k) to skip k 64-bit draws,
-    which PCG64 and PCG64DXSM do and Philox, which counts 256-bit blocks,
-    does not.  rng's lock is held for the call, and the kernel releases the
+    any numpy bit generator: statistic STATISTICS[which] of each into the
+    (cnt,) array out.  Entry j of a row takes one word x of
+    rng.integers(0, 2**64, (cnt, n), dtype=np.uint64), and rng ends where
+    that call leaves it.  The row is the stable argsort of the uniforms
+    (x >> 11) * 2**-53, plus 1, and under B and D position j has the sign
+    2 * (x & 1) - 1; under D the last sign is the product of the others, so
+    the first n - 1 iid signs stay uniform over the even-weight sign
+    vectors.  The kernel draws the words itself, so no (cnt, n) input array
+    exists.  rng's lock is held for the call, and the kernel releases the
     GIL; its scratch belongs to this call, so threads share none.
     """
-    bg = rng.bit_generator
-    if not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ValueError(f"q = 1 rows need a PCG64 or PCG64DXSM generator, got {type(bg).__name__}")
-    with bg.lock:
-        ug, bits, half = bg, None, -1
-        if kind != "A" and cnt:
-            state = bg.state
-            ug = type(bg)(0)  # a copy, seeded without OS entropy
-            ug.state = state
-            bg.advance(cnt * n)  # to the sign bits; this drops a held half word
-            bits = bg.ctypes.bit_generator
-            if state["has_uint32"]:
-                half = state["uinteger"]
-        return _uniform_rows(kind, n, cnt, which, ug.ctypes.bit_generator, bits, half, out)
-
-
-def _uniform_rows(kind: str, n: int, cnt: int, which: int, uniforms, bits, half: int, out):
-    """uniform_rows on the bitgen_t structs at the addresses uniforms and
-    bits (None under A), with half the 32-bit half word that gives the
-    first sign bit, or -1."""
     idx = np.empty(3 * n + 1, dtype=np.int32)
     val = np.empty(2 * n)
     row = np.empty(2 * n, dtype=np.int64)
-    bad = _decode_lib().uniform_rows(
-        cnt, n, "ABD".index(kind), which, uniforms, bits, half,
-        idx.ctypes.data, val.ctypes.data, row.ctypes.data, out.ctypes.data,
-    )
-    if bad:
-        raise ValueError(f"uniform outside [0, 1) in row {bad - 1}")
+    bg = rng.bit_generator
+    with bg.lock:
+        _decode_lib().uniform_rows(
+            cnt, n, "ABD".index(kind), which, bg.ctypes.bit_generator,
+            idx.ctypes.data, val.ctypes.data, row.ctypes.data, out.ctypes.data,
+        )
     return out
 
 

@@ -73,6 +73,22 @@ def test_unknown_config_key_is_usage_error(entry, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flags,config,named",
+    [(["--sam", "3"], "", "--sam 3"), (["--thread", "2"], "", "--thread 2"), ([], "sam = 3", "--sam=3")],
+    ids=["flag-sam", "flag-thread", "config-sam"],
+)
+def test_abbreviated_flag_is_usage_error(flags, config, named, tmp_path, capsys):
+    """A flag or config key cut short is refused, not taken as the flag it
+    prefixes."""
+    p = tmp_path / "run.cfg"
+    p.write_text(f"[sample]\n{config}\n")
+    rc, out, err = run(["sample", "--group", "B3", "--config", str(p), *flags], capsys)
+    assert rc == 2
+    assert f"unrecognized arguments: {named}" in err
+    assert out == ""
+
+
 def test_readme_commands_and_config_parse(tmp_path):
     """Every coxmal line in README's fenced blocks parses, and so does its
     config example, for each command it has a section for."""
@@ -247,3 +263,37 @@ def test_group_above_the_enumeration_cap_is_usage_error(argv, capsys):
     assert rc == 2
     assert err.startswith("error: ") and "above the cap" in err
     assert out == ""
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone: every write and flush
+    raises BrokenPipeError.  Its file descriptor is that of path."""
+
+    def __init__(self, path):
+        self.file = open(path, "wb")
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.file.fileno()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--group", "B3", "--seed", "2", "--samples", "10"], ["verify", "--group", "A1", "--q", "1"]],
+    ids=["dump", "report"],
+)
+def test_closed_stdout_ends_quietly(argv, monkeypatch, tmp_path, capsys):
+    """A reader that closes stdout (as `| head` does) during the dump or the
+    report lines ends the command with 141 (128 + SIGPIPE) and no message,
+    and stdout then points at devnull, so the flush at exit cannot fail."""
+    stdout = _ClosedPipe(tmp_path / "stdout")
+    monkeypatch.setattr("sys.stdout", stdout)
+    rc, _, err = run(argv, capsys)
+    assert (rc, err) == (141, "")
+    with stdout.file:
+        stdout.file.write(b"after the reader left")
+    assert (tmp_path / "stdout").read_bytes() == b""

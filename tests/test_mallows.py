@@ -12,6 +12,7 @@ import sysconfig
 import tempfile
 import threading
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -49,7 +50,6 @@ from coxmal.mallows import (
     _tower_stages,
     _tower_tables,
     _uniform,
-    _uniform_rows,
     _windows_and_weights,
     _windows_stat,
     normalization_constant,
@@ -496,54 +496,38 @@ class _Bitgen(ctypes.Structure):
 
 
 class _FakeBitgen:
-    """A bitgen_t whose next_double hands out the given doubles, and whose
-    next_uint64 and next_uint32 hand out the given words in order (the low
-    32 bits of one for next_uint32).  left counts what is not handed out
-    yet, and calls logs which of the two word functions ran."""
+    """A stand-in for a numpy Generator, as _uniform reads it, whose bit
+    generator hands out the given 64-bit words by next_uint64.  calls logs,
+    by name, each bitgen_t function the kernel calls."""
 
-    def __init__(self, doubles=(), words=()):
-        doubles, words = np.asarray(doubles).tolist(), np.asarray(words).tolist()
-        self.left, self.calls = len(doubles) + len(words), []
-        doubles, words = iter(doubles), iter(words)
+    def __init__(self, words):
+        words = iter(np.asarray(words, dtype=np.uint64).tolist())
+        self.calls = []
 
-        def take(it):
-            self.left -= 1
-            return next(it)
+        def logged(name, value):
+            def call(state):
+                self.calls.append(name)
+                return value()
 
-        def word(bits):
-            self.calls.append(bits)
-            return take(words) & (2**bits - 1)
+            return call
 
-        types = [t for _, t in _Bitgen._fields_[1:]]
-        self._fns = [  # next_raw stays NULL: the kernel never calls it
-            types[0](lambda st: word(64)),
-            types[1](lambda st: word(32)),
-            types[2](lambda st: take(doubles)),
+        self._fns = [
+            ftype(logged(name, (lambda: next(words)) if name == "next_uint64" else (lambda: 0)))
+            for name, ftype in _Bitgen._fields_[1:]
         ]
         self.struct = _Bitgen(None, *self._fns)
-        self.address = ctypes.addressof(self.struct)
+        self.bit_generator, self.lock = self, threading.Lock()
+        self.ctypes = types.SimpleNamespace(bit_generator=ctypes.addressof(self.struct))
 
 
-def _sign_words(bits, rng):
-    """Words that give the sign bits in order, bit 31 and then bit 63 of
-    each, as numpy's integers(0, 2, dtype=int32) reads them; every other bit
-    is noise, which the kernel must ignore."""
-    b = np.append(bits.ravel(), [0] * (bits.size % 2)).astype(np.uint64)
-    noise = rng.integers(0, 2**64, len(b) // 2, dtype=np.uint64) & ~np.uint64(2**31 + 2**63)
-    return noise | b[0::2] << np.uint64(31) | b[1::2] << np.uint64(63)
-
-
-def _fed_uniform_rows(kind, u, bits, which, rng):
-    """uniform_rows fed the uniforms u and the sign bits by fake bit
-    generators: statistic which of each row."""
-    cnt, n = u.shape
-    ug = _FakeBitgen(doubles=u.ravel())
-    bg = None if kind == "A" else _FakeBitgen(words=_sign_words(bits, rng))
-    out = np.empty(cnt, dtype=np.int64)
-    _uniform_rows(kind, n, cnt, which, ug.address, bg and bg.address, -1, out)
-    assert ug.left == 0 and (bg is None or bg.left == 0)  # every input drawn
-    if bg is not None:  # one next_uint32, for the last bit of an odd count
-        assert bg.calls == [64] * (u.size // 2) + [32] * (u.size % 2)
+def _fed_uniform_rows(kind, words, which):
+    """uniform_rows fed the (cnt, n) words by a fake bit generator: statistic
+    which of each row, after checking that the kernel made exactly one
+    next_uint64 call per entry and no other call."""
+    cnt, n = words.shape
+    rng = _FakeBitgen(words.ravel())
+    out = _uniform(kind, n, cnt, rng, which, np.empty(cnt, dtype=np.int64))
+    assert rng.calls == ["next_uint64"] * words.size
     return out
 
 
@@ -551,27 +535,24 @@ def _fed_uniform_rows(kind, u, bits, which, rng):
 @pytest.mark.parametrize("n", [2, 3, 49, 50, 149, 200, 201])
 def test_uniform_rows_matches_stable_argsort(kind, n):
     """The counting-sort kernel's t, des and des_inv are those of numpy's
-    stable argsort, on the seeded stream and, fed by fake bit generators,
+    stable argsort, on the seeded stream and, fed by a fake bit generator,
     on rows whose uniforms are multiples of 1/8, which tie."""
     cnt = 600
-    rng = np.random.default_rng(n)
-    u = rng.random((cnt, n))
-    bits = None if kind == "A" else rng.integers(0, 2, (cnt, n), np.int64)
-    want = reference_uniform(kind, u, bits)
+    words = np.random.default_rng(n).integers(0, 2**64, (cnt, n), dtype=np.uint64)
+    want = reference_uniform(kind, words)
     for which, stat in enumerate(WINDOW_STATS):
         got = _uniform(kind, n, cnt, np.random.default_rng(n), which, np.empty(cnt, dtype=np.int64))
         assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
 
     rng = np.random.default_rng(1000 * n + ord(kind))
-    cnt = 101  # an odd bit count when n is odd
-    u = rng.random((cnt, n))
-    u[: cnt // 2] = np.floor(u[: cnt // 2] * 8) / 8
-    bits = rng.integers(0, 2, (cnt, n), np.int32)
-    want = reference_uniform(kind, u, bits)
-    ties_reversed = reference_uniform(kind, u, bits, ties_reversed=True)
-    unfixed = reference_uniform(kind, u, bits, parity=False)
+    cnt = 101
+    words = rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)
+    words[: cnt // 2] &= ~np.uint64(2**61 - 2)  # top 3 bits and the sign bit: u = k / 8
+    want = reference_uniform(kind, words)
+    ties_reversed = reference_uniform(kind, words, ties_reversed=True)
+    unfixed = reference_uniform(kind, words, parity=False)
     for which, stat in enumerate(WINDOW_STATS):
-        got = _fed_uniform_rows(kind, u, bits, which, rng)
+        got = _fed_uniform_rows(kind, words, which)
         assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
         # negative control: the ties are there, and the comparison sees their order
         assert not np.array_equal(got, windows_statistic(kind, ties_reversed, stat)), stat
@@ -580,75 +561,34 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
             assert not np.array_equal(got, windows_statistic(kind, unfixed, stat)), stat
 
 
-def test_int32_sign_bits_keep_the_int64_stream():
-    """The sign bits of the q = 1 rows are those of an int32 draw, which
-    takes the same values and leaves the generator in the same state as an
-    int64 draw, so the next uniforms are the same too.  Both draw from the
-    buffered 32-bit source; an int16 or uint8 draw would not.  A numpy
-    release that changes this fails here."""
-    for shape in ((600, 201), (3, 7), (1, 1), (0, 5)):
-        a, b = np.random.default_rng(17), np.random.default_rng(17)
-        assert np.array_equal(a.integers(0, 2, shape, np.int32), b.integers(0, 2, shape, np.int64))
-        assert a.bit_generator.state == b.bit_generator.state
-        assert np.array_equal(a.random(9), b.random(9))
-
-
-def _assert_same_stream(a, b):
-    """a and b are in the same state: has_uint32 always, the held half word
-    when there is one, and the next draws of both kinds."""
-    sa, sb = a.bit_generator.state, b.bit_generator.state
-    assert sa["state"] == sb["state"] and sa["has_uint32"] == sb["has_uint32"]
-    if sa["has_uint32"]:
-        assert sa["uinteger"] == sb["uinteger"]
-    assert np.array_equal(a.integers(0, 2, 5, np.int32), b.integers(0, 2, 5, np.int32))
-    assert np.array_equal(a.random(3), b.random(3))
-
-
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
-def test_uniform_rows_keep_the_two_call_stream(kind, bit_generator):
-    """uniform_rows draws each row's uniforms and sign bits itself, yet takes
-    the stream of rng.random((cnt, n)) followed by rng.integers(0, 2,
-    (cnt, n), np.int32) and leaves rng where those two calls do, for each
-    statistic: at an odd, an even and a zero cnt * n, and with a half word
-    held from an odd-sized int32 draw before."""
-    held_after = set()
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64],
+)
+def test_uniform_rows_take_one_word_per_entry(kind, bit_generator):
+    """uniform_rows draws one word per entry from any numpy bit generator:
+    its rows are those of rng.integers(0, 2**64, (cnt, n), dtype=np.uint64),
+    and rng ends where that call leaves it, for each statistic, at an odd,
+    an even and a zero cnt * n, also after an odd-sized int32 draw, whose
+    left-over 32-bit half word (in the generators that keep one) the words
+    leave alone."""
     for cnt, n in ((3, 7), (4, 7), (3, 8), (0, 5), (1, 201), (773, 50)):
         for before in (0, 3):
 
-            def fresh(state=None):
+            def fresh():
                 rng = np.random.Generator(bit_generator(1000 * cnt + n))
                 rng.integers(0, 2, before, np.int32)
-                assert rng.bit_generator.state["has_uint32"] == before % 2
-                if state is not None:
-                    rng.bit_generator.state = state
                 return rng
 
-            ref = fresh()
-            u = ref.random((cnt, n))
-            bits = None if kind == "A" else ref.integers(0, 2, (cnt, n), np.int32)
-            want = reference_uniform(kind, u, bits)
-            after = ref.bit_generator.state
-            held_after.add(after["has_uint32"])
             for which, stat in enumerate(WINDOW_STATS):
-                rng = fresh()
+                ref, rng = fresh(), fresh()
+                want = reference_uniform(kind, ref.integers(0, 2**64, (cnt, n), dtype=np.uint64))
                 got = _uniform(kind, n, cnt, rng, which, np.empty(cnt, dtype=np.int64))
                 assert np.array_equal(got, windows_statistic(kind, want, stat))
-                _assert_same_stream(rng, fresh(after))
-    assert held_after == {0, 1}
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_uniform_rows_need_a_word_advance(bit_generator):
-    """A bit generator whose advance(k) does not skip k 64-bit draws (MT19937
-    and SFC64 have none, Philox counts 256-bit blocks) is refused before
-    anything is drawn."""
-    for kind in "ABD":
-        rng = np.random.Generator(bit_generator(5))
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="PCG64"):
-            _uniform(kind, 5, 3, rng, 0, np.empty(3, dtype=np.int64))
-        assert repr(rng.bit_generator.state) == repr(before)
+                assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+                assert np.array_equal(rng.integers(0, 2, 5, np.int32), ref.integers(0, 2, 5, np.int32))
+                assert np.array_equal(rng.random(3), ref.random(3))
 
 
 def test_bitgen_layout_matches_numpy():
@@ -663,19 +603,6 @@ def test_bitgen_layout_matches_numpy():
         want = fields(f.read())
     assert fields(_DECODE_C) == want
     assert [name for name, _ in _Bitgen._fields_] == [re.search(r"\*(\w+)", f)[1] for f in want]
-
-
-def test_uniform_rows_rejects_bad_input():
-    """A uniform outside [0, 1) names its row, for each statistic."""
-    rng = np.random.default_rng(0)
-    u, bits = rng.random((10, 5)), rng.integers(0, 2, (10, 5), np.int32)
-    for bad in (1.0, -0.25, np.nan):
-        v = u.copy()
-        v[3, 2] = bad
-        for kind in "ABD":
-            for which in range(3):
-                with pytest.raises(ValueError, match="row 3"):
-                    _fed_uniform_rows(kind, v, bits, which, rng)
 
 
 @pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
@@ -1283,6 +1210,26 @@ def test_uniform_shortcut_matches_tower():
         xs = sample_statistic(spec, "t", 20000, seed=7)
         _, _, p = goodness_of_fit(xs, dist)
         assert p > 1e-3
+
+
+def test_uniform_law_check_rejects_signs_that_follow_their_uniform(monkeypatch, tmp_path):
+    """The law check above can fail: a uniform_rows that takes each sign from
+    its word's top bit, so that the sign follows its own uniform, is
+    rejected on t at B3 and D4 at the same 20,000 draws."""
+    mutant = _DECODE_C.replace("(x & 1)", "(x >> 63)")
+    assert mutant != _DECODE_C
+    _decode_lib.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setenv("XDG_CACHE_HOME", str(tmp_path))
+            m.setattr(coxmal.mallows, "_DECODE_C", mutant)
+            for name in ("B3", "D4"):
+                spec = MallowsSpec.make(name, 1.0)
+                xs = sample_statistic(spec, "t", 20000, seed=7)
+                _, _, p = goodness_of_fit(xs, exact_distribution(spec, "t"))
+                assert p < 1e-3, (name, p)
+    finally:
+        _decode_lib.cache_clear()
 
 
 def test_a_type_batch_decoder_matches_single_draw_walk():

@@ -94,18 +94,20 @@ def coupling_descents(kind: str, W: np.ndarray):
     return des, star_des
 
 
-def reference_uniform(kind: str, u, bits, parity=True, ties_reversed=False) -> np.ndarray:
-    """Uniform windows: the stable argsort of each row of uniforms u, plus 1,
-    signed 2 b - 1 by the sign bits b under B and D, with type D's last sign
-    the product of the others (parity=False drops that fix, ties_reversed
+def reference_uniform(kind: str, words, parity=True, ties_reversed=False) -> np.ndarray:
+    """Uniform windows from (rows, n) uint64 words: the stable argsort of
+    each row of uniforms (words >> 11) * 2**-53, plus 1, and under B and D
+    the sign 2 (word & 1) - 1 at each position, with type D's last sign the
+    product of the others (parity=False drops that fix, ties_reversed
     breaks ties in decreasing position order: the negative controls)."""
+    u = (words >> np.uint64(11)) * 2.0**-53
     if ties_reversed:
         W = u.shape[1] - np.argsort(u[:, ::-1], axis=1, kind="stable")
     else:
         W = np.argsort(u, axis=1, kind="stable") + 1
     if kind == "A":
         return W
-    signs = 2 * bits - 1
+    signs = 2 * (words & np.uint64(1)).astype(np.int64) - 1
     if kind == "D" and parity:
         signs[:, -1] = np.prod(signs[:, :-1], axis=1)
     return W * signs
@@ -114,11 +116,10 @@ def reference_uniform(kind: str, u, bits, parity=True, ties_reversed=False) -> n
 def chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
     """The cnt windows whose statistics the sampler draws from rng: the
     decoded tower choices at q != 1; at q = 1 the uniform windows of
-    rng.random((cnt, n)) and rng.integers(0, 2, (cnt, n), np.int32)."""
+    rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
     if q != 1.0:
         return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
-    u = rng.random((cnt, n))
-    return reference_uniform(kind, u, None if kind == "A" else rng.integers(0, 2, (cnt, n), np.int32))
+    return reference_uniform(kind, rng.integers(0, 2**64, (cnt, n), dtype=np.uint64))
 
 
 def sampled_windows(g, q: float, count: int, seed, threads: int = 1) -> np.ndarray:
