@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -317,7 +318,8 @@ def cmd_clt(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         _default_clt_suite(cfg, report, out_dir)
     if out_dir:
-        report.to_json(os.path.join(out_dir, "report.json"))
+        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+            report.to_json(fh)
     return report
 
 
@@ -532,7 +534,13 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         cfg = build_config(parse_args(argv))
-        report = COMMANDS[cfg.command](cfg)
+        # verify's report file is opened before any check runs, so a path
+        # that cannot be written is a usage error, not a traceback after them
+        verify_out = cfg.out if cfg.command == "verify" else None
+        with open(verify_out, "w", encoding="utf-8") if verify_out else contextlib.nullcontext() as fh:
+            report = COMMANDS[cfg.command](cfg)
+            if fh is not None:
+                report.to_json(fh)
         for result in report.results:
             print(result.line())
         summary = "all checks passed" if report.all_passed else "CHECK FAILURES"
@@ -551,8 +559,6 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out and cfg.command == "verify":
-        report.to_json(cfg.out)
     return 0 if report.all_passed else 1
 
 

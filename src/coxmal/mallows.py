@@ -22,17 +22,17 @@ four pad slots at each end for those moves.  Neither loop then branches on
 where the stage mass sits, which at q far from 1 is the first or the last
 choice.  The stage tables are built together, once per cell, before the
 sampler threads start.  At q = 1 the kernel uniform_rows draws each row
-itself, one 64-bit word per entry from any numpy bit generator through its
-bitgen_t interface, and orders the row by a counting sort: the words are
-those of rng.integers(0, 2**64, (rows, n), dtype=np.uint64), whose top 53
-bits give each entry's uniform and whose low bit gives the sign at its
-position under B and D, and the row is numpy's stable argsort of the
-uniforms, plus 1, so the generator ends where that call would leave it.
-Both kernels compute each row's t, des or des_inv while the row is
-in cache: the decode records the inverse as it places each label, the sort
-reads it off the sorted order, and one shared routine counts the descents
-of both, so no window array is built.  A length is the sum of its tower
-choices' contributions, so sampled lengths decode nothing, q = 1 included.
+itself by an inside-out Fisher-Yates shuffle, one 64-bit word per entry
+from any numpy bit generator through its bitgen_t interface, plus a rare
+redraw (probability below n / 2^63 per entry): entry i's word puts label
+i + 1 at a position uniform on 0..i by Lemire's multiply-and-reject, and
+under B and D its low bit gives the sign at position i.  So the law is
+exactly uniform, and nothing is sorted.  Both kernels compute each row's
+t, des or des_inv while the row is in cache: the decode records the
+inverse as it places each label, the shuffle's sign pass writes it, and
+one shared routine counts the descents of both, so no window array is
+built.  A length is the sum of its tower choices' contributions, so
+sampled lengths decode nothing, q = 1 included.
 The only windows the package writes out are the exact laws' rows
 (_tower_enumeration): decode_rows' window mode decodes every tuple of
 choices once per group.  sample_one is the independent single-draw walk.
@@ -689,69 +689,51 @@ int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
 
 /* Statistic which (row_stat) of uniform windows of type 0, 1 or 2 (A, B or
    D), drawn row by row from a numpy bit generator (bitgen_t,
-   numpy/random/bitgen.h): entry j of a row takes one word x = next_uint64,
-   whose top 53 bits give its uniform (x >> 11) 2^-53 (numpy's PCG64
-   next_double) and, under B and D, whose low bit gives the sign
-   2 (x & 1) - 1 at position j.  Under D the last position's sign is the
-   product of the others', so that the signs have even weight.  Row r's
-   window holds 1 + the positions of its n uniforms in increasing order,
-   ties in position order, which is numpy's argsort(u, kind="stable") + 1: a
-   counting sort into n buckets by floor(u * n), which keeps position order
-   inside a bucket, then an insertion sort that moves an entry only past
-   larger ones.  The sort gives the inverse too: entry i is order[i] + 1
-   with its sign, so the inverse holds i + 1 with that sign at order[i].
-   row[0..n) holds the words' signs until the window replaces them,
-   row[n..2n) the inverse, and out[r] is the window's statistic which.
-   idx (3n + 1 slots: bucket starts, order, bucket keys) and val (2n slots:
-   the sorted uniforms, then the row's in draw order) are scratch. */
+   numpy/random/bitgen.h) by an inside-out Fisher-Yates shuffle.  Entry i
+   of a row takes one word x = next_uint64 and puts label i + 1 at a
+   position j uniform on 0..i, moving the label there to position i.  j
+   comes from the top 63 bits y = x >> 1 by Lemire's multiply-and-reject
+   (arXiv:1805.10941): with m = y (i + 1) as a 128-bit product, j = m >> 63,
+   and the word is redrawn while m mod 2^63 < 2^63 mod (i + 1), which
+   happens with probability below (i + 1) / 2^63, so the law is exactly
+   uniform.  Under B and D the accepted word's low bit gives the sign
+   2 (x & 1) - 1 at position i, and under D the last position's sign is the
+   product of the others', so that the signs have even weight.  A second
+   pass applies the signs and records the inverse: entry i is v with sign
+   s, so the inverse holds i + 1 with sign s at v - 1.  sg (n slots) holds
+   the signs, row[0..n) the window and row[n..2n) its inverse, and out[r]
+   is the window's statistic which. */
 void uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *bg,
-                  int32_t *restrict idx, double *restrict val, int64_t *restrict row,
-                  int64_t *restrict out)
+                  int64_t *restrict sg, int64_t *restrict row, int64_t *restrict out)
 {
-    int32_t *count = idx, *order = idx + n + 1, *key = order + n;
-    double *v = val + n;
+    const uint64_t top = (uint64_t)1 << 63, low63 = top - 1;
     int64_t *inv = row + n;
     for (int64_t r = 0; r < cnt; r++) {
-        memset(count, 0, (size_t)(n + 1) * sizeof *count);
-        for (int64_t j = 0; j < n; j++) {
+        for (int64_t i = 0; i < n; i++) {
+            uint64_t range = (uint64_t)i + 1;
             uint64_t x = bg->next_uint64(bg->state);
-            double u = (double)(x >> 11) * (1.0 / 9007199254740992.0);
-            int32_t k = (int32_t)(u * n);
-            v[j] = u;
-            key[j] = k < n ? k : (int32_t)n - 1;
-            count[key[j] + 1]++;
-            row[j] = 2 * (int64_t)(x & 1) - 1; /* the sign at position j under B and D */
-        }
-        int32_t start = 0;
-        for (int64_t k = 0; k < n; k++) {
-            start += count[k];
-            count[k] = start;
-        }
-        for (int64_t j = 0; j < n; j++) {
-            int32_t i = count[key[j]]++;
-            val[i] = v[j];
-            order[i] = (int32_t)j;
-        }
-        for (int64_t i = 1; i < n; i++) {
-            double x = val[i];
-            int32_t j = order[i];
-            int64_t k = i;
-            for (; k > 0 && val[k - 1] > x; k--) {
-                val[k] = val[k - 1];
-                order[k] = order[k - 1];
+            unsigned __int128 m = (unsigned __int128)(x >> 1) * range;
+            if (((uint64_t)m & low63) < range) { /* 2^63 mod range < range */
+                uint64_t reject = top % range;
+                while (((uint64_t)m & low63) < reject) {
+                    x = bg->next_uint64(bg->state);
+                    m = (unsigned __int128)(x >> 1) * range;
+                }
             }
-            val[k] = x;
-            order[k] = j;
+            int64_t j = (int64_t)(m >> 63);
+            row[i] = row[j];
+            row[j] = i + 1;
+            sg[i] = 2 * (int64_t)(x & 1) - 1;
         }
         /* signs by arithmetic, not branches: the bits are coin flips */
         int64_t prod = 1;
         for (int64_t i = 0; i < n; i++) {
-            int64_t sg = type ? row[i] : 1;
+            int64_t s = type ? sg[i] : 1, v = row[i];
             if (type == 2 && i == n - 1)
-                sg = prod;
-            prod *= sg;
-            row[i] = sg * (order[i] + 1);
-            inv[order[i]] = sg * (i + 1);
+                s = prod;
+            prod *= s;
+            row[i] = s * v;
+            inv[v - 1] = s * (i + 1);
         }
         out[r] = row_stat(row, inv, n, type, which);
     }
@@ -893,7 +875,7 @@ def _decode_lib() -> ctypes.CDLL:
     lib.decode_rows.restype = ctypes.c_int64
     lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
     lib.draw_choices.restype = ctypes.c_int64
-    lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 5
+    lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 4
     lib.uniform_rows.restype = None
     lib.window_stats.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
     lib.window_stats.restype = ctypes.c_int64
@@ -903,24 +885,25 @@ def _decode_lib() -> ctypes.CDLL:
 def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
     """The C kernel uniform_rows on cnt rows drawn from rng, a Generator on
     any numpy bit generator: statistic STATISTICS[which] of each into the
-    (cnt,) array out.  Entry j of a row takes one word x of
-    rng.integers(0, 2**64, (cnt, n), dtype=np.uint64), and rng ends where
-    that call leaves it.  The row is the stable argsort of the uniforms
-    (x >> 11) * 2**-53, plus 1, and under B and D position j has the sign
-    2 * (x & 1) - 1; under D the last sign is the product of the others, so
-    the first n - 1 iid signs stay uniform over the even-weight sign
-    vectors.  The kernel draws the words itself, so no (cnt, n) input array
-    exists.  rng's lock is held for the call, and the kernel releases the
-    GIL; its scratch belongs to this call, so threads share none.
+    (cnt,) array out.  Each row is an inside-out Fisher-Yates shuffle:
+    entry i takes one word x of rng's next_uint64 stream, whose top 63 bits
+    give a position uniform on 0..i by Lemire's multiply-and-reject, so the
+    law is exactly uniform; a word is redrawn with probability below
+    (i + 1) / 2**63.  Under B and D position i has the sign
+    2 * (x & 1) - 1 of its accepted word; under D the last sign is the
+    product of the others, so the first n - 1 iid signs stay uniform over
+    the even-weight sign vectors.  The kernel draws the words itself, so no
+    (cnt, n) input array exists.  rng's lock is held for the call, and the
+    kernel releases the GIL; its scratch belongs to this call, so threads
+    share none.
     """
-    idx = np.empty(3 * n + 1, dtype=np.int32)
-    val = np.empty(2 * n)
+    sg = np.empty(n, dtype=np.int64)
     row = np.empty(2 * n, dtype=np.int64)
     bg = rng.bit_generator
     with bg.lock:
         _decode_lib().uniform_rows(
             cnt, n, "ABD".index(kind), which, bg.ctypes.bit_generator,
-            idx.ctypes.data, val.ctypes.data, row.ctypes.data, out.ctypes.data,
+            sg.ctypes.data, row.ctypes.data, out.ctypes.data,
         )
     return out
 

@@ -73,10 +73,10 @@ class ExperimentReport:
             "results": [r.as_dict() for r in self.results],
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=False, default=_scalarize)
-            fh.write("\n")
+    def to_json(self, fh) -> None:
+        """Write the report as JSON to the open text file fh."""
+        json.dump(self.as_dict(), fh, indent=2, sort_keys=False, default=_scalarize)
+        fh.write("\n")
 
 
 def _scalarize(obj):

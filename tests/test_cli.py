@@ -143,6 +143,19 @@ def test_verify_writes_report(tmp_path, capsys):
     assert any(r["name"].startswith("normalization") for r in report["results"])
 
 
+def test_verify_report_path_that_cannot_be_opened_is_usage_error(tmp_path, monkeypatch, capsys):
+    """A --out path in a missing directory is refused before any check runs,
+    with one error line and exit 2, not a traceback after the checks."""
+    ran = []
+    monkeypatch.setattr(coxmal.cli, "normalization_enumeration_check", lambda *a: ran.append(a))
+    out_path = tmp_path / "missing" / "r.json"
+    rc, out, err = run(["verify", "--group", "A1", "--q", "1", "--out", str(out_path)], capsys)
+    assert rc == 2
+    assert ran == [] and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out_path.parent.exists()
+
+
 def test_sample_deterministic(capsys):
     argv = ["sample", "--group", "B3", "--q", "0.5", "--seed", "4", "--samples", "40"]
     rc1, out1, _ = run(argv, capsys)

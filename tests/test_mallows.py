@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import coxmal
 from coxmal.coxeter import (
@@ -534,9 +535,10 @@ def _fed_uniform_rows(kind, words, which):
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 @pytest.mark.parametrize("n", [2, 3, 49, 50, 149, 200, 201])
 def test_uniform_rows_matches_stable_argsort(kind, n):
-    """The counting-sort kernel's t, des and des_inv are those of numpy's
-    stable argsort, on the seeded stream and, fed by a fake bit generator,
-    on rows whose uniforms are multiples of 1/8, which tie."""
+    """The shuffle kernel's t, des and des_inv are those of the reference
+    shuffle (reference_uniform), on the seeded stream and, fed by a fake bit
+    generator, on other words.  (The name is older than the shuffle, which
+    sorts nothing.)"""
     cnt = 600
     words = np.random.default_rng(n).integers(0, 2**64, (cnt, n), dtype=np.uint64)
     want = reference_uniform(kind, words)
@@ -544,21 +546,41 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
         got = _uniform(kind, n, cnt, np.random.default_rng(n), which, np.empty(cnt, dtype=np.int64))
         assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
 
-    rng = np.random.default_rng(1000 * n + ord(kind))
     cnt = 101
-    words = rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)
-    words[: cnt // 2] &= ~np.uint64(2**61 - 2)  # top 3 bits and the sign bit: u = k / 8
+    words = np.random.default_rng(1000 * n + ord(kind)).integers(0, 2**64, (cnt, n), dtype=np.uint64)
     want = reference_uniform(kind, words)
-    ties_reversed = reference_uniform(kind, words, ties_reversed=True)
     unfixed = reference_uniform(kind, words, parity=False)
     for which, stat in enumerate(WINDOW_STATS):
         got = _fed_uniform_rows(kind, words, which)
         assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
-        # negative control: the ties are there, and the comparison sees their order
-        assert not np.array_equal(got, windows_statistic(kind, ties_reversed, stat)), stat
-        if kind == "D":
-            # negative control: the comparison sees the parity fix
+        if kind == "D" and stat != "des_inv":
+            # negative control: the comparison sees the parity fix.  des_inv
+            # sees the last sign only in rows whose last entry is +-n (the
+            # flipped inverse entry +-n adds a descent on one side and takes
+            # one away on the other), about one row in n
             assert not np.array_equal(got, windows_statistic(kind, unfixed, stat)), stat
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+def test_uniform_rows_redraw_rejected_words(kind):
+    """Entry 2 draws its position from range 3, whose rejection threshold is
+    2**63 mod 3 = 2: a word whose m = (x >> 1) * 3 has m mod 2**63 of 0
+    or 1 is rejected, and one with 2 is kept.  Fed a rejected word at entry
+    2 of every row, the kernel makes exactly one more next_uint64 call per
+    row and gives the rows that the words without it give, signs included."""
+    inv3 = pow(3, -1, 2**63)
+    rejected = [0, 2 * inv3]  # m mod 2**63 = 0 and 1; both have sign bit 0
+    cnt = 60
+    words = np.random.default_rng(ord(kind)).integers(0, 2**64, (cnt, 3), dtype=np.uint64)
+    words[:, 2] |= np.uint64(1)  # so the kept word's sign differs from the rejected one's
+    words[0, 2] = 2 * (2 * inv3 % 2**63) + 1  # m mod 2**63 = 2: kept
+    stream = np.insert(words, 2, np.array(rejected, dtype=np.uint64)[np.arange(cnt) % 2], axis=1)
+    want = reference_uniform(kind, words)
+    for which, stat in enumerate(WINDOW_STATS):
+        rng = _FakeBitgen(stream.ravel())
+        got = _uniform(kind, 3, cnt, rng, which, np.empty(cnt, dtype=np.int64))
+        assert rng.calls == ["next_uint64"] * stream.size
+        assert np.array_equal(got, windows_statistic(kind, want, stat)), stat
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
@@ -568,7 +590,8 @@ def test_uniform_rows_matches_stable_argsort(kind, n):
 )
 def test_uniform_rows_take_one_word_per_entry(kind, bit_generator):
     """uniform_rows draws one word per entry from any numpy bit generator:
-    its rows are those of rng.integers(0, 2**64, (cnt, n), dtype=np.uint64),
+    its rows are the reference shuffle of the words of
+    rng.integers(0, 2**64, (cnt, n), dtype=np.uint64),
     and rng ends where that call leaves it, for each statistic, at an odd,
     an even and a zero cnt * n, also after an odd-sized int32 draw, whose
     left-over 32-bit half word (in the generators that keep one) the words
@@ -813,7 +836,7 @@ def test_sampled_t_holds_no_window_array(q):
     """Sampling t of one B200 chunk holds the chunk's inputs and little
     more: at q = 0.5 the choices and the STAGE_BLOCK uniform buffer, at
     q = 1 only the (cnt,) output, because uniform_rows draws each row's
-    uniforms and sign bits itself.  A (SAMPLE_CHUNK, 200) int64 window
+    words itself.  A (SAMPLE_CHUNK, 200) int64 window
     array alone is 26 MB."""
     n = 200
     spec = MallowsSpec.make(f"B{n}", q)
@@ -1201,7 +1224,7 @@ def test_sampler_matches_exact_law(name, q, stat):
 
 
 def test_uniform_shortcut_matches_tower():
-    """q = 1 windows come from the uniform_rows counting-sort kernel, not the
+    """q = 1 windows come from the uniform_rows shuffle kernel, not the
     tower; their law must match the q = 1 tower law, including the type D
     sign-parity fix."""
     for name in ("A3", "B3", "D4"):
@@ -1212,24 +1235,73 @@ def test_uniform_shortcut_matches_tower():
         assert p > 1e-3
 
 
-def test_uniform_law_check_rejects_signs_that_follow_their_uniform(monkeypatch, tmp_path):
-    """The law check above can fail: a uniform_rows that takes each sign from
-    its word's top bit, so that the sign follows its own uniform, is
-    rejected on t at B3 and D4 at the same 20,000 draws."""
-    mutant = _DECODE_C.replace("(x & 1)", "(x >> 63)")
+def _mutant_t_gof(monkeypatch, tmp_path, mutant, names):
+    """p-values of the t law check above, run with the kernels built from
+    the mutant source in their own cache."""
     assert mutant != _DECODE_C
     _decode_lib.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setenv("XDG_CACHE_HOME", str(tmp_path))
             m.setattr(coxmal.mallows, "_DECODE_C", mutant)
-            for name in ("B3", "D4"):
+            ps = {}
+            for name in names:
                 spec = MallowsSpec.make(name, 1.0)
                 xs = sample_statistic(spec, "t", 20000, seed=7)
-                _, _, p = goodness_of_fit(xs, exact_distribution(spec, "t"))
-                assert p < 1e-3, (name, p)
+                ps[name] = goodness_of_fit(xs, exact_distribution(spec, "t"))[2]
+            return ps
     finally:
         _decode_lib.cache_clear()
+
+
+def test_uniform_law_check_rejects_signs_that_follow_their_uniform(monkeypatch, tmp_path):
+    """The law check above can fail: a uniform_rows that takes each sign from
+    its word's top bit, the bit that also sets the entry's shuffle position,
+    is rejected on t at B3 and D4 at the same 20,000 draws."""
+    mutant = _DECODE_C.replace("(x & 1)", "(x >> 63)")
+    for name, p in _mutant_t_gof(monkeypatch, tmp_path, mutant, ("B3", "D4")).items():
+        assert p < 1e-3, (name, p)
+
+
+def test_uniform_law_check_rejects_sattolo_shuffle(monkeypatch, tmp_path):
+    """A uniform_rows whose entry i takes its position from range i instead
+    of i + 1 (Sattolo's shuffle) makes only cyclic permutations; the law
+    check rejects it on t at A3, B3 and D4 at the same 20,000 draws."""
+    mutant = _DECODE_C.replace("range = (uint64_t)i + 1;", "range = (uint64_t)i;")
+    for name, p in _mutant_t_gof(monkeypatch, tmp_path, mutant, ("A3", "B3", "D4")).items():
+        assert p < 1e-3, (name, p)
+
+
+def _element_gof_p(g, W) -> float:
+    """Chi-square p-value of the rows of W against the uniform law on the
+    elements of the A, B or D group g; 0.0 if a row is not an element."""
+    elements = enumerate_windows(g)
+    n = elements.shape[1]
+    code = (2 * n + 1) ** np.arange(n)
+    keys, counts = np.unique((W + n) @ code, return_counts=True)
+    if not np.isin(keys, (elements + n) @ code).all():
+        return 0.0
+    never_drawn = np.zeros(len(elements) - len(keys))
+    return scipy.stats.chisquare(np.concatenate((counts, never_drawn))).pvalue
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4"])
+def test_uniform_windows_follow_the_uniform_law(name):
+    """At q = 1 every element is equally likely: the windows that the
+    reference shuffle makes of the sampler's own words (100,000 rows, which
+    the kernel's statistics match row for row) pass a chi-square over all
+    24, 48 or 192 elements.  Under D the same test rejects the windows
+    without the parity fix, which no law of t can see."""
+    g = parse_group(name)
+    count, seed = 100_000, 31
+    assert _element_gof_p(g, sampled_windows(g, 1.0, count, seed)) > 1e-3
+    if g.kind == "D":
+        n = g.window_size
+        unfixed = _map_chunks(
+            g, count, seed, 1,
+            lambda cnt, rng: reference_uniform("D", rng.integers(0, 2**64, (cnt, n), dtype=np.uint64), parity=False),
+        )
+        assert _element_gof_p(g, np.concatenate(unfixed)) < 1e-3
 
 
 def test_a_type_batch_decoder_matches_single_draw_walk():

@@ -94,17 +94,25 @@ def coupling_descents(kind: str, W: np.ndarray):
     return des, star_des
 
 
-def reference_uniform(kind: str, words, parity=True, ties_reversed=False) -> np.ndarray:
-    """Uniform windows from (rows, n) uint64 words: the stable argsort of
-    each row of uniforms (words >> 11) * 2**-53, plus 1, and under B and D
-    the sign 2 (word & 1) - 1 at each position, with type D's last sign the
-    product of the others (parity=False drops that fix, ties_reversed
-    breaks ties in decreasing position order: the negative controls)."""
-    u = (words >> np.uint64(11)) * 2.0**-53
-    if ties_reversed:
-        W = u.shape[1] - np.argsort(u[:, ::-1], axis=1, kind="stable")
-    else:
-        W = np.argsort(u, axis=1, kind="stable") + 1
+def reference_uniform(kind: str, words, parity=True) -> np.ndarray:
+    """Uniform windows from (rows, n) uint64 words, all rows at once: the
+    inside-out Fisher-Yates shuffle of uniform_rows, entry i putting label
+    i + 1 at position j = (word >> 1) * (i + 1) >> 63 and moving the label
+    there to position i, and under B and D the sign 2 (word & 1) - 1 at each
+    position, with type D's last sign the product of the others
+    (parity=False drops that fix: the negative control).  Asserts that no
+    word falls in the kernel's rejection region, m mod 2**63 <
+    2**63 mod (i + 1), where the kernel would draw another word; that has
+    probability below n**2 / 2**63 per row."""
+    cnt, n = words.shape
+    W = np.zeros((cnt, n), dtype=np.int64)
+    rows = np.arange(cnt)
+    for i in range(n):
+        m = (words[:, i] >> np.uint64(1)).astype(object) * (i + 1)
+        assert not np.any(m % 2**63 < 2**63 % (i + 1)), f"a word of entry {i} is rejected"
+        j = (m >> 63).astype(np.int64)
+        W[:, i] = W[rows, j]
+        W[rows, j] = i + 1
     if kind == "A":
         return W
     signs = 2 * (words & np.uint64(1)).astype(np.int64) - 1
