@@ -471,6 +471,53 @@ def _enumerate_uncapped(g):
             yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
 
 
+def enumerate_windows(g):
+    """Every element of an A, B or D group and its length, as read-only
+    (order, n) int64 windows and (order,) int64 lengths.
+
+    The cap is checked on every call; the last group is cached, since
+    neither array depends on q.
+    """
+    if isinstance(g, ProductDescriptor) or g.kind == "I2":
+        raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
+    _check_enum_cap(g, None)
+    return _insertion_windows(g)
+
+
+@lru_cache(maxsize=1)
+def _insertion_windows(g: GroupDescriptor):
+    """(W, lengths) of enumerate_windows, built by inserting magnitude k =
+    1..n at every position p, with each sign, into every window of the
+    magnitudes below k.  All of those are smaller than k, so +k adds the
+    k - 1 - p inversions with the entries after it; -k adds the p
+    inversions with the entries before it and k - 1 pairs whose sum is
+    negative, plus its own negative entry under B.  Under D the sign of n
+    makes the count of negative entries even.  Rows come in blocks of one
+    (position, sign), each block a copy of the rows below k.
+    """
+    kind, n = g.kind, g.window_size
+    W = np.empty((1, 0), dtype=np.int64)
+    lengths = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        if kind == "A":
+            signs = (1,)
+        elif kind == "D" and k == n:
+            signs = (1 - 2 * (np.count_nonzero(W < 0, axis=1) % 2),)  # one per row
+        else:
+            signs = (1, -1)
+        out = np.empty((k, len(signs), len(W), k), dtype=np.int64)
+        lens = np.empty(out.shape[:3], dtype=np.int64)
+        for p in range(k):
+            for j, s in enumerate(signs):
+                block = out[p, j]
+                block[:, :p], block[:, p], block[:, p + 1 :] = W[:, :p], s * k, W[:, p:]
+                lens[p, j] = lengths + (k - 1 - s * p + (kind == "B") * (s < 0))
+        W, lengths = out.reshape(-1, k), lens.ravel()
+    W.setflags(write=False)
+    lengths.setflags(write=False)
+    return W, lengths
+
+
 # ---------------------------------------------------------------------------
 # vectorized window helpers (batches as integer arrays of shape (count, n))
 

@@ -33,9 +33,11 @@ inverse as it places each label, the shuffle's sign pass writes it, and
 one shared routine counts the descents of both, so no window array is
 built.  A length is the sum of its tower choices' contributions, so
 sampled lengths decode nothing, q = 1 included.
-The only windows the package writes out are the exact laws' rows
-(_tower_enumeration): decode_rows' window mode decodes every tuple of
-choices once per group.  sample_one is the independent single-draw walk.
+The exact laws share no code with the decode: their windows and lengths
+come from coxeter.enumerate_windows, which inserts each magnitude into the
+windows of the smaller ones, so a decode defect moves the samples but not
+the laws they are tested against.  sample_one is the independent
+single-draw walk.
 A fourth kernel, window_stats, runs the shared descent routine on window
 rows from elsewhere (the exact laws, the size-bias stars), after checking
 that each is a signed permutation.  The kernels run without the GIL, so
@@ -76,6 +78,7 @@ from .coxeter import (
     _window_length,
     descriptor_factors,
     enumerate_group,
+    enumerate_windows,
     length,
     parse_group,
 )
@@ -205,7 +208,7 @@ def _length_weights(g, q: float, lengths):
 
 def _windows_and_weights(g: GroupDescriptor, q: float):
     """Every window of an A, B or D group with its scaled weight (_length_weights)."""
-    W, lengths = _tower_enumeration(g)
+    W, lengths = enumerate_windows(g)
     return W, _length_weights(g, q, lengths)[0]
 
 
@@ -418,7 +421,7 @@ def _chunk_stats(kind: str, n: int, q: float, cnt: int, rng, which: int) -> np.n
 
 
 def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
-    """Tower choices (pops, signs) of cnt windows, as _decode_rows takes them.
+    """Tower choices (pops, signs) of cnt windows, as _decode takes them.
 
     Stage n - t of every window takes the t-th run of cnt uniforms v from
     rng, and its choice is the first whose cumulative weight exceeds
@@ -446,26 +449,13 @@ def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
     return pops, signs
 
 
-def _decode_rows(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, out=None) -> np.ndarray:
-    """Windows from tower choices; column t of pops and signs is stage n - t.
-
-    Stage m pops the pops[:, t]-th smallest remaining label into position m
-    with sign signs[:, t]; type D's last label fills position 1.  The
-    windows go into out, if given, a writable C-contiguous (rows, n) int64
-    array (the exact enumeration decodes in place).
-    """
-    shape = (len(pops), n)
-    out = np.empty(shape, dtype=np.int64) if out is None else out
-    if out.shape != shape or out.dtype != np.int64 or not out.flags.carray:
-        raise ValueError(f"need a writable C-contiguous {shape} int64 output array")
-    return _decode(kind, n, pops, signs, -1, out)
-
-
 def _decode(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, which: int, out) -> np.ndarray:
-    """The C kernel decode_rows: the windows of the tower choices into the
-    (rows, n) array out when which < 0, else their statistic
-    STATISTICS[which] into the (rows,) array out.  It releases the GIL for
-    the whole call; its scratch belongs to this call, so threads share none.
+    """The C kernel decode_rows: statistic STATISTICS[which] of the windows
+    of the tower choices into the (rows,) array out.  Column t of pops and
+    signs is stage n - t, which pops the pops[:, t]-th smallest remaining
+    label into position n - t with sign signs[:, t]; type D's last label
+    fills position 1.  It releases the GIL for the whole call; its scratch
+    belongs to this call, so threads share none.
     """
     cnt, stages = pops.shape
     need = len(_tower_stages(kind, n))
@@ -485,7 +475,7 @@ def _decode(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, which: int, 
 
 
 def _choice_lengths(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Lengths of the windows that _decode_rows makes of these tower choices.
+    """Lengths of the windows that _decode decodes from these tower choices.
 
     A window's length is the sum of its stage contributions (_stage_choices):
     stage m's pop index p = a - 1 adds m - 1 - p with sign 1, and with sign
@@ -494,48 +484,6 @@ def _choice_lengths(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> n
     m = np.arange(n, n - pops.shape[1], -1, dtype=np.int32)
     neg = m + pops - (1 if kind == "D" else 0)
     return np.where(signs > 0, m - 1 - pops, neg).sum(axis=1, dtype=np.int64)
-
-
-def _tower_enumeration(g: GroupDescriptor):
-    """Every window of an A, B or D group and its length, as read-only arrays.
-
-    Each element is one tuple of tower stage choices, its length the sum of
-    their contributions.  The cap is checked before the cache lookup.
-    """
-    if isinstance(g, ProductDescriptor) or g.kind == "I2":
-        raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
-    _check_enum_cap(g, None)
-    return _tower_rows(g)
-
-
-@lru_cache(maxsize=1)
-def _tower_rows(g: GroupDescriptor):
-    """(W, lengths) of _tower_enumeration; neither depends on q.
-
-    Rows come in blocks that share the first stage's choice.  The later
-    stages' choices (in mixed-radix order) and summed contributions are the
-    same in every block, so they are laid out once.
-    """
-    kind, n = g.kind, g.window_size
-    (a0, s0, c0), *rest = (_stage_choices(kind, m) for m in _tower_stages(kind, n))
-    size = math.prod(len(a) for a, _, _ in rest)
-    pops = np.empty((size, 1 + len(rest)), dtype=np.int32)
-    signs = np.empty(pops.shape, dtype=np.int8)
-    later = np.zeros(size, dtype=np.int64)
-    inner = size
-    for t, (a, s, contrib) in enumerate(rest, start=1):
-        inner //= len(a)
-        pick = np.arange(size) // inner % len(a)
-        pops[:, t], signs[:, t] = a[pick] - 1, s[pick]
-        later += contrib[pick]
-    W = np.empty((len(a0) * size, n), dtype=np.int64)
-    for k in range(len(a0)):
-        pops[:, 0], signs[:, 0] = a0[k] - 1, s0[k]
-        _decode_rows(kind, n, pops, signs, out=W[k * size : (k + 1) * size])
-    lengths = (c0[:, None] + later).ravel()
-    W.setflags(write=False)
-    lengths.setflags(write=False)
-    return W, lengths
 
 
 _DECODE_C = r"""
@@ -574,8 +522,7 @@ static int64_t row_stat(const int64_t *w, const int64_t *inv, int64_t n, int typ
    stage m = n - t, which pops the pops[t]-th smallest remaining label into
    position m with sign signs[t].  Under type D (type 2) a negative choice
    also negates the smallest label left.  Labels no stage pops fill the
-   leftmost positions.  With which < 0 window r goes to row r of the
-   (cnt, n) array out.  Otherwise it goes to row[0..n), placing label v at
+   leftmost positions.  Window r goes to row[0..n); placing label v at
    position p also records the inverse, p with the sign of v at |v|, in
    row[n..2n), and out[r] is the window's statistic which (row_stat).  buf
    is scratch for n + 8 labels; the remaining ones are lab[0..left), and lab
@@ -592,12 +539,11 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type, int which,
                     int32_t *buf, int64_t *row, int64_t *out)
 {
     int64_t *inv = row + n;
-    int fused = which >= 0;
     for (int64_t r = 0; r < cnt; r++) {
         const int32_t *p = pops + r * stages;
         const int8_t *s = signs + r * stages;
         int32_t *lab = buf + 4;
-        int64_t *w = fused ? row : out + r * n, left = n;
+        int64_t left = n;
         for (int64_t i = 0; i < n; i++)
             lab[i] = (int32_t)(i + 1);
         for (int64_t t = 0; t < stages; t++) {
@@ -605,9 +551,8 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type, int which,
             if (k < 0 || k >= left)
                 return r + 1;
             int64_t v = s[t] * lab[k], sg = (v > 0) - (v < 0);
-            w[n - 1 - t] = v;
-            if (fused)
-                inv[sg * v - 1] = sg * (n - t);
+            row[n - 1 - t] = v;
+            inv[sg * v - 1] = sg * (n - t);
             left--;
             if (k < left - k) {
                 lab[k] = lab[k - 1];
@@ -630,12 +575,10 @@ int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type, int which,
         }
         for (int64_t i = 0; i < left; i++) {
             int64_t v = lab[i], sg = (v > 0) - (v < 0);
-            w[i] = v;
-            if (fused)
-                inv[sg * v - 1] = sg * (i + 1);
+            row[i] = v;
+            inv[sg * v - 1] = sg * (i + 1);
         }
-        if (fused)
-            out[r] = row_stat(w, inv, n, type, which);
+        out[r] = row_stat(row, inv, n, type, which);
     }
     return 0;
 }

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .coxeter import windows_descents, windows_invert
+from .coxeter import enumerate_windows, windows_descents, windows_invert
 from .mallows import (
     MallowsSpec,
     _check_statistic,
     _dihedral_stat_values,
     _dihedral_table,
     _length_weights,
-    _tower_enumeration,
     _windows_and_weights,
     _windows_stat,
     q_integer,
@@ -166,9 +165,10 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
     """Law of the statistic under the spec, by enumeration (plus convolution
     across product factors, all the statistics here being additive).
 
-    Windows and lengths come from the tower enumeration, the other
-    statistics from sample_statistic's kernel; dihedral factors use their
-    2m-element table.
+    Windows and lengths come from coxeter.enumerate_windows, which shares
+    no code with the sampler's tower decode, so the sampler-gof checks can
+    see a decode defect; t, des and des_inv of the windows come from the
+    window_stats kernel.  Dihedral factors use their 2m-element table.
     """
     _check_statistic(statistic)
     out = None
@@ -176,7 +176,7 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
         if g.kind == "I2":
             values, weights = _dihedral_stat_values(g, statistic), _dihedral_table(g, q)[1]
         else:
-            W, lengths = _tower_enumeration(g)
+            W, lengths = enumerate_windows(g)
             weights = _length_weights(g, q, lengths)[0]
             values = lengths if statistic == "length" else _windows_stat(g.kind, W, statistic)
         dist = DiscreteDistribution.from_values(values, weights)

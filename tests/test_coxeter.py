@@ -27,7 +27,7 @@ from coxmal.coxeter import (
     windows_invert,
 )
 from window_reference import (
-    enumerate_windows,
+    itertools_windows,
     windows_descent_counts,
     windows_lengths,
     windows_two_sided,
@@ -184,16 +184,16 @@ def test_enumeration_cap(monkeypatch):
     with pytest.raises(EnumerationCapError):
         list(enumerate_group(g, cap=10))
     with pytest.raises(EnumerationCapError):
-        enumerate_windows(g, cap=10)
+        itertools_windows(g, cap=10)
     monkeypatch.setenv("COXMAL_ENUM_CAP", "10")
     with pytest.raises(EnumerationCapError):
         list(enumerate_group(g))
     with pytest.raises(EnumerationCapError):
-        enumerate_windows(g)
+        itertools_windows(g)
     monkeypatch.setenv("COXMAL_ENUM_CAP", "100")
     assert len(list(enumerate_group(g))) == 48
-    assert enumerate_windows(g).shape == (48, 3)
-    assert enumerate_windows(g, cap=48).shape == (48, 3)
+    assert itertools_windows(g).shape == (48, 3)
+    assert itertools_windows(g, cap=48).shape == (48, 3)
 
 
 def test_enumerate_product():
@@ -214,7 +214,7 @@ def test_vectorized_window_ops(name):
     g = parse_group(name)
     kind = g.kind
     elems = list(enumerate_group(g))
-    W = enumerate_windows(g)
+    W = itertools_windows(g)
     assert W.dtype == np.int64
     assert np.array_equal(W, np.array([w.window for w in elems]))
     lens = windows_lengths(kind, W)

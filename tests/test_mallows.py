@@ -25,6 +25,7 @@ from coxmal.coxeter import (
     SignedPermutation,
     descent_number,
     enumerate_group,
+    enumerate_windows,
     length,
     parse_group,
     two_sided_descent,
@@ -36,18 +37,17 @@ from coxmal.mallows import (
     STAGE_BLOCK,
     TOWER_CACHE_CELLS,
     MallowsSpec,
+    _choice_lengths,
     _chunk_stats,
     _compile_decoder,
     _decode,
     _decode_lib,
-    _decode_rows,
     _dihedral_stat_values,
     _dihedral_table,
     _draw_choices,
     _map_chunks,
     _segments_in_file,
     _stage_choices,
-    _tower_enumeration,
     _tower_stages,
     _tower_tables,
     _uniform,
@@ -69,7 +69,8 @@ from coxmal.mallows import (
 from coxmal.moments import exact_distribution, goodness_of_fit, two_sample_chi_square
 from window_reference import (
     chunk_windows,
-    enumerate_windows,
+    itertools_windows,
+    reference_decode,
     reference_uniform,
     sampled_windows,
     windows_lengths,
@@ -304,22 +305,6 @@ def test_sample_windows_deterministic_across_threads(name, q):
         assert not np.array_equal(a, c), stat
 
 
-def _reference_decode(kind, n, pops, signs, d_flip=True):
-    """The per-row, per-entry tower decode: the batch decoder's reference."""
-    stages = list(_tower_stages(kind, n))
-    W = np.empty((len(pops), n), dtype=np.int64)
-    for r, (prow, srow) in enumerate(zip(pops.tolist(), signs.tolist())):
-        labels = list(range(1, n + 1))
-        for t, m in enumerate(stages):
-            s = srow[t]
-            W[r, m - 1] = s * labels.pop(prow[t])
-            if kind == "D" and s < 0 and d_flip:
-                labels[0] = -labels[0]
-        if kind == "D":
-            W[r, 0] = labels[0]
-    return W
-
-
 def _random_choices(kind, n, count, rng):
     stages = list(_tower_stages(kind, n))
     pops = np.stack([rng.integers(0, m, count) for m in stages], axis=1).astype(np.int32)
@@ -335,8 +320,8 @@ def test_decode_rows_matches_reference(kind, n):
     """Random stage choices; n = 2 is type D's smallest tower, n = 300 has
     labels above 255.  Fixed rows pop at either end and in the middle, where
     the decoder closes the gap from one side or the other, and alternate
-    the ends, with D negations after the low-end pops.  The fused mode's
-    statistics equal window_stats of the decoded windows."""
+    the ends, with D negations after the low-end pops.  The kernel's t, des
+    and des_inv equal those of the reference decode's windows."""
     rng = np.random.default_rng(1000 * n + ord(kind))
     pops, signs = _random_choices(kind, n, 2500, rng)
     left = np.array(list(_tower_stages(kind, n)), dtype=np.int32)  # labels left at each stage
@@ -350,44 +335,34 @@ def test_decode_rows_matches_reference(kind, n):
     signs = np.concatenate([signs] + fixed_signs).astype(np.int8)
     if kind == "A":
         signs[:] = 1
-    W = _decode_rows(kind, n, pops, signs)
-    assert W.dtype == np.int64
-    assert np.array_equal(W, _reference_decode(kind, n, pops, signs))
+    W = reference_decode(kind, n, pops, signs)
     assert np.array_equal(np.sort(np.abs(W), axis=1), np.tile(np.arange(1, n + 1), (len(W), 1)))
-    if kind == "A":
-        assert (W > 0).all()
     if kind == "D":
         assert ((W < 0).sum(axis=1) % 2 == 0).all()
-        # negative control: the comparison sees a decode without the D flip
-        assert not np.array_equal(W, _reference_decode(kind, n, pops, signs, d_flip=False))
+        unflipped = reference_decode(kind, n, pops, signs, d_flip=False)
     for which, stat in enumerate(WINDOW_STATS):
         got = _decode(kind, n, pops, signs, which, np.empty(len(pops), dtype=np.int64))
-        assert np.array_equal(got, _windows_stat(kind, W, stat)), stat
+        assert got.dtype == np.int64
+        assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
+        if kind == "D" and n > 2:
+            # negative control: the comparison sees a decode without the D
+            # flip (at n = 2 both decodes give the same statistics)
+            assert not np.array_equal(got, windows_statistic(kind, unflipped, stat)), stat
 
 
 def test_decode_rows_rejects_bad_choices():
     pops, signs = _random_choices("B", 5, 10, np.random.default_rng(0))
+    out = np.empty(10, dtype=np.int64)
     for bad in (5, -1):  # stage 5 offers pop indices 0..4
         p = pops.copy()
         p[3, 0] = bad
-        with pytest.raises(ValueError, match="row 3"):
-            _decode_rows("B", 5, p, signs)
-        for which in range(3):  # the fused mode checks the same
+        for which in range(3):
             with pytest.raises(ValueError, match="row 3"):
-                _decode("B", 5, p, signs, which, np.empty(10, dtype=np.int64))
+                _decode("B", 5, p, signs, which, out)
     with pytest.raises(ValueError):
-        _decode_rows("D", 5, pops, signs)  # D5 has four stages, not five
+        _decode("D", 5, pops, signs, 0, out)  # D5 has four stages, not five
     with pytest.raises(ValueError):
-        _decode_rows("B", 5, pops, signs[:, :4])
-    out = np.zeros((10, 5), dtype=np.int64)
-    assert _decode_rows("B", 5, pops, signs, out=out) is out
-    assert np.array_equal(out, _decode_rows("B", 5, pops, signs))
-    for bad in (out[:9], out.astype(np.int32), np.zeros((10, 10), np.int64)[:, ::2]):
-        with pytest.raises(ValueError, match="output array"):
-            _decode_rows("B", 5, pops, signs, out=bad)
-    out.setflags(write=False)
-    with pytest.raises(ValueError, match="output array"):
-        _decode_rows("B", 5, pops, signs, out=out)
+        _decode("B", 5, pops, signs[:, :4], 0, out)
 
 
 def _stage_arrays(kind, m, q):
@@ -463,8 +438,6 @@ def test_stage_choices_match_reference(kind, n, q):
     want = _reference_choices(kind, n, q, cnt, (rng.random(cnt) for _ in range(stages)))
     assert got[0].dtype == np.int32 and got[1].dtype == np.int8
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
-    assert np.array_equal(W, _decode_rows(kind, n, *want))
 
     u = _tie_uniforms(kind, n, q, cnt, np.random.default_rng(seed))
     got = _draw_choices(kind, n, q, cnt, _Rows(u))
@@ -633,7 +606,7 @@ def test_window_stats_matches_references_on_enumerations(name):
     """Every element: the C kernel equals the numpy references and the object
     model bit for bit, for t, des and des_inv."""
     g = parse_group(name)
-    W = enumerate_windows(g)
+    W = itertools_windows(g)
     got = {stat: _windows_stat(g.kind, W, stat) for stat in WINDOW_STATS}
     for stat in WINDOW_STATS:
         assert got[stat].dtype == np.int64
@@ -658,7 +631,7 @@ def test_window_stats_matches_references_on_samples(name, q):
 
 
 def test_window_stats_rejects_bad_windows():
-    W = enumerate_windows(parse_group("B3"))[:10].copy()
+    W = itertools_windows(parse_group("B3"))[:10].copy()
     for bad in (0, 4, -4):
         V = W.copy()
         V[7, 1] = bad
@@ -694,7 +667,7 @@ def test_fused_rows_equal_window_stats(kind, n, q):
         assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
 
 
-TOWER_GROUPS = [f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)] + [
+ENUMERATED_GROUPS = [f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)] + [
     f"D{r}" for r in range(4, 8)
 ]
 
@@ -703,39 +676,61 @@ def _lexsorted(W):
     return W[np.lexsort(W.T[::-1])]
 
 
-@pytest.mark.parametrize("name", TOWER_GROUPS)
+@pytest.mark.parametrize("name", ENUMERATED_GROUPS)
 def test_tower_enumeration_equals_itertools(name):
-    """The tower's rows are the itertools enumeration's, as a set, and each
-    length, summed from the stage contributions, is the numpy reference's
-    count on the decoded row (and, up to rank 5, the object model's)."""
+    """The exact laws' window enumeration, which inserts each magnitude into
+    the windows of the smaller ones and walks no tower, has the itertools
+    enumeration's rows, as a set, and each length, summed from the
+    insertions, is the numpy reference's count on the row (and, up to rank
+    5, the object model's).  (The name is older than the insertion.)"""
     g = parse_group(name)
-    W, lengths = _tower_enumeration(g)
+    W, lengths = enumerate_windows(g)
     assert W.dtype == lengths.dtype == np.int64 and W.shape == (g.order(), g.window_size)
     assert not W.flags.writeable and not lengths.flags.writeable
-    assert np.array_equal(_lexsorted(W), _lexsorted(enumerate_windows(g)))
+    assert np.array_equal(_lexsorted(W), _lexsorted(itertools_windows(g)))
     assert np.array_equal(lengths, windows_lengths(g.kind, W))
     if g.rank <= 5:
         assert lengths.tolist() == [length(SignedPermutation(tuple(w)), g) for w in W.tolist()]
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5"])
+def test_stage_tables_are_a_bijection_onto_the_group(name):
+    """Every tuple of tower stage choices, decoded by the reference decode,
+    gives each element of the group once, and the length summed from its
+    choices (_choice_lengths) is that element's length in the object model."""
+    g = parse_group(name)
+    kind, n = g.kind, g.window_size
+    stages = [_stage_choices(kind, m) for m in _tower_stages(kind, n)]
+    pick = np.array(list(itertools.product(*(range(len(a)) for a, _, _ in stages))))
+    pops = np.stack([a[pick[:, t]] - 1 for t, (a, _, _) in enumerate(stages)], axis=1)
+    signs = np.stack([s[pick[:, t]] for t, (_, s, _) in enumerate(stages)], axis=1)
+    pops, signs = pops.astype(np.int32), signs.astype(np.int8)
+    W = reference_decode(kind, n, pops, signs)
+    assert len(W) == g.order() == len(np.unique(W, axis=0))
+    assert np.array_equal(_lexsorted(W), _lexsorted(itertools_windows(g)))
+    want = [length(SignedPermutation(tuple(w)), g) for w in W.tolist()]
+    assert _choice_lengths(kind, n, pops, signs).tolist() == want
+
+
 def test_tower_enumeration_checks_the_cap_on_every_call(monkeypatch):
     """A cap lowered after the group is cached still refuses it, in the
-    tower enumeration and in the object-model lengths of the Z check."""
+    window enumeration and in the object-model lengths of the Z check.
+    (The name is older than the insertion enumeration.)"""
     g = parse_group("B3")
-    assert _tower_enumeration(g)[0].shape == (48, 3)
+    assert enumerate_windows(g)[0].shape == (48, 3)
     assert normalization_enumeration_check(g, 0.5).passed
     monkeypatch.setenv("COXMAL_ENUM_CAP", "47")
     with pytest.raises(EnumerationCapError):
-        _tower_enumeration(g)
+        enumerate_windows(g)
     with pytest.raises(EnumerationCapError):
         exact_distribution(MallowsSpec.make(g, 0.5), "t")
     with pytest.raises(EnumerationCapError):
         normalization_enumeration_check(g, 2.0)
     monkeypatch.setenv("COXMAL_ENUM_CAP", "48")
-    assert _tower_enumeration(g)[0].shape == (48, 3)
+    assert enumerate_windows(g)[0].shape == (48, 3)
     for name in ("I2(5)", "B3 x A2"):
         with pytest.raises(ValueError, match="not stored as windows"):
-            _tower_enumeration(parse_group(name))
+            enumerate_windows(parse_group(name))
 
 
 def _factor_windows(spec, count, seed):
@@ -749,15 +744,15 @@ def _factor_windows(spec, count, seed):
 
 def _factor_tower_windows(spec, count, seed):
     """The windows of the tower choices that sample_statistic draws for each
-    factor's lengths: the sampled windows at q != 1, the decoded q = 1
-    tower choices at q = 1."""
+    factor's lengths, by the reference decode: the sampled windows at
+    q != 1, the decoded q = 1 tower choices at q = 1."""
     children = np.random.SeedSequence(seed).spawn(len(spec.qs))
     out = []
     for (g, q), child in zip(spec.factor_specs(), children):
         kind, n = g.kind, g.window_size
 
         def draw(cnt, rng):
-            return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+            return reference_decode(kind, n, *_draw_choices(kind, n, q, cnt, rng))
 
         out.append((kind, np.concatenate(_map_chunks(g, count, child, 1, draw))))
     return out
@@ -806,7 +801,7 @@ def test_sampled_lengths_skip_the_decode(monkeypatch):
     def no_windows(*args, **kwargs):
         raise AssertionError("decoded windows for sampled lengths")
 
-    monkeypatch.setattr(coxmal.mallows, "_decode_rows", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_decode", no_windows)
     monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
     for (g, q), w in zip(cases, want):
         assert np.array_equal(sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5), w)
@@ -824,8 +819,7 @@ def test_sampled_statistics_build_no_windows(monkeypatch):
     def no_windows(*args, **kwargs):
         raise AssertionError("built a window array for a sampled statistic")
 
-    for name in ("_decode_rows", "_windows_stat"):
-        monkeypatch.setattr(coxmal.mallows, name, no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
     for (g, q, stat), w in zip(cases, want):
         got = sample_statistic(MallowsSpec.make(g, q), stat, 600, seed=5, threads=2)
         assert np.array_equal(got, w), (g, q, stat)
@@ -926,8 +920,8 @@ def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
 
     monkeypatch.setattr(coxmal.mallows, "_chunk_stats", no_windows)
     monkeypatch.setattr(coxmal.mallows, "_draw_choices", no_windows)
-    monkeypatch.setattr(coxmal.mallows, "_tower_enumeration", no_windows)
-    monkeypatch.setattr(coxmal.moments, "_tower_enumeration", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "enumerate_windows", no_windows)
+    monkeypatch.setattr(coxmal.moments, "enumerate_windows", no_windows)
     for group in ("B200", "I2(5)", "B4 x I2(5)"):
         with pytest.raises(ValueError, match="unknown statistic 'foo'"):
             sample_statistic(MallowsSpec.make(group, 0.5), "foo", 50_000, seed=1)
@@ -999,9 +993,9 @@ def test_compiler_not_on_path_raises(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# A fresh interpreter draws B3 at q = 0.5 and prints the decoded windows of
-# default_rng(1)'s tower choices, the sampled t and every
-# path it handed to ctypes.CDLL.  Settings (a JSON object in argv[1]): "warm"
+# A fresh interpreter draws B3 at q = 0.5 and prints the sampled t, des and
+# des_inv, which the tower decode kernel computes, and every path it handed
+# to ctypes.CDLL.  Settings (a JSON object in argv[1]): "warm"
 # makes any compile fail; "flags" and "source" are appended to the kernel
 # flags and source before the first draw.
 KERNEL_PROBE = """
@@ -1028,10 +1022,9 @@ import coxmal.mallows as m
 
 m._DECODE_FLAGS += tuple(settings.get("flags", ()))
 m._DECODE_C += settings.get("source", "")
-choices = m._draw_choices("B", 3, 0.5, 2000, np.random.default_rng(1))
-w = m._decode_rows("B", 3, *choices)
-t = m.sample_statistic(m.MallowsSpec.make("B3", 0.5), "t", 2000, seed=1)
-print(json.dumps({"windows": w.tolist(), "t": t.tolist(), "loaded": loaded}))
+spec = m.MallowsSpec.make("B3", 0.5)
+stats = {s: m.sample_statistic(spec, s, 2000, seed=1).tolist() for s in ("t", "des", "des_inv")}
+print(json.dumps({"stats": stats, "loaded": loaded}))
 """
 
 
@@ -1062,11 +1055,9 @@ def _seed_cache(cache):
 
 
 def _reference_draws():
-    choices = _draw_choices("B", 3, 0.5, 2000, np.random.default_rng(1))
-    return {
-        "windows": _decode_rows("B", 3, *choices).tolist(),
-        "t": sample_statistic(MallowsSpec.make("B3", 0.5), "t", 2000, seed=1).tolist(),
-    }
+    """The probe's statistics, drawn in this process."""
+    spec = MallowsSpec.make("B3", 0.5)
+    return {s: sample_statistic(spec, s, 2000, seed=1).tolist() for s in WINDOW_STATS}
 
 
 def test_warm_kernel_cache_loads_without_compiling(tmp_path):
@@ -1076,8 +1067,7 @@ def test_warm_kernel_cache_loads_without_compiling(tmp_path):
     warm = _kernel_probe(tmp_path, warm=True)
     assert cold["loaded"] == [str(lib)] * 2  # missed, built, loaded
     assert warm["loaded"] == [str(lib)]
-    assert warm["windows"] == cold["windows"] == _reference_draws()["windows"]
-    assert warm["t"] == cold["t"]
+    assert warm["stats"] == cold["stats"] == _reference_draws()
     assert os.listdir(tmp_path / "coxmal") == [lib.name]
 
 
@@ -1090,7 +1080,7 @@ def test_kernel_cache_key_changes_with_flags_and_source(tmp_path, change):
     changed = _kernel_probe(tmp_path, **change)
     [lib] = set(_cached_kernels(tmp_path)) - {base}
     assert changed["loaded"] == [str(lib)] * 2
-    assert changed["windows"] == _reference_draws()["windows"]
+    assert changed["stats"] == _reference_draws()
 
 
 def test_racing_kernel_builders_leave_one_library(tmp_path):
@@ -1104,7 +1094,7 @@ def test_racing_kernel_builders_leave_one_library(tmp_path):
     first, second = (json.loads(out) for out, _ in outs)
     [lib] = _cached_kernels(tmp_path)
     assert set(first["loaded"]) == set(second["loaded"]) == {str(lib)}
-    assert first["windows"] == second["windows"] and first["t"] == second["t"]
+    assert first["stats"] == second["stats"] == _reference_draws()
     assert os.listdir(tmp_path / "coxmal") == [lib.name]
 
 
@@ -1142,7 +1132,7 @@ def test_untrusted_kernel_cache_builds_privately(tmp_path, make):
     assert not loaded.startswith(str(tmp_path))
     assert not os.path.exists(loaded)  # its private build directory is gone
     assert sorted(tmp_path.rglob("*")) == before
-    assert {k: got[k] for k in ("windows", "t")} == _reference_draws()
+    assert got["stats"] == _reference_draws()
 
 
 def test_kernel_file_of_another_user_is_not_loaded(tmp_path):
@@ -1154,7 +1144,7 @@ def test_kernel_file_of_another_user_is_not_loaded(tmp_path):
     got = _kernel_probe(tmp_path)
     assert got["loaded"] != [str(lib)] and not os.path.exists(got["loaded"][0])
     assert lib.read_bytes() == b"not a library"
-    assert got["windows"] == _reference_draws()["windows"]
+    assert got["stats"] == _reference_draws()
 
 
 def _cut_to(size):
@@ -1176,7 +1166,7 @@ def test_cached_kernels_that_do_not_load_are_rebuilt(tmp_path, damage):
     assert got["loaded"] == [str(lib), str(lib)]  # rejected, rebuilt, loaded
     assert len(lib.read_bytes()) == len(good)
     assert os.listdir(tmp_path / "coxmal") == [lib.name]
-    assert got["windows"] == _reference_draws()["windows"]
+    assert got["stats"] == _reference_draws()
 
 
 def test_cached_kernels_cut_inside_a_segment_are_rebuilt(tmp_path):
@@ -1191,7 +1181,7 @@ def test_cached_kernels_cut_inside_a_segment_are_rebuilt(tmp_path):
     assert got["loaded"] == [str(lib)]
     assert len(lib.read_bytes()) == len(good)
     assert os.listdir(tmp_path / "coxmal") == [lib.name]
-    assert got["windows"] == _reference_draws()["windows"]
+    assert got["stats"] == _reference_draws()
 
 
 def test_sample_statistic_deterministic_for_products():
@@ -1235,9 +1225,11 @@ def test_uniform_shortcut_matches_tower():
         assert p > 1e-3
 
 
-def _mutant_t_gof(monkeypatch, tmp_path, mutant, names):
-    """p-values of the t law check above, run with the kernels built from
-    the mutant source in their own cache."""
+def _mutant_t_gof(monkeypatch, tmp_path, mutant, names, q):
+    """p-values of the t law checks above at q, run with the kernels built
+    from the mutant source in their own cache.  Only the sample comes from
+    the mutant: the exact law's windows come from enumerate_windows, which
+    no kernel decodes."""
     assert mutant != _DECODE_C
     _decode_lib.cache_clear()
     try:
@@ -1246,7 +1238,7 @@ def _mutant_t_gof(monkeypatch, tmp_path, mutant, names):
             m.setattr(coxmal.mallows, "_DECODE_C", mutant)
             ps = {}
             for name in names:
-                spec = MallowsSpec.make(name, 1.0)
+                spec = MallowsSpec.make(name, q)
                 xs = sample_statistic(spec, "t", 20000, seed=7)
                 ps[name] = goodness_of_fit(xs, exact_distribution(spec, "t"))[2]
             return ps
@@ -1259,7 +1251,7 @@ def test_uniform_law_check_rejects_signs_that_follow_their_uniform(monkeypatch, 
     its word's top bit, the bit that also sets the entry's shuffle position,
     is rejected on t at B3 and D4 at the same 20,000 draws."""
     mutant = _DECODE_C.replace("(x & 1)", "(x >> 63)")
-    for name, p in _mutant_t_gof(monkeypatch, tmp_path, mutant, ("B3", "D4")).items():
+    for name, p in _mutant_t_gof(monkeypatch, tmp_path, mutant, ("B3", "D4"), 1.0).items():
         assert p < 1e-3, (name, p)
 
 
@@ -1268,14 +1260,42 @@ def test_uniform_law_check_rejects_sattolo_shuffle(monkeypatch, tmp_path):
     of i + 1 (Sattolo's shuffle) makes only cyclic permutations; the law
     check rejects it on t at A3, B3 and D4 at the same 20,000 draws."""
     mutant = _DECODE_C.replace("range = (uint64_t)i + 1;", "range = (uint64_t)i;")
-    for name, p in _mutant_t_gof(monkeypatch, tmp_path, mutant, ("A3", "B3", "D4")).items():
+    for name, p in _mutant_t_gof(monkeypatch, tmp_path, mutant, ("A3", "B3", "D4"), 1.0).items():
         assert p < 1e-3, (name, p)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_tower_law_check_rejects_flipped_pop_signs(monkeypatch, tmp_path, q):
+    """A decode_rows that flips the sign of every pop turns each B window w
+    into -w = w0 w, whose length is l(w0) - l(w), so the sampled law of t
+    is the law at 1/q.  The t law check rejects it at B3 at 20,000 draws,
+    as verify's sampler-gof cells draw."""
+    mutant = _DECODE_C.replace("s[t] * lab[k]", "-s[t] * lab[k]")
+    [p] = _mutant_t_gof(monkeypatch, tmp_path, mutant, ("B3",), q).values()
+    assert p < 1e-3, p
+
+
+def test_kernel_argtypes_match_their_c_prototypes():
+    """_decode_lib declares the ctypes signature of each exported kernel by
+    hand, and a mismatch passes arguments wrongly without an error: each
+    must follow its prototype in _DECODE_C, with int64_t as c_int64, int as
+    c_int, any pointer as c_void_p and void as None."""
+    ctype = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "void": None}
+    exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _DECODE_C, re.M)
+    names = ["decode_rows", "draw_choices", "uniform_rows", "window_stats"]
+    assert [name for _, name, _ in exported] == names  # static helpers excluded
+    lib = _decode_lib()
+    for ret, name, params in exported:
+        args = [ctypes.c_void_p if "*" in p else ctype[p.split()[0]] for p in params.split(",")]
+        fn = getattr(lib, name)
+        assert fn.restype is ctype[ret], name
+        assert list(fn.argtypes) == args, name
 
 
 def _element_gof_p(g, W) -> float:
     """Chi-square p-value of the rows of W against the uniform law on the
     elements of the A, B or D group g; 0.0 if a row is not an element."""
-    elements = enumerate_windows(g)
+    elements = itertools_windows(g)
     n = elements.shape[1]
     code = (2 * n + 1) ** np.arange(n)
     keys, counts = np.unique((W + n) @ code, return_counts=True)

@@ -29,7 +29,7 @@ from coxmal.sizebias import (
 )
 
 from window_reference import coupling_descents as reference_coupling_descents
-from window_reference import enumerate_windows, sampled_windows
+from window_reference import itertools_windows, sampled_windows
 
 ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
 
@@ -75,7 +75,7 @@ def test_coupling_kernel_matches_objects(name):
     to rank 4, about 400 evenly spaced rows at rank 6)."""
     g = parse_group(name)
     n = g.num_generators
-    W = enumerate_windows(g)
+    W = itertools_windows(g)
     des, star_des = sizebias.coupling_descents(g.kind, W)
     want_des, want_star_des = reference_coupling_descents(g.kind, W)
     assert des.dtype == want_des.dtype and np.array_equal(des, want_des)
@@ -99,7 +99,7 @@ def test_coupling_kernel_matches_objects(name):
 
 
 def test_coupling_kernel_rejects_bad_windows():
-    W = enumerate_windows(parse_group("B3"))[:4].copy()
+    W = itertools_windows(parse_group("B3"))[:4].copy()
     W[2, 1] = W[2, 0]
     with pytest.raises(ValueError, match="window row 2 is not a signed permutation"):
         sizebias.coupling_descents("B", W)

@@ -1,11 +1,10 @@
 """Numpy references for the window kernels, the coupling kernel, the
-tower enumeration and the sampled windows.
+window enumeration, the tower decode and the sampled windows.
 
 These are the array kernels the package used before the statistics moved
-into C, the itertools enumeration it used before the exact laws walked the
-tower, and the seeded windows whose statistics the sampler returns; the
-tests keep them to check the package bit for bit, the way _reference_decode
-checks the tower decoder.
+into C, an itertools enumeration of the group, a tower decode in numpy, and
+the seeded windows whose statistics the sampler returns; the tests keep
+them to check the package bit for bit.
 """
 
 import itertools
@@ -14,11 +13,11 @@ import math
 import numpy as np
 
 from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
-from coxmal.mallows import _decode_rows, _draw_choices, _map_chunks
+from coxmal.mallows import _draw_choices, _map_chunks
 from coxmal.sizebias import _ensure_right_batch
 
 
-def enumerate_windows(g, cap=None) -> np.ndarray:
+def itertools_windows(g, cap=None) -> np.ndarray:
     """Every element of an A, B or D group as an (order, n) int64 window array.
 
     Rows come in the order enumerate_group yields the elements, under the
@@ -121,12 +120,37 @@ def reference_uniform(kind: str, words, parity=True) -> np.ndarray:
     return W * signs
 
 
+def reference_decode(kind: str, n: int, pops, signs, d_flip=True) -> np.ndarray:
+    """The windows of tower choices, decoded one stage at a time over a
+    block of rows: the reference of the decode_rows kernel.  Column t of
+    pops and signs is stage m = n - t, which takes the pops[:, t]-th
+    smallest remaining label into position m with sign signs[:, t].  Under
+    D a negative choice also negates the smallest label left (d_flip=False
+    drops that: the negative control), and the last label fills position 1."""
+    cnt, stages = pops.shape
+    W = np.empty((cnt, n), dtype=np.int64)
+    cols = np.arange(n)
+    for lo in range(0, cnt, 1024):  # a block's labels stay in cache
+        p, sg, out = pops[lo : lo + 1024], signs[lo : lo + 1024], W[lo : lo + 1024]
+        labels = np.tile(np.arange(1, n + 1, dtype=np.int16), (len(p), 1))  # n < 2**15
+        rows = np.arange(len(p))
+        for t in range(stages):
+            left = n - t
+            out[:, left - 1] = sg[:, t] * labels[rows, p[:, t]]
+            # the labels above the popped one move down a slot
+            np.copyto(labels[:, : left - 1], labels[:, 1:left], where=cols[: left - 1] >= p[:, t, None])
+            if kind == "D" and d_flip:
+                labels[:, 0] *= sg[:, t]
+        out[:, : n - stages] = labels[:, : n - stages]
+    return W
+
+
 def chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
     """The cnt windows whose statistics the sampler draws from rng: the
-    decoded tower choices at q != 1; at q = 1 the uniform windows of
-    rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
+    reference decode of the drawn tower choices at q != 1; at q = 1 the
+    uniform windows of rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
     if q != 1.0:
-        return _decode_rows(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+        return reference_decode(kind, n, *_draw_choices(kind, n, q, cnt, rng))
     return reference_uniform(kind, rng.integers(0, 2**64, (cnt, n), dtype=np.uint64))
 
 
