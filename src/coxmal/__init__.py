@@ -35,7 +35,6 @@ from .mallows import (
     pattern_probability_bound_check,
     pmf,
     reversal_identity_check,
-    sample_one,
     sample_statistic,
 )
 from .moments import (
@@ -47,7 +46,6 @@ from .moments import (
     exact_distribution,
     goodness_of_fit,
     mean_two_sided,
-    two_sample_chi_square,
     variance_bounds_two_sided,
 )
 from .normal import (

@@ -432,19 +432,19 @@ def two_sided_descent(w, g) -> int:
 # enumeration
 
 
-def _check_enum_cap(g, cap) -> None:
-    limit = int(cap) if cap is not None else int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+def _check_enum_cap(g) -> None:
+    limit = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     if g.order() > limit:
         raise EnumerationCapError(f"{g} has {g.order()} elements, above the cap {limit}")
 
 
-def enumerate_group(g, cap=None):
+def enumerate_group(g):
     """Yield every element of the group, respecting the enumeration cap.
 
     Signed permutations come out as permutation-times-sign-choices; type D
     keeps only windows with an even number of negative entries.
     """
-    _check_enum_cap(g, cap)
+    _check_enum_cap(g)
     yield from _enumerate_uncapped(g)
 
 
@@ -480,7 +480,7 @@ def enumerate_windows(g):
     """
     if isinstance(g, ProductDescriptor) or g.kind == "I2":
         raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
-    _check_enum_cap(g, None)
+    _check_enum_cap(g)
     return _insertion_windows(g)
 
 

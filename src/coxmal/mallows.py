@@ -20,8 +20,9 @@ side, the labels below moving up or those above moving down, by four scalar
 moves next to the gap and memmove only for the rest; the label scratch has
 four pad slots at each end for those moves.  Neither loop then branches on
 where the stage mass sits, which at q far from 1 is the first or the last
-choice.  The stage tables are built together, once per cell, before the
-sampler threads start.  At q = 1 the kernel uniform_rows draws each row
+choice.  The stage tables are built together, once per factor of a
+sample_statistic call, before the sampler threads start, and nothing keeps
+them after it returns.  At q = 1 the kernel uniform_rows draws each row
 itself by an inside-out Fisher-Yates shuffle, one 64-bit word per entry
 from any numpy bit generator through its bitgen_t interface, plus a rare
 redraw (probability below n / 2^63 per entry): entry i's word puts label
@@ -36,8 +37,7 @@ sampled lengths decode nothing, q = 1 included.
 The exact laws share no code with the decode: their windows and lengths
 come from coxeter.enumerate_windows, which inserts each magnitude into the
 windows of the smaller ones, so a decode defect moves the samples but not
-the laws they are tested against.  sample_one is the independent
-single-draw walk.
+the laws they are tested against.
 A fourth kernel, window_stats, runs the shared descent routine on window
 rows from elsewhere (the exact laws, the size-bias stars), after checking
 that each is a signed permutation.  The kernels run without the GIL, so
@@ -87,9 +87,6 @@ from .reports import CheckResult
 Q_ONE_WINDOW = 1e-6  # |q-1| below this: evaluate q-integers by direct summation
 SAMPLE_CHUNK = 16384
 STAGE_BLOCK = 16  # stages whose uniforms are drawn at once: bounds the buffer
-# tower-table cells kept: a B or D cell holds 17 n^2 bytes (44 MB at B1600), and
-# four cover the factors of a product that sample_one walks draw by draw
-TOWER_CACHE_CELLS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,6 @@ def _tower_stages(kind: str, n: int):
     return range(n, 1 if kind == "D" else 0, -1)
 
 
-@lru_cache(maxsize=TOWER_CACHE_CELLS)
 def _tower_tables(kind: str, n: int, q: float):
     """Every stage table of the tower, concatenated for the draw_choices kernel.
 
@@ -289,7 +285,7 @@ def _tower_tables(kind: str, n: int, q: float):
     row each, and only the guide search runs per stage; a row's valid
     prefix sums the same weights in the same order as a cumsum of that
     stage alone, so the tables are bit-equal to a stage-by-stage build.
-    The arrays are read-only: the cache hands them to every caller.
+    A B or D table set holds 17 n^2 bytes (44 MB at B1600).
     """
     per = 1 if kind == "A" else 2  # choices per label
     m = np.array(_tower_stages(kind, n))[:, None]  # stage sizes, a column
@@ -313,16 +309,13 @@ def _tower_tables(kind: str, n: int, q: float):
         dtype=np.int32,
     )
     del low  # freed before the flat outputs are built
-    tables = (
+    return (
         np.concatenate(([0], np.cumsum(sizes))),
         cum[valid],
         guide,
         np.broadcast_to(a - 1, valid.shape)[valid].astype(np.int32),
         np.broadcast_to(s, valid.shape)[valid].astype(np.int8),
     )
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
 
 
 def stage_distribution(kind: str, m: int, q: float) -> np.ndarray:
@@ -333,35 +326,7 @@ def stage_distribution(kind: str, m: int, q: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single draws
-
-
-def sample_one(spec: MallowsSpec, rng: np.random.Generator):
-    """One draw from the spec; returns an element (tuple for products)."""
-    parts = [_sample_one_factor(f, q, rng) for f, q in spec.factor_specs()]
-    return parts[0] if len(parts) == 1 else tuple(parts)
-
-
-def _sample_one_factor(g: GroupDescriptor, q: float, rng):
-    if g.kind == "I2":
-        elems, probs = _dihedral_table(g, q)
-        return elems[rng.choice(len(elems), p=probs)]
-    kind, n = g.kind, g.window_size
-    off, cums, _, pops, signs = _tower_tables(kind, n, q)
-    win = [0] * n
-    labels = list(range(1, n + 1))
-    for t, m in enumerate(_tower_stages(kind, n)):
-        cum = cums[off[t] : off[t + 1]]
-        u = rng.random() * cum[-1]
-        k = int(np.searchsorted(cum, u, side="right"))
-        k = off[t] + min(k, len(cum) - 1)
-        s = int(signs[k])
-        win[m - 1] = s * labels.pop(int(pops[k]))
-        if kind == "D" and s < 0:
-            labels[0] = -labels[0]
-    if kind == "D":
-        win[0] = labels[0]
-    return SignedPermutation(tuple(win))
+# dihedral factors
 
 
 @lru_cache(maxsize=None)
@@ -372,10 +337,10 @@ def _dihedral_elements(m: int):
     return tuple(elems), lengths
 
 
-def _dihedral_table(g: GroupDescriptor, q: float):
-    elems, lengths = _dihedral_elements(g.rank)
-    w, _ = _length_weights(g, q, lengths)
-    return elems, w / w.sum()
+def _dihedral_table(g: GroupDescriptor, q: float) -> np.ndarray:
+    """Probabilities of the I2(m) elements, in _dihedral_elements order."""
+    w, _ = _length_weights(g, q, _dihedral_elements(g.rank)[1])
+    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +375,20 @@ def _map_chunks(g: GroupDescriptor, count: int, seed, threads: int, draw):
     return [worker(lo, s) for lo, s in zip(starts, children)]
 
 
-def _chunk_stats(kind: str, n: int, q: float, cnt: int, rng, which: int) -> np.ndarray:
+def _chunk_stats(kind: str, n: int, tables, cnt: int, rng, which: int) -> np.ndarray:
     """Statistic STATISTICS[which] of cnt draws from rng, computed by the
     kernel that makes each row while the row is in cache: the tower decode
-    at q != 1, uniform_rows at q = 1.  No window array is built."""
+    of draws from the tower tables (_tower_tables) at q != 1, uniform_rows
+    when tables is None (q = 1).  No window array is built."""
     out = np.empty(cnt, dtype=np.int64)
-    if q == 1.0:
+    if tables is None:
         return _uniform(kind, n, cnt, rng, which, out)
-    return _decode(kind, n, *_draw_choices(kind, n, q, cnt, rng), which, out)
+    return _decode(kind, n, *_draw_choices(tables, cnt, rng), which, out)
 
 
-def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
-    """Tower choices (pops, signs) of cnt windows, as _decode takes them.
+def _draw_choices(tables, cnt: int, rng):
+    """Tower choices (pops, signs) of cnt windows from the tower tables
+    (_tower_tables), as _decode takes them.
 
     Stage n - t of every window takes the t-th run of cnt uniforms v from
     rng, and its choice is the first whose cumulative weight exceeds
@@ -431,7 +398,7 @@ def _draw_choices(kind: str, n: int, q: float, cnt: int, rng):
     stage, and each block runs the C kernel draw_choices, which releases
     the GIL for the whole call.
     """
-    off, cum, guide, pop, sgn = _tower_tables(kind, n, q)
+    off, cum, guide, pop, sgn = tables
     stages = len(off) - 1
     pops = np.empty((cnt, stages), dtype=np.int32)
     signs = np.empty((cnt, stages), dtype=np.int8)
@@ -927,17 +894,16 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
     """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
     if g.kind == "I2":
         vals = _dihedral_stat_values(g, statistic)
-        probs = _dihedral_table(g, q)[1]
+        probs = _dihedral_table(g, q)
         return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
-    if statistic == "length" or q != 1.0:
-        # built here, before the sampler threads start: otherwise each thread
-        # misses the cache at once and builds the same tables under the GIL
-        _tower_tables(kind, n, q)
+    # built once, before the sampler threads start, and shared by every chunk;
+    # t, des and des_inv at q = 1 do not walk the tower
+    tables = _tower_tables(kind, n, q) if statistic == "length" or q != 1.0 else None
     if statistic == "length":
-        return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+        return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(tables, cnt, rng))
     which = STATISTICS.index(statistic)
-    return lambda cnt, rng: _chunk_stats(kind, n, q, cnt, rng, which)
+    return lambda cnt, rng: _chunk_stats(kind, n, tables, cnt, rng, which)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +917,7 @@ def normalization_enumeration_check(g, q: float) -> CheckResult:
     would equal the closed form by construction.
     """
     closed = normalization_constant(g, q)
-    _check_enum_cap(g, None)  # on every call: the lengths below may be cached
+    _check_enum_cap(g)  # on every call: the lengths below may be cached
     w, ref = _length_weights(g, q, _object_lengths(g))
     brute = float(w.sum()) * q**ref
     rel = abs(brute - closed) / closed
@@ -979,7 +945,7 @@ def reversal_identity_check(g, q: float, statistic: str = "t") -> CheckResult:
     number about n and the two-sided statistic about 2n, while turning the
     measure at q into the measure at 1/q.
     """
-    from .moments import exact_distribution
+    from .moments import DiscreteDistribution, exact_distribution
 
     spec_q = MallowsSpec.make(g, q)
     spec_r = MallowsSpec.make(g, 1.0 / q)
@@ -991,9 +957,8 @@ def reversal_identity_check(g, q: float, statistic: str = "t") -> CheckResult:
         pivot = spec_q.group.num_generators
     else:  # t; exact_distribution has rejected any other statistic
         pivot = 2 * spec_q.group.num_generators
-    reflected = {pivot - v: p for v, p in dist_r.items()}
-    support = set(dist_q.support()) | set(reflected)
-    tv = 0.5 * sum(abs(dist_q.prob(v) - reflected.get(v, 0.0)) for v in support)
+    reflected = DiscreteDistribution(pivot - dist_r.values[::-1], dist_r.probs[::-1])
+    tv = dist_q.tv_distance(reflected)
     tol = 1e-12
     return CheckResult(
         name=f"reversal-{statistic}",

@@ -190,7 +190,13 @@ def exact_w2_floor(spec: MallowsSpec) -> float:
 
 
 def w2_with_se(spec: MallowsSpec, count: int, seed, threads: int = 1):
-    """Full-sample W2 plus a chunk-spread standard error (trend comparisons)."""
+    """Full-sample W2 plus a chunk-spread standard error (trend comparisons).
+
+    The spread needs a draw in every chunk, so count must be at least
+    W2_SE_CHUNKS.
+    """
+    if count < W2_SE_CHUNKS:
+        raise ValueError(f"the W2 standard error needs at least {W2_SE_CHUNKS} samples, got {count}")
     xs = sample_statistic(spec, "t", count, seed, threads)
     mu = float(xs.mean())
     sigma = float(xs.std(ddof=1))

@@ -95,7 +95,7 @@ def _exact_coupling(g, q: float):
     if g.kind != "I2":
         W, wt = _windows_and_weights(g, q)
         return (wt / wt.sum(), *coupling_descents(g.kind, W))
-    return (_dihedral_table(g, q)[1], *_dihedral_coupling(g))
+    return (_dihedral_table(g, q), *_dihedral_coupling(g))
 
 
 @lru_cache(maxsize=None)

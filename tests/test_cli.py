@@ -257,6 +257,17 @@ def test_clt_zero_variance_is_usage_error(capsys):
     assert "variance" in err.lower()
 
 
+def test_clt_suite_needs_a_draw_per_w2_se_chunk(capsys):
+    """The default suite's W2 standard error splits the draws into 8 chunks:
+    fewer draws than that is a usage error naming the minimum, not an
+    empty chunk's law."""
+    rc, _, err = run(["clt", "--samples", "5"], capsys)
+    assert rc == 2
+    assert "error: the W2 standard error needs at least 8 samples, got 5" in err
+    rc, out, _ = run(["clt", "--samples", "8"], capsys)
+    assert rc == 0 and "clt-product-vs-single" in out
+
+
 def test_bad_mode_and_missing_command(capsys):
     rc, _, _ = run(["sample", "--group", "B3", "--mode", "nope"], capsys)
     assert rc == 2

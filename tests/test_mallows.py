@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import tempfile
 import threading
 import tracemalloc
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,7 +37,6 @@ from coxmal.mallows import (
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
     STAGE_BLOCK,
-    TOWER_CACHE_CELLS,
     MallowsSpec,
     _choice_lengths,
     _chunk_stats,
@@ -61,12 +62,11 @@ from coxmal.mallows import (
     q_factorial,
     q_integer,
     reversal_identity_check,
-    sample_one,
     sample_statistic,
     stage_candidates,
     stage_distribution,
 )
-from coxmal.moments import exact_distribution, goodness_of_fit, two_sample_chi_square
+from coxmal.moments import exact_distribution, goodness_of_fit
 from window_reference import (
     chunk_windows,
     itertools_windows,
@@ -433,14 +433,15 @@ def test_stage_choices_match_reference(kind, n, q):
     stages = len(_tower_stages(kind, n))
     cnt = 20 * n + 37
     seed = 1000 * n + ord(kind)
-    got = _draw_choices(kind, n, q, cnt, np.random.default_rng(seed))
+    tables = _tower_tables(kind, n, q)
+    got = _draw_choices(tables, cnt, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     want = _reference_choices(kind, n, q, cnt, (rng.random(cnt) for _ in range(stages)))
     assert got[0].dtype == np.int32 and got[1].dtype == np.int8
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     u = _tie_uniforms(kind, n, q, cnt, np.random.default_rng(seed))
-    got = _draw_choices(kind, n, q, cnt, _Rows(u))
+    got = _draw_choices(tables, cnt, _Rows(u))
     want = _reference_choices(kind, n, q, cnt, u)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     # negative control: the ties are there, and the comparison sees them
@@ -454,7 +455,7 @@ def test_draw_choices_rejects_bad_uniforms():
         v = u.copy()
         v[2, 3] = bad
         with pytest.raises(ValueError, match="row 3"):
-            _draw_choices("B", 5, 0.5, 10, _Rows(v))
+            _draw_choices(_tower_tables("B", 5, 0.5), 10, _Rows(v))
 
 
 class _Bitgen(ctypes.Structure):
@@ -660,8 +661,9 @@ def test_fused_rows_equal_window_stats(kind, n, q):
     uniform (q = 1)."""
     cnt, seed = 300, 1000 * n + ord(kind)
     W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
+    tables = None if q == 1.0 else _tower_tables(kind, n, q)
     for which, stat in enumerate(WINDOW_STATS):
-        got = _chunk_stats(kind, n, q, cnt, np.random.default_rng(seed), which)
+        got = _chunk_stats(kind, n, tables, cnt, np.random.default_rng(seed), which)
         want = _windows_stat(kind, W, stat)
         assert got.dtype == np.int64 and np.array_equal(got, want), stat
         assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
@@ -749,10 +751,10 @@ def _factor_tower_windows(spec, count, seed):
     children = np.random.SeedSequence(seed).spawn(len(spec.qs))
     out = []
     for (g, q), child in zip(spec.factor_specs(), children):
-        kind, n = g.kind, g.window_size
+        kind, n, tables = g.kind, g.window_size, _tower_tables(g.kind, g.window_size, q)
 
         def draw(cnt, rng):
-            return reference_decode(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+            return reference_decode(kind, n, *_draw_choices(tables, cnt, rng))
 
         out.append((kind, np.concatenate(_map_chunks(g, count, child, 1, draw))))
     return out
@@ -871,27 +873,43 @@ def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
     assert started == [3]
 
 
-def test_tower_tables_are_built_once_per_cell():
-    """The caller builds a cell's tower tables before the sampler threads
-    start, so two threads do not both miss the cache and build them; t at
-    q = 1 does not walk the tower and builds none."""
-    spec = MallowsSpec.make("B200", 2.0)
-    _tower_tables.cache_clear()
+def test_tower_tables_are_built_once_per_call(monkeypatch):
+    """One sample_statistic call builds each q != 1 or length factor's tower
+    tables once, before the sampler threads start, and every chunk shares
+    them; t at q = 1 does not walk the tower and builds none."""
+    built = []
+
+    def counted(kind, n, q):
+        built.append((kind, n, q))
+        return _tower_tables(kind, n, q)
+
+    monkeypatch.setattr(coxmal.mallows, "_tower_tables", counted)
+    spec = MallowsSpec.make("B200 x D50", [2.0, 0.5])
     sample_statistic(spec, "t", 2 * SAMPLE_CHUNK, seed=3, threads=2)
-    assert _tower_tables.cache_info().misses == 1
-    sample_statistic(MallowsSpec.make("D50", 0.5), "length", 2 * SAMPLE_CHUNK, seed=3, threads=2)
-    assert _tower_tables.cache_info().misses == 2
-    sample_statistic(MallowsSpec.make("B200", 1.0), "t", 10, seed=3, threads=2)
-    assert _tower_tables.cache_info().misses == 2
+    assert built == [("B", 200, 2.0), ("D", 50, 0.5)]
+    built.clear()
+    sample_statistic(MallowsSpec.make("D50", 1.0), "length", 2 * SAMPLE_CHUNK, seed=3, threads=2)
+    assert built == [("D", 50, 1.0)]
+    built.clear()
+    sample_statistic(MallowsSpec.make("B200", 1.0), "t", 2 * SAMPLE_CHUNK, seed=3, threads=2)
+    assert built == []
 
 
-def test_tower_table_cache_is_bounded():
-    """A q sweep longer than the cache keeps only the last cells: at B1600
-    a cell is 44 MB, so an unbounded cache grows by that much per q."""
-    _tower_tables.cache_clear()
-    for k in range(TOWER_CACHE_CELLS + 3):
-        _tower_tables("B", 20, 0.5 + 0.1 * k)
-    assert _tower_tables.cache_info().currsize == TOWER_CACHE_CELLS
+def test_tower_tables_do_not_outlive_the_call(monkeypatch):
+    """Nothing keeps a call's tower tables once it returns: at B1600 they
+    hold 44 MB, so a kept set per q grows by that much over a q sweep."""
+    refs = []
+
+    def watched(kind, n, q):
+        tables = _tower_tables(kind, n, q)
+        refs.extend(weakref.ref(arr) for arr in tables)
+        return tables
+
+    monkeypatch.setattr(coxmal.mallows, "_tower_tables", watched)
+    for statistic in ("t", "length"):
+        sample_statistic(MallowsSpec.make("B200", 0.5), statistic, 2 * SAMPLE_CHUNK, seed=3, threads=2)
+    gc.collect()
+    assert len(refs) == 10 and all(ref() is None for ref in refs)
 
 
 def test_dihedral_draws_keep_their_stream(monkeypatch):
@@ -902,7 +920,7 @@ def test_dihedral_draws_keep_their_stream(monkeypatch):
     sizes = [256, 256, 256, 5]
     want = np.zeros(sum(sizes), dtype=np.int64)
     for (g, q), child in zip(spec.factor_specs(), np.random.SeedSequence(23).spawn(2)):
-        probs = _dihedral_table(g, q)[1]
+        probs = _dihedral_table(g, q)
         idx = [
             np.random.default_rng(c).choice(len(probs), size=k, p=probs)
             for k, c in zip(sizes, child.spawn(len(sizes)))
@@ -1324,23 +1342,16 @@ def test_uniform_windows_follow_the_uniform_law(name):
         assert _element_gof_p(g, np.concatenate(unfixed)) < 1e-3
 
 
-def test_a_type_batch_decoder_matches_single_draw_walk():
+def test_a_type_batch_decoder_matches_exact_law():
     """For type A with q < 1, batch sampling goes through the stage draws
-    and the blocked batch decoder, while sample_one walks the tower one
-    label at a time; the two routes must produce the same law."""
-    g = parse_group("A4")
-    spec = MallowsSpec.make(g, 0.5)
-    fast = sample_statistic(spec, "t", 20000, seed=3)
-    rng = np.random.default_rng(5)
-    slow = np.array(
-        [two_sided_descent(sample_one(spec, rng), g) for _ in range(20000)]
-    )
-    _, _, p = two_sample_chi_square(fast, slow)
-    assert p > 1e-3
-    # sanity: the comparison does reject a genuinely different law
-    other = sample_statistic(MallowsSpec.make(g, 1.0), "t", 20000, seed=3)
-    _, _, p_neg = two_sample_chi_square(fast, other)
-    assert p_neg < 1e-3
+    and the blocked batch decoder; its law must be the exact one, which the
+    insertion enumeration builds without the decoder."""
+    exact = exact_distribution(MallowsSpec.make("A4", 0.5), "t")
+    fast = sample_statistic(MallowsSpec.make("A4", 0.5), "t", 20000, seed=3)
+    assert goodness_of_fit(fast, exact)[2] > 1e-3
+    # sanity: the test does reject a genuinely different law
+    other = sample_statistic(MallowsSpec.make("A4", 1.0), "t", 20000, seed=3)
+    assert goodness_of_fit(other, exact)[2] < 1e-3
 
 
 def test_frequency_ratio_law():

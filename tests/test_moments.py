@@ -20,7 +20,6 @@ from coxmal.moments import (
     exact_distribution,
     goodness_of_fit,
     mean_two_sided,
-    two_sample_chi_square,
     variance_bounds_two_sided,
 )
 
@@ -228,17 +227,6 @@ def test_goodness_of_fit_behaviour():
     assert p_out == 0.0
 
 
-def test_two_sample_chi_square_behaviour():
-    rng = np.random.default_rng(1)
-    xs = rng.binomial(10, 0.5, size=8000)
-    ys = rng.binomial(10, 0.5, size=8000)
-    zs = rng.binomial(10, 0.6, size=8000)
-    _, _, p_same = two_sample_chi_square(xs, ys)
-    _, _, p_diff = two_sample_chi_square(xs, zs)
-    assert p_same > 1e-3
-    assert p_diff < 1e-6
-
-
 def _random_law(rng):
     k = int(rng.integers(1, 12))
     probs = rng.dirichlet(np.full(k, rng.uniform(0.3, 3.0)))
@@ -269,35 +257,3 @@ def test_goodness_of_fit_is_scipy_chisquare_to_the_bit():
         assert (stat, dof, p) == (float(ref.statistic), len(obs) - 1, float(ref.pvalue))
         compared += 1
     assert compared > 2000
-
-
-def test_two_sample_chi_square_is_scipy_contingency_to_the_bit():
-    """Same statistic, dof and p-value as scipy.stats.chi2_contingency,
-    Yates' correction at dof 1 included."""
-    from scipy.stats import chi2_contingency
-
-    rng = np.random.default_rng(11)
-    compared = yates = 0
-    for it in range(3000):
-        d = _random_law(rng)
-        xs = rng.choice(d.values, int(rng.integers(5, 1000)), p=d.probs)
-        other = rng.dirichlet(np.ones(len(d.values)))
-        ys = rng.choice(d.values, int(rng.integers(5, 1000)), p=other)
-        min_total = (1.0, 5.0, 10.0, 50.0, 200.0)[it % 5]
-        stat, dof, p = two_sample_chi_square(xs, ys, min_total)
-        support = np.unique(np.concatenate([xs, ys]))
-        cx, cy = _counts(xs, support), _counts(ys, support)
-        bx, bt = _merge_bins(cx, cx + cy, min_total)
-        if len(bx) < 2:
-            assert (stat, dof, p) == (0.0, 0, 1.0)
-            continue
-        ref = chi2_contingency(np.array([bx, bt - bx]))
-        assert (stat, dof, p) == (float(ref.statistic), int(ref.dof), float(ref.pvalue))
-        compared += 1
-        yates += dof == 1
-    assert compared > 2000 and yates > 100
-
-
-def test_two_sample_chi_square_rejects_an_empty_sample():
-    with pytest.raises(ValueError):
-        two_sample_chi_square(np.array([], dtype=np.int64), np.arange(40) % 4)

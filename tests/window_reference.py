@@ -13,11 +13,11 @@ import math
 import numpy as np
 
 from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
-from coxmal.mallows import _draw_choices, _map_chunks
+from coxmal.mallows import _draw_choices, _map_chunks, _tower_tables
 from coxmal.sizebias import _ensure_right_batch
 
 
-def itertools_windows(g, cap=None) -> np.ndarray:
+def itertools_windows(g) -> np.ndarray:
     """Every element of an A, B or D group as an (order, n) int64 window array.
 
     Rows come in the order enumerate_group yields the elements, under the
@@ -25,7 +25,7 @@ def itertools_windows(g, cap=None) -> np.ndarray:
     """
     if isinstance(g, ProductDescriptor) or g.kind == "I2":
         raise ValueError(f"{g} is not stored as windows; enumerate its A, B, D factors")
-    _check_enum_cap(g, cap)
+    _check_enum_cap(g)
     n = g.window_size
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
@@ -150,7 +150,7 @@ def chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
     reference decode of the drawn tower choices at q != 1; at q = 1 the
     uniform windows of rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
     if q != 1.0:
-        return reference_decode(kind, n, *_draw_choices(kind, n, q, cnt, rng))
+        return reference_decode(kind, n, *_draw_choices(_tower_tables(kind, n, q), cnt, rng))
     return reference_uniform(kind, rng.integers(0, 2**64, (cnt, n), dtype=np.uint64))
 
 
