@@ -39,17 +39,16 @@ from .mallows import (
 )
 from .moments import (
     DiscreteDistribution,
-    MomentSummary,
     cube_moment_bound_check,
     descent_indicator_mean_check,
-    empirical_distribution,
     exact_distribution,
     goodness_of_fit,
+    mean_formula_check,
     mean_two_sided,
+    variance_bounds_check,
     variance_bounds_two_sided,
 )
 from .normal import (
-    NormalizedStatistic,
     exact_w2_floor,
     smooth_bound_checks,
     tail_bound_check,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -31,11 +30,10 @@ from .mallows import (
 from .moments import (
     cube_moment_bound_check,
     descent_indicator_mean_check,
-    empirical_distribution,
     exact_distribution,
     goodness_of_fit,
-    mean_two_sided,
-    variance_bounds_two_sided,
+    mean_formula_check,
+    variance_bounds_check,
 )
 from .normal import (
     exact_w2_floor,
@@ -161,11 +159,11 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
             raise UsageError("verify expects irreducible groups; use clt for products")
         for q in qs:
             report.add(normalization_enumeration_check(g, q))
-            report.add(_mean_check(g, q))
+            report.add(mean_formula_check(g, q))
             report.add(reversal_identity_check(g, q, "t"))
             report.add(size_bias_law_check(g, q))
             if g.kind in ("A", "B", "D"):
-                report.add(_variance_check(g, q))
+                report.add(variance_bounds_check(g, q))
                 report.add(descent_indicator_mean_check(g, q))
                 report.add(cube_moment_bound_check(g, q))
                 report.add(tail_bound_check(g, q))
@@ -208,43 +206,6 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
                 )
             )
     return report
-
-
-def _mean_check(g, q: float) -> CheckResult:
-    spec = MallowsSpec.make(g, q)
-    tol = 1e-10
-    measured = exact_distribution(spec, "t").mean()
-    formula = mean_two_sided(g, q)
-    rel = abs(measured - formula) / formula
-    return CheckResult(
-        name="mean-formula",
-        target=str(spec),
-        passed=rel <= tol,
-        observed=rel,
-        bound=tol,
-        detail={"measured": measured, "formula": formula},
-    )
-
-
-def _variance_check(g, q: float) -> CheckResult:
-    spec = MallowsSpec.make(g, q)
-    var = exact_distribution(spec, "t").variance()
-    b = variance_bounds_two_sided(g, q)
-    lo = max(0.0, b.lower)
-    ok = lo <= var <= b.upper
-    detail = {"lower": lo, "upper": b.upper, "variance": var}
-    if b.corollary_applicable:
-        ok = ok and b.corollary_lower <= var <= b.corollary_upper
-        detail["corollary"] = [b.corollary_lower, b.corollary_upper]
-    return CheckResult(
-        name="variance-bounds",
-        target=str(spec),
-        passed=ok,
-        observed=var,
-        bound=b.upper,
-        note=b.note,
-        detail=detail,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,47 +389,34 @@ def cmd_moments(cfg: ExperimentConfig) -> ExperimentReport:
             raise UsageError("moments expects irreducible groups")
         for q in qs:
             spec = MallowsSpec.make(g, q)
-            if cfg.mode == "exact":
-                dist = exact_distribution(spec, "t")
-                mean, var = dist.mean(), dist.variance()
-                mean_slack = 1e-10 * abs(mean)
-                var_slack = 0.0
-                count = ""
-            else:
-                dist, summary = empirical_distribution(spec, "t", cfg.samples, cfg.seed, cfg.threads)
-                mean, var = summary.mean, summary.variance
-                mean_slack = 5.0 * summary.se_mean
-                var_slack = 5.0 * var * math.sqrt(2.0 / (cfg.samples - 1))
-                count = cfg.samples
-            formula = mean_two_sided(g, q)
-            mean_ok = abs(mean - formula) <= max(mean_slack, 1e-12)
-            row = {
-                "group": str(g),
-                "q": q,
-                "n": g.num_generators,
-                "mode": cfg.mode,
-                "count": count,
-                "mean_formula": formula,
-                "mean_measured": mean,
-                "mean_ok": mean_ok,
-                "variance": var,
-            }
-            if g.kind in ("A", "B", "D"):
-                b = variance_bounds_two_sided(g, q)
-                lo = max(0.0, b.lower)
-                var_ok = lo - var_slack <= var <= b.upper + var_slack
-                row.update(var_lower=lo, var_upper=b.upper, var_ok=var_ok)
-            else:
-                var_ok = None
-                row.update(var_lower="", var_upper="", var_ok="")
-            rows.append(row)
+            xs = None
+            if cfg.mode == "mc":
+                xs = sample_statistic(spec, "t", cfg.samples, cfg.seed, cfg.threads)
+            mean = mean_formula_check(g, q, xs)
+            var = variance_bounds_check(g, q, xs) if g.kind in ("A", "B", "D") else None
+            rows.append(
+                {
+                    "group": str(g),
+                    "q": q,
+                    "n": g.num_generators,
+                    "mode": cfg.mode,
+                    "count": "" if xs is None else cfg.samples,
+                    "mean_formula": mean.detail["formula"],
+                    "mean_measured": mean.detail["measured"],
+                    "mean_ok": mean.passed,
+                    "variance": mean.detail["variance"],
+                    "var_lower": "" if var is None else var.detail["lower"],
+                    "var_upper": "" if var is None else var.detail["upper"],
+                    "var_ok": "" if var is None else var.passed,
+                }
+            )
             report.add(
                 CheckResult(
                     name="moment-table-row",
                     target=str(spec),
-                    passed=mean_ok if var_ok is None else (mean_ok and var_ok),
-                    observed=mean,
-                    bound=formula,
+                    passed=mean.passed and (var is None or var.passed),
+                    observed=mean.detail["measured"],
+                    bound=mean.detail["formula"],
                 )
             )
     headers = list(rows[0].keys())

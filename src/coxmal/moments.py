@@ -18,7 +18,6 @@ from .mallows import (
     _windows_and_weights,
     _windows_stat,
     q_integer,
-    sample_statistic,
 )
 from .reports import CheckResult
 
@@ -86,10 +85,6 @@ class DiscreteDistribution:
     def std(self) -> float:
         return math.sqrt(self.variance())
 
-    def central_abs_moment(self, p: float) -> float:
-        m = self.mean()
-        return float(np.dot(np.abs(self.values - m) ** p, self.probs))
-
     def tv_distance(self, other: "DiscreteDistribution") -> float:
         """Half the summed gaps over the joint support, added in value order."""
         vals = np.union1d(self.values, other.values)
@@ -122,14 +117,6 @@ class DiscreteDistribution:
         keep = c > 0
         return DiscreteDistribution(vals[keep], c[keep] / c.sum())
 
-    def summarize(self, count=None) -> "MomentSummary":
-        return MomentSummary(
-            mean=self.mean(),
-            variance=self.variance(),
-            third_central_abs=self.central_abs_moment(3),
-            count=count,
-        )
-
     def to_csv(self, path_or_file) -> None:
         fh = path_or_file if hasattr(path_or_file, "write") else open(path_or_file, "w")
         try:
@@ -143,26 +130,8 @@ class DiscreteDistribution:
                 fh.close()
 
 
-@dataclass
-class MomentSummary:
-    mean: float
-    variance: float
-    third_central_abs: float
-    count: int | None = None  # None marks an exact computation
-
-    def __post_init__(self):
-        if self.variance < 0 or self.third_central_abs < 0:
-            raise ValueError("central moments cannot be negative")
-
-    @property
-    def se_mean(self) -> float | None:
-        if self.count is None:
-            return None
-        return math.sqrt(self.variance / self.count)
-
-
 # ---------------------------------------------------------------------------
-# exact and empirical laws
+# exact laws
 
 
 def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistribution:
@@ -192,31 +161,6 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
         "provenance": "exact",
     }
     return out
-
-
-def empirical_distribution(
-    spec: MallowsSpec,
-    statistic: str,
-    count: int,
-    seed,
-    threads: int = 1,
-):
-    """Sampled law plus moment summary (with standard error of the mean)."""
-    if count < 1:
-        raise ValueError("need at least one sample")
-    xs = sample_statistic(spec, statistic, count, seed, threads)
-    dist = DiscreteDistribution.from_samples(
-        xs,
-        {
-            "group": str(spec.group),
-            "q": ",".join(f"{q:g}" for q in spec.qs),
-            "statistic": statistic,
-            "provenance": "empirical",
-            "count": count,
-            "seed": seed,
-        },
-    )
-    return dist, dist.summarize(count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +213,66 @@ def variance_bounds_two_sided(g, q: float) -> VarianceBounds:
         applicable = True
         note = "" if n >= 2 else "stated for rank >= 2"
     return VarianceBounds(lower, upper, co_lower, co_upper, applicable, note)
+
+
+def _t_law(spec: MallowsSpec, xs) -> DiscreteDistribution:
+    """The exact law of t under spec when xs is None, else the law of xs."""
+    return exact_distribution(spec, "t") if xs is None else DiscreteDistribution.from_samples(xs)
+
+
+def mean_formula_check(g, q: float, xs=None) -> CheckResult:
+    """E t = 2qn/(1+q), to a relative error of 1e-10.
+
+    xs is None for the exact law, or drawn values of t under (g, q), whose
+    mean gets five standard errors of slack in place of the 1e-10.
+    """
+    spec = MallowsSpec.make(g, q)
+    law = _t_law(spec, xs)
+    measured, variance = law.mean(), law.variance()
+    formula = mean_two_sided(g, q)
+    tol = 1e-10 if xs is None else 5.0 * math.sqrt(variance / len(xs)) / formula
+    rel = abs(measured - formula) / formula
+    return CheckResult(
+        name="mean-formula",
+        target=str(spec) if xs is None else f"{spec} [mc]",
+        passed=rel <= tol,
+        observed=rel,
+        bound=tol,
+        detail={"measured": measured, "formula": formula, "variance": variance},
+    )
+
+
+def variance_bounds_check(g, q: float, xs=None) -> CheckResult:
+    """Var t within variance_bounds_two_sided, and within the corollary's
+    simplified bounds where they apply.
+
+    xs is None for the exact law, or drawn values of t under (g, q), whose
+    variance gets 5 var sqrt(2/(count-1)) of slack on every bound: five
+    standard errors of a sample variance of a near-normal law.
+    """
+    if xs is not None and len(xs) < 2:
+        raise ValueError("a sampled variance needs at least 2 draws")
+    spec = MallowsSpec.make(g, q)
+    var = _t_law(spec, xs).variance()
+    b = variance_bounds_two_sided(g, q)
+    slack = 0.0 if xs is None else 5.0 * var * math.sqrt(2.0 / (len(xs) - 1))
+    lo = max(0.0, b.lower)
+    ok = lo - slack <= var <= b.upper + slack
+    detail = {"lower": lo, "upper": b.upper, "variance": var}
+    if b.corollary_applicable:
+        ok = ok and b.corollary_lower - slack <= var <= b.corollary_upper + slack
+        detail["corollary"] = [b.corollary_lower, b.corollary_upper]
+    if xs is not None:
+        detail["slack"] = slack
+    return CheckResult(
+        name="variance-bounds",
+        target=str(spec) if xs is None else f"{spec} [mc]",
+        passed=ok,
+        observed=var,
+        bound=b.upper,
+        note=b.note,
+        detail=detail,
+    )
 
 
 def cube_moment_bound_check(g, q: float, des=None) -> CheckResult:

@@ -39,38 +39,23 @@ def _big_phi_integral(x):
 
 
 @dataclass
-class NormalizedStatistic:
-    """A discrete law together with the mu, sigma used to center and scale it."""
-
-    base: DiscreteDistribution
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError("normalization needs sigma > 0")
-
-    @classmethod
-    def from_distribution(cls, dist: DiscreteDistribution, mu=None, sigma=None):
-        return cls(
-            dist,
-            dist.mean() if mu is None else mu,
-            dist.std() if sigma is None else sigma,
-        )
-
-    def points(self) -> np.ndarray:
-        return (self.base.values.astype(np.float64) - self.mu) / self.sigma
-
-
-@dataclass
 class WassersteinDistance:
     value: float
-    p: int
     tail_slack: float  # bound on what the u-interval clipping can hide
 
 
-def wasserstein_p_to_normal(ns: NormalizedStatistic, p: int) -> WassersteinDistance:
-    """W_p between the normalized law and N(0,1) via quantile integration.
+def _points(dist: DiscreteDistribution, mu: float, sigma: float) -> np.ndarray:
+    """The support of dist centered at mu and scaled by sigma > 0."""
+    if not (sigma > 0):
+        raise ValueError("normalization needs sigma > 0")
+    return (dist.values.astype(np.float64) - mu) / sigma
+
+
+def wasserstein_p_to_normal(
+    dist: DiscreteDistribution, mu: float, sigma: float, p: int
+) -> WassersteinDistance:
+    """W_p between the law of (X - mu)/sigma, X ~ dist, and N(0,1), by
+    quantile integration.
 
     Plateau [a, b] with value x, z = ndtri(u), Phi(z_a) = a, Phi(z_b) = b:
     for p = 1 the integrand (x - z) phi(z) has antiderivative
@@ -79,8 +64,8 @@ def wasserstein_p_to_normal(ns: NormalizedStatistic, p: int) -> WassersteinDista
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    xs = ns.points()
-    cuts = np.concatenate([[0.0], np.cumsum(ns.base.probs)])
+    xs = _points(dist, mu, sigma)
+    cuts = np.concatenate([[0.0], np.cumsum(dist.probs)])
     cuts[-1] = 1.0
     a = np.maximum(cuts[:-1], EPS_U)
     b = np.minimum(cuts[1:], 1.0 - EPS_U)
@@ -114,20 +99,21 @@ def wasserstein_p_to_normal(ns: NormalizedStatistic, p: int) -> WassersteinDista
         )
     value = total ** (1.0 / p)
     slack = float((total + tail + rounding) ** (1.0 / p) - value)
-    return WassersteinDistance(value=value, p=p, tail_slack=slack)
+    return WassersteinDistance(value=value, tail_slack=slack)
 
 
-def w1_to_normal_by_cdf(ns: NormalizedStatistic) -> float:
-    """Independent W1 route: integral of |F - Phi| over the real line.
+def w1_to_normal_by_cdf(dist: DiscreteDistribution, mu: float, sigma: float) -> float:
+    """Independent W1 route: integral of |F - Phi| over the real line, F the
+    law of (X - mu)/sigma, X ~ dist.
 
     Between support points a < b, F = c; Phi has antiderivative
     H(x) = x Phi(x) + phi(x), and c - Phi changes sign at ndtri(c).
     """
-    xs = ns.points()
+    xs = _points(dist, mu, sigma)
     x0, xl = xs[0], xs[-1]
     total = _big_phi_integral(x0)  # integral of Phi below the support
     total += _phi(xl) - xl * (1.0 - ndtr(xl))  # of 1 - Phi above it
-    a, b, c = xs[:-1], xs[1:], np.cumsum(ns.base.probs)[:-1]
+    a, b, c = xs[:-1], xs[1:], np.cumsum(dist.probs)[:-1]
     kink = np.clip(ndtri(np.clip(c, EPS_U, 1.0 - EPS_U)), a, b)
     # c - Phi >= 0 on [a, kink], <= 0 on [kink, b]
     below = c * (kink - a) - (_big_phi_integral(kink) - _big_phi_integral(a))
@@ -164,9 +150,7 @@ def wasserstein_from_samples(xs: np.ndarray, p: int, hard_width: float):
     count = len(xs)
     mu = float(xs.mean())
     sigma = float(xs.std(ddof=1))
-    dist = DiscreteDistribution.from_samples(xs)
-    ns = NormalizedStatistic(dist, mu, sigma)
-    w = wasserstein_p_to_normal(ns, p)
+    w = wasserstein_p_to_normal(DiscreteDistribution.from_samples(xs), mu, sigma, p)
     eps = _dkw_eps(count)
     width = hard_width / sigma
     dkw = eps * width if p == 1 else width * math.sqrt(eps)
@@ -182,7 +166,7 @@ def exact_w2_floor(spec: MallowsSpec) -> float:
     half of it is a comfortable floor for sampled versions of the same law.
     """
     dist = exact_distribution(spec, "t")
-    w = wasserstein_p_to_normal(NormalizedStatistic.from_distribution(dist), 2)
+    w = wasserstein_p_to_normal(dist, dist.mean(), dist.std(), 2)
     floor = w.value - w.tail_slack
     if floor <= 0:
         raise ValueError("exact law is too close to normal to certify a floor")
@@ -200,13 +184,11 @@ def w2_with_se(spec: MallowsSpec, count: int, seed, threads: int = 1):
     xs = sample_statistic(spec, "t", count, seed, threads)
     mu = float(xs.mean())
     sigma = float(xs.std(ddof=1))
-    full = wasserstein_p_to_normal(
-        NormalizedStatistic(DiscreteDistribution.from_samples(xs), mu, sigma), 2
-    )
+    full = wasserstein_p_to_normal(DiscreteDistribution.from_samples(xs), mu, sigma, 2)
     vals = []
     for part in np.array_split(xs, W2_SE_CHUNKS):
         d = DiscreteDistribution.from_samples(part)
-        vals.append(wasserstein_p_to_normal(NormalizedStatistic(d, mu, sigma), 2).value)
+        vals.append(wasserstein_p_to_normal(d, mu, sigma, 2).value)
     se = float(np.std(vals, ddof=1) / math.sqrt(W2_SE_CHUNKS))
     return full.value, se, full.tail_slack
 
@@ -223,14 +205,15 @@ def _measured_distance(spec: MallowsSpec, p: int, xs):
     """
     if xs is None:
         dist = exact_distribution(spec, "t")
-        w = wasserstein_p_to_normal(NormalizedStatistic.from_distribution(dist), p)
+        w = wasserstein_p_to_normal(dist, dist.mean(), dist.std(), p)
         return w.value + w.tail_slack, {f"w{p}": w.value, "tail_slack": w.tail_slack}, "exact"
     w, slack = wasserstein_from_samples(xs, p, 2.0 * spec.group.num_generators)
     return w.value + slack, {f"w{p}": w.value, "slack": slack, "count": len(xs)}, "mc"
 
 
 def w1_bound_check(g, q: float, xs=None) -> CheckResult:
-    """W1(normalized t, Z) against the published (180/384 + ...) / sqrt(n) form.
+    """W1(normalized t, Z) against the published (180/384 + ...) / sqrt(n) form,
+    informational (passed None) where the constants' hypothesis fails.
 
     xs is None for the exact law, or drawn values of t under (g, q).
     """
@@ -240,7 +223,7 @@ def w1_bound_check(g, q: float, xs=None) -> CheckResult:
     return CheckResult(
         name="w1-normal-bound",
         target=f"{spec} [{source}]",
-        passed=measured <= rhs.value,
+        passed=(measured <= rhs.value) if rhs.hypothesis_ok else None,
         observed=measured,
         bound=rhs.value,
         note=rhs.note,
@@ -323,7 +306,7 @@ def smooth_bound_checks(g, q: float) -> list[CheckResult]:
     return out
 
 
-def tail_bound_check(g, q: float, xs=None, x_grid=None) -> CheckResult:
+def tail_bound_check(g, q: float, xs=None) -> CheckResult:
     """P(t - mu >= x) <= exp(-x^2 / (8(x/3 + mu))) and
     P(t - mu <= -x) <= exp(-x^2 / (8 mu)), on an integer grid of x >= 0.
 
@@ -334,9 +317,7 @@ def tail_bound_check(g, q: float, xs=None, x_grid=None) -> CheckResult:
         raise ValueError("tail bounds are stated for irreducible types A, B, D")
     n = g.num_generators
     mu = mean_two_sided(g, q)
-    grid = list(range(0, 2 * n + 1)) if x_grid is None else [int(x) for x in x_grid]
-    if any(x < 0 for x in grid):
-        raise ValueError("tail grid must be nonnegative")
+    grid = range(0, 2 * n + 1)
     spec = MallowsSpec.make(g, q)
     if xs is None:
         dist = exact_distribution(spec, "t")

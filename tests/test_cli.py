@@ -205,6 +205,22 @@ def test_moments_exact_table(capsys):
     assert cells[7] == "yes"
 
 
+def test_moments_rows_take_the_verify_checks_verdicts(monkeypatch, capsys):
+    """moments judges a row by mean_formula_check and variance_bounds_check,
+    so B2 handed A4's law fails both columns and the row."""
+    real = coxmal.moments.exact_distribution
+    monkeypatch.setattr(
+        coxmal.moments,
+        "exact_distribution",
+        lambda spec, statistic="t": real(coxmal.mallows.MallowsSpec.make("A4", spec.q), statistic),
+    )
+    rc, out, _ = run(["moments", "--group", "B2", "--q", "1", "--mode", "exact"], capsys)
+    assert rc == 1
+    cells = [l for l in out.splitlines() if l.startswith("B2,")][0].split(",")
+    assert (cells[7], cells[11]) == ("no", "no")
+    assert "FAIL moment-table-row B2 q=1" in out
+
+
 def test_moments_mc_within_slack(capsys):
     rc, out, _ = run(
         ["moments", "--group", "B3", "--q", "0.5", "--mode", "mc",
@@ -233,7 +249,7 @@ def test_clt_group_draws_each_cell_once(monkeypatch, capsys):
         draws.append(str(args[0]))
         return real(*args, **kwargs)
 
-    for module in (coxmal.cli, coxmal.moments, coxmal.normal):
+    for module in (coxmal.cli, coxmal.normal):
         monkeypatch.setattr(module, "sample_statistic", counted)
     rc, out, _ = run(["clt", "--group", "B30", "--q", "0.5", "--samples", "2000"], capsys)
     assert rc == 0

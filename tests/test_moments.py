@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import coxmal.moments
 from coxmal.coxeter import (
     descent_number,
     enumerate_group,
@@ -16,10 +17,11 @@ from coxmal.moments import (
     _merge_bins,
     cube_moment_bound_check,
     descent_indicator_mean_check,
-    empirical_distribution,
     exact_distribution,
     goodness_of_fit,
+    mean_formula_check,
     mean_two_sided,
+    variance_bounds_check,
     variance_bounds_two_sided,
 )
 
@@ -44,7 +46,6 @@ def test_distribution_moments():
     assert math.isclose(d.mean(), 0.25)
     assert math.isclose(d.variance(), 0.25 * 0.75)
     assert math.isclose(d.std(), math.sqrt(0.1875))
-    assert math.isclose(d.central_abs_moment(3), 0.75**3 * 0.25 + 0.25**3 * 0.75)
     assert d.prob(0) == 0.75 and d.prob(1) == 0.25 and d.prob(7) == 0.0
 
 
@@ -207,10 +208,55 @@ def test_descent_indicator_mean():
 
 def test_empirical_distribution_matches_exact():
     spec = MallowsSpec.make("B3", 2.0)
-    dist, summary = empirical_distribution(spec, "t", 20000, seed=11)
+    dist = DiscreteDistribution.from_samples(sample_statistic(spec, "t", 20000, seed=11))
     exact = exact_distribution(spec, "t")
-    assert abs(summary.mean - exact.mean()) <= 5 * summary.se_mean
-    assert summary.count == 20000
+    assert abs(dist.mean() - exact.mean()) <= 5 * math.sqrt(dist.variance() / 20000)
+
+
+def test_moment_checks_pass_on_the_law_they_state():
+    for name, q in (("A4", 2.0), ("B4", 0.5), ("D4", 1.0)):
+        g = parse_group(name)
+        xs = sample_statistic(MallowsSpec.make(g, q), "t", 100_000, seed=12)
+        for drawn in (None, xs):
+            assert mean_formula_check(g, q, drawn).passed
+            assert variance_bounds_check(g, q, drawn).passed
+
+
+def test_mean_formula_check_fails_on_a_law_at_another_q(monkeypatch):
+    real = coxmal.moments.exact_distribution
+
+    def shifted(spec, statistic="t"):
+        return real(MallowsSpec.make(spec.group, 1.02 * spec.q), statistic)
+
+    monkeypatch.setattr(coxmal.moments, "exact_distribution", shifted)
+    for name in ("A4", "B4", "D4", "I2(5)"):
+        for q in (0.25, 0.5, 1.0, 2.0, 4.0):
+            assert mean_formula_check(parse_group(name), q).passed is False
+    g = parse_group("B4")
+    xs = sample_statistic(MallowsSpec.make(g, 1.1 * 0.5), "t", 100_000, seed=12)
+    c = mean_formula_check(g, 0.5, xs)
+    assert c.passed is False and c.observed > c.bound > 0
+
+
+def test_variance_bounds_check_fails_on_a_law_of_another_group(monkeypatch):
+    """Var t of A4 lies above B2's upper bound at every q of the verify grid.
+    A law at 1.02 q would not do: the bounds have room to spare."""
+    real = coxmal.moments.exact_distribution
+
+    def a4(spec, statistic="t"):
+        return real(MallowsSpec.make("A4", spec.q), statistic)
+
+    b2 = parse_group("B2")
+    for q in (0.25, 0.5, 1.0, 2.0, 4.0):
+        xs = sample_statistic(MallowsSpec.make("A4", q), "t", 100_000, seed=13)
+        c = variance_bounds_check(b2, q, xs)
+        assert c.passed is False and c.observed > c.bound + c.detail["slack"]
+    monkeypatch.setattr(coxmal.moments, "exact_distribution", a4)
+    for q in (0.25, 0.5, 1.0, 2.0, 4.0):
+        c = variance_bounds_check(b2, q)
+        assert c.passed is False and c.observed > c.bound
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        variance_bounds_check(b2, 0.5, np.array([3]))
 
 
 def test_goodness_of_fit_behaviour():

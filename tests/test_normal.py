@@ -10,7 +10,6 @@ from coxmal.normal import (
     EPS_U,
     NORMAL_EXPECTATION,
     SMOOTH_TEST_FUNCTIONS,
-    NormalizedStatistic,
     exact_w2_floor,
     smooth_bound_checks,
     tail_bound_check,
@@ -24,49 +23,46 @@ from coxmal.normal import (
 
 
 def point_mass():
-    return NormalizedStatistic(
-        DiscreteDistribution(np.array([0]), np.array([1.0])), 0.0, 1.0
-    )
+    """delta_0 with its centering and scale: (law, mu, sigma)."""
+    return DiscreteDistribution(np.array([0]), np.array([1.0])), 0.0, 1.0
 
 
 def test_point_mass_oracles():
     """W1(delta_0, Z) = E|Z| = sqrt(2/pi) and W2(delta_0, Z) = 1, up to the
     reported slack (the EPS_U clip is the only gap left)."""
-    w1 = wasserstein_p_to_normal(point_mass(), 1)
+    w1 = wasserstein_p_to_normal(*point_mass(), 1)
     assert abs(w1.value - math.sqrt(2 / math.pi)) <= w1.tail_slack
     assert w1.tail_slack < 1e-9
-    w2 = wasserstein_p_to_normal(point_mass(), 2)
+    w2 = wasserstein_p_to_normal(*point_mass(), 2)
     assert abs(w2.value - 1.0) <= w2.tail_slack
     with pytest.raises(ValueError):
-        wasserstein_p_to_normal(point_mass(), 3)
+        wasserstein_p_to_normal(*point_mass(), 3)
 
 
 def test_w1_routes_agree():
     """Quantile-integral and CDF-integral routes, two independent codes,
     agree to within the quantile route's reported slack."""
-    two_point = NormalizedStatistic(
-        DiscreteDistribution(np.array([-1, 1]), np.array([0.5, 0.5])), 0.0, 1.0
-    )
-    laws = [two_point]
+    two_point = DiscreteDistribution(np.array([-1, 1]), np.array([0.5, 0.5]))
+    laws = [(two_point, 0.0, 1.0)]
     for name in ("A3", "B4", "D5"):
         for q in (0.25, 0.5, 1.0, 2.0, 4.0):
             dist = exact_distribution(MallowsSpec.make(name, q), "t")
-            laws.append(NormalizedStatistic.from_distribution(dist))
-    for ns in laws:
-        w = wasserstein_p_to_normal(ns, 1)
-        assert abs(w.value - w1_to_normal_by_cdf(ns)) <= w.tail_slack
+            laws.append((dist, dist.mean(), dist.std()))
+    for law in laws:
+        w = wasserstein_p_to_normal(*law, 1)
+        assert abs(w.value - w1_to_normal_by_cdf(*law)) <= w.tail_slack
 
 
-def _mpmath_distance(ns, p):
+def _mpmath_distance(dist, mu, sigma, p):
     """W_p by 40-digit quadrature of |x - z|^p phi(z) over each plateau's
     z-range, with the same EPS_U clip as the code under test."""
     import mpmath as mp
 
     with mp.workdps(40):
-        cuts = np.concatenate([[0.0], np.cumsum(ns.base.probs)])
+        cuts = np.concatenate([[0.0], np.cumsum(dist.probs)])
         cuts[-1] = 1.0
         total = mp.mpf(0)
-        for k, x in enumerate(ns.points()):
+        for k, x in enumerate((dist.values - mu) / sigma):
             a, b = max(float(cuts[k]), EPS_U), min(float(cuts[k + 1]), 1.0 - EPS_U)
             if b <= a:
                 continue
@@ -79,33 +75,34 @@ def _mpmath_distance(ns, p):
 
 
 def test_closed_form_distances_match_mpmath():
-    laws = [
-        NormalizedStatistic.from_distribution(exact_distribution(MallowsSpec.make(g, q), "t"))
-        for g, q in (("B6", 0.5), ("D6", 2.0), ("A5", 1.0))
-    ]
+    laws = []
+    for g, q in (("B6", 0.5), ("D6", 2.0), ("A5", 1.0)):
+        dist = exact_distribution(MallowsSpec.make(g, q), "t")
+        laws.append((dist, dist.mean(), dist.std()))
     xs = sample_statistic(MallowsSpec.make("B200", 0.5), "t", 4096, seed=3)
     sampled = DiscreteDistribution.from_samples(xs)
-    laws.append(NormalizedStatistic(sampled, float(xs.mean()), float(xs.std(ddof=1))))
-    for ns in laws:
+    laws.append((sampled, float(xs.mean()), float(xs.std(ddof=1))))
+    for law in laws:
         for p in (1, 2):
-            ref = _mpmath_distance(ns, p)
-            assert abs(wasserstein_p_to_normal(ns, p).value - ref) <= 1e-13 * ref
+            ref = _mpmath_distance(*law, p)
+            assert abs(wasserstein_p_to_normal(*law, p).value - ref) <= 1e-13 * ref
 
 
 def test_w2_dominates_w1():
     for name, q in (("B3", 0.5), ("B4", 1.0), ("D4", 2.0), ("I2(6)", 0.5)):
         dist = exact_distribution(MallowsSpec.make(name, q), "t")
-        ns = NormalizedStatistic.from_distribution(dist)
-        w1 = wasserstein_p_to_normal(ns, 1).value
-        w2 = wasserstein_p_to_normal(ns, 2).value
+        w1 = wasserstein_p_to_normal(dist, dist.mean(), dist.std(), 1).value
+        w2 = wasserstein_p_to_normal(dist, dist.mean(), dist.std(), 2).value
         assert w2 >= w1 - 1e-12
 
 
 def test_normalization_requires_positive_sigma():
-    with pytest.raises(ValueError):
-        NormalizedStatistic(
-            DiscreteDistribution(np.array([0]), np.array([1.0])), 0.0, 0.0
-        )
+    dist = DiscreteDistribution(np.array([0]), np.array([1.0]))
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            wasserstein_p_to_normal(dist, 0.0, sigma, 2)
+        with pytest.raises(ValueError):
+            w1_to_normal_by_cdf(dist, 0.0, sigma)
 
 
 def test_distance_shift_invariance():
@@ -114,8 +111,8 @@ def test_distance_shift_invariance():
     probs = np.array([0.25, 0.5, 0.25])
     base = DiscreteDistribution(vals, probs)
     moved = DiscreteDistribution(vals + 7, probs)
-    a = wasserstein_p_to_normal(NormalizedStatistic(base, 1.0, 1.5), 2).value
-    b = wasserstein_p_to_normal(NormalizedStatistic(moved, 8.0, 1.5), 2).value
+    a = wasserstein_p_to_normal(base, 1.0, 1.5, 2).value
+    b = wasserstein_p_to_normal(moved, 8.0, 1.5, 2).value
     assert math.isclose(a, b, rel_tol=1e-10)
 
 
@@ -128,8 +125,7 @@ def test_binomial_laws_converge():
     for n in (8, 32, 128):
         ks = np.arange(n + 1)
         d = DiscreteDistribution(ks, binom.pmf(ks, n, 0.5))
-        ns = NormalizedStatistic(d, n * 0.5, math.sqrt(n * 0.25))
-        values.append(wasserstein_p_to_normal(ns, 2).value)
+        values.append(wasserstein_p_to_normal(d, n * 0.5, math.sqrt(n * 0.25), 2).value)
     assert values[0] > values[1] > values[2]
 
 
@@ -158,6 +154,11 @@ def test_smooth_bound_checks_pass():
 def test_w1_bound_check_exact():
     c = w1_bound_check(parse_group("B4"), 1.0)
     assert c.passed and c.observed < c.bound
+    # the published constants are stated for D with n >= 30, and for B only;
+    # outside that the comparison is informational
+    for name in ("D4", "A4"):
+        c = w1_bound_check(parse_group(name), 1.0)
+        assert c.passed is None and c.observed < c.bound, c.line()
 
 
 def test_w2_bound_hypothesis_flag():
@@ -175,8 +176,6 @@ def test_tail_bound_check_exact():
         assert c.passed, c.line()
     with pytest.raises(ValueError):
         tail_bound_check(parse_group("I2(5)"), 0.5)
-    with pytest.raises(ValueError):
-        tail_bound_check(parse_group("B4"), 0.5, x_grid=[-1])
 
 
 def test_tail_bound_check_mc():
