@@ -10,35 +10,39 @@ remaining label.  Dihedral factors are sampled directly from their 2m
 element table.
 
 Batch draws have one output, a statistic per draw (sample_statistic).  At
-q != 1 they run two small C kernels per chunk, shared by A, B and D:
-draw_choices turns one uniform per stage into that stage's choice by
-indexed inverse-CDF search, bit-identical to numpy's searchsorted, and
-decode_rows places the chosen labels.  The search starts from a guide
-entry that is a lower bound on the choice, so it only steps up and checks no
-bound (the proof is at the kernel).  A pop closes its gap from the shorter
-side, the labels below moving up or those above moving down, by four scalar
-moves next to the gap and memmove only for the rest; the label scratch has
-four pad slots at each end for those moves.  Neither loop then branches on
-where the stage mass sits, which at q far from 1 is the first or the last
-choice.  The stage tables are built together, once per factor of a
-sample_statistic call, before the sampler threads start, and nothing keeps
-them after it returns.  At q = 1 the kernel uniform_rows draws each row
-itself by an inside-out Fisher-Yates shuffle, one 64-bit word per entry
-from any numpy bit generator through its bitgen_t interface, plus a rare
-redraw (probability below n / 2^63 per entry): entry i's word puts label
-i + 1 at a position uniform on 0..i by Lemire's multiply-and-reject, and
-under B and D its low bit gives the sign at position i.  So the law is
-exactly uniform, and nothing is sorted.  Both kernels compute each row's
-t, des or des_inv while the row is in cache: the decode records the
-inverse as it places each label, the shuffle's sign pass writes it, and
-one shared routine counts the descents of both, so no window array is
-built.  A length is the sum of its tower choices' contributions, so
-sampled lengths decode nothing, q = 1 included.
+q != 1 one C kernel, tower_rows, shared by A, B and D, makes each row in
+one pass: draw, pop and statistic.  Read from its heavy end, every stage's
+choice law is a truncated geometric law in its length contribution with
+ratio q' = min(q, 1/q) (type D first picks one of its two halves), so the
+cumulative weights of every stage are a prefix of one table of about 2n
+entries, built once per factor of a sample_statistic call in O(n).  Each
+stage takes one double from the chunk's numpy bit generator through its
+bitgen_t interface, so a chunk reads the stream of
+rng.random((rows, stages)), and finds its choice by an indexed inverse-CDF
+search on that prefix: it starts from a guide entry that is a lower bound
+on the choice, so it only steps up, and it stops within the prefix (the
+proofs are at the table and the kernel).  At q > 1 the choice is reflected
+about the stage's largest contribution.  A pop closes its gap from the
+shorter side, the labels below moving up or those above moving down, by
+four scalar moves next to the gap and memmove only for the rest; the label
+scratch has four pad slots at each end for those moves.  No choice array
+and no per-stage table exists.  At q = 1 the kernel uniform_rows draws
+each row itself by an inside-out Fisher-Yates shuffle, one 64-bit word per
+entry, plus a rare redraw (probability below n / 2^63 per entry): entry
+i's word puts label i + 1 at a position uniform on 0..i by Lemire's
+multiply-and-reject, and under B and D its low bit gives the sign at
+position i.  So the law is exactly uniform, and nothing is sorted.  Both
+kernels compute each row's t, des or des_inv while the row is in cache:
+the decode records the inverse as it places each label, the shuffle's
+sign pass writes it, and one shared routine counts the descents of both,
+so no window array is built.  A length is the sum of its tower choices'
+contributions, so sampled lengths decode nothing; at q = 1 they come from
+the same kernel on a linear table.
 The exact laws share no code with the decode: their windows and lengths
 come from coxeter.enumerate_windows, which inserts each magnitude into the
 windows of the smaller ones, so a decode defect moves the samples but not
 the laws they are tested against.
-A fourth kernel, window_stats, runs the shared descent routine on window
+A third kernel, window_stats, runs the shared descent routine on window
 rows from elsewhere (the exact laws, the size-bias stars), after checking
 that each is a signed permutation.  The kernels run without the GIL, so
 sampler threads overlap.  They are compiled with the system C compiler on
@@ -86,7 +90,6 @@ from .reports import CheckResult
 
 Q_ONE_WINDOW = 1e-6  # |q-1| below this: evaluate q-integers by direct summation
 SAMPLE_CHUNK = 16384
-STAGE_BLOCK = 16  # stages whose uniforms are drawn at once: bounds the buffer
 
 
 # ---------------------------------------------------------------------------
@@ -268,54 +271,30 @@ def _tower_stages(kind: str, n: int):
     return range(n, 1 if kind == "D" else 0, -1)
 
 
-def _tower_tables(kind: str, n: int, q: float):
-    """Every stage table of the tower, concatenated for the draw_choices kernel.
+def _prefix_table(kind: str, n: int, q: float):
+    """The one table the tower kernel draws every stage from: (flip, S,
+    guide, pw).
 
-    Returns (off, cum, guide, pop, sgn).  Stage n - t owns entries
-    off[t]:off[t + 1] of the others: its cumulative weights, its guide table
-    and each choice's pop index (a - 1) and sign, in _stage_choices order.
-    The weights are q^contribution, scaled at q > 1 by the stage's largest
-    weight so that none exceeds 1.  A uniform v starts its search at guide
-    entry floor(v * len) (Chen and Asau's indexed search), and
-    guide[off[t] + j] is a lower bound on the choice of every v in that
-    bucket: the first choice whose cumulative weight exceeds j/len of the
-    stage total shrunk by 1 - 2^-50, which lies below every v * total of
-    the bucket despite rounding (the proof is at draw_choices), so the
-    kernel only ever steps up.  The stages are built together, one padded
-    row each, and only the guide search runs per stage; a row's valid
-    prefix sums the same weights in the same order as a cumsum of that
-    stage alone, so the tables are bit-equal to a stage-by-stage build.
-    A B or D table set holds 17 n^2 bytes (44 MB at B1600).
+    Read from its heavy end, each stage's choice law is a truncated
+    geometric law with ratio q' = min(q, 1/q) (see tower_rows), so every
+    stage's cumulative weights are a prefix of S[k] = q'^0 + ... + q'^k,
+    k < size, with size = 2n under B and n otherwise; S[size] = inf ends
+    any walk.  pw[k] = q'^k for k <= size (D reads pw[m - 1]), and flip is
+    q > 1.  A value x starts its search at guide[floor(x * inv)], inv =
+    size / S[size - 1], and guide[j] is the first k with S[k] > low_j, low_j
+    the rounded j / inv * (1 - 2^-50).  With u = 2^-53, floor(x * inv) >= j
+    as rounded gives x >= j / (inv (1 + u)), and low_j <= j / inv (1 + u)^2
+    (1 - 2^-50) is below that, so the answer for x is at least guide[j]:
+    the search only steps up.  x < S[size - 1] (1 + 4u) keeps the index
+    within the size + 1 guide entries.  At q = 1 the table is linear, S[k] =
+    k + 1, and the draw uniform.  About 12 (size + 1) bytes: 38 KB at B1600.
     """
-    per = 1 if kind == "A" else 2  # choices per label
-    m = np.array(_tower_stages(kind, n))[:, None]  # stage sizes, a column
-    c = np.arange(per * n)  # choice index, a row
-    a, s = c // per + 1, np.where(c % per, -1, 1)
-    shift = np.where(s > 0, -a, a - (1 if kind == "B" else 2))  # contribution - m
-    valid = c < per * m
-    # cum holds the contributions, then the weights, then their running
-    # sums, in place: at rank 1600 each padded array is 41 MB
-    cum = np.add(m, shift, dtype=np.float64)
-    cum[~valid] = 0.0  # pads: no larger than any contribution
-    if q > 1.0:
-        cum -= cum.max(axis=1, keepdims=True)
-    np.cumsum(np.power(q, cum, out=cum), axis=1, out=cum)
-    sizes = valid.sum(axis=1)
-    low = c / sizes[:, None]
-    low *= cum[np.arange(len(m)), sizes - 1][:, None]
-    low *= 1.0 - 2.0**-50  # below the stage total too: no search passes the last choice
-    guide = np.concatenate(
-        [np.searchsorted(cum[t, :z], low[t, :z], side="right") for t, z in enumerate(sizes.tolist())],
-        dtype=np.int32,
-    )
-    del low  # freed before the flat outputs are built
-    return (
-        np.concatenate(([0], np.cumsum(sizes))),
-        cum[valid],
-        guide,
-        np.broadcast_to(a - 1, valid.shape)[valid].astype(np.int32),
-        np.broadcast_to(s, valid.shape)[valid].astype(np.int8),
-    )
+    size = 2 * n if kind == "B" else n
+    pw = np.power(min(q, 1.0 / q), np.arange(size + 1, dtype=np.float64))
+    S = np.cumsum(pw)
+    S[size] = np.inf
+    low = np.arange(size + 1) / (size / S[size - 1]) * (1.0 - 2.0**-50)
+    return q > 1.0, S, np.searchsorted(S, low, side="right").astype(np.int32), pw
 
 
 def stage_distribution(kind: str, m: int, q: float) -> np.ndarray:
@@ -375,82 +354,39 @@ def _map_chunks(g: GroupDescriptor, count: int, seed, threads: int, draw):
     return [worker(lo, s) for lo, s in zip(starts, children)]
 
 
-def _chunk_stats(kind: str, n: int, tables, cnt: int, rng, which: int) -> np.ndarray:
+def _chunk_stats(kind: str, n: int, table, cnt: int, rng, which: int) -> np.ndarray:
     """Statistic STATISTICS[which] of cnt draws from rng, computed by the
-    kernel that makes each row while the row is in cache: the tower decode
-    of draws from the tower tables (_tower_tables) at q != 1, uniform_rows
-    when tables is None (q = 1).  No window array is built."""
+    kernel that makes each row while the row is in cache: tower_rows on the
+    prefix table (_prefix_table), uniform_rows when table is None (t, des
+    and des_inv at q = 1).  No window array is built."""
     out = np.empty(cnt, dtype=np.int64)
-    if tables is None:
+    if table is None:
         return _uniform(kind, n, cnt, rng, which, out)
-    return _decode(kind, n, *_draw_choices(tables, cnt, rng), which, out)
+    return _tower(kind, n, table, cnt, rng, which, out)
 
 
-def _draw_choices(tables, cnt: int, rng):
-    """Tower choices (pops, signs) of cnt windows from the tower tables
-    (_tower_tables), as _decode takes them.
-
-    Stage n - t of every window takes the t-th run of cnt uniforms v from
-    rng, and its choice is the first whose cumulative weight exceeds
-    v * total: exactly np.searchsorted(cum, v * cum[-1], side="right")
-    clamped to the last choice.  The uniforms are drawn STAGE_BLOCK stages
-    at a time into one buffer, the same stream as one rng.random(cnt) per
-    stage, and each block runs the C kernel draw_choices, which releases
-    the GIL for the whole call.
+def _tower(kind: str, n: int, table, cnt: int, rng, which: int, out) -> np.ndarray:
+    """The C kernel tower_rows on cnt rows drawn from rng, a Generator on
+    any numpy bit generator: statistic STATISTICS[which] of each into the
+    (cnt,) array out.  Row r takes the uniforms of row r of
+    rng.random((cnt, stages)), one per stage, and draws, pops and counts
+    in one pass; a length sums the choices' contributions and decodes
+    nothing.  rng's lock is held for the call, and the kernel releases the
+    GIL; its scratch belongs to this call, so threads share none.
     """
-    off, cum, guide, pop, sgn = tables
-    stages = len(off) - 1
-    pops = np.empty((cnt, stages), dtype=np.int32)
-    signs = np.empty((cnt, stages), dtype=np.int8)
-    buf = np.empty((min(stages, STAGE_BLOCK), cnt))
-    draw = _decode_lib().draw_choices
-    for first in range(0, stages, STAGE_BLOCK):
-        u = rng.random(out=buf[: min(STAGE_BLOCK, stages - first)])
-        bad = draw(
-            cnt, stages, first, first + len(u), u.ctypes.data,
-            off.ctypes.data, cum.ctypes.data, guide.ctypes.data, pop.ctypes.data,
-            sgn.ctypes.data, pops.ctypes.data, signs.ctypes.data,
-        )
-        if bad:
-            raise ValueError(f"uniform outside [0, 1) for choice row {bad - 1}")
-    return pops, signs
-
-
-def _decode(kind: str, n: int, pops: np.ndarray, signs: np.ndarray, which: int, out) -> np.ndarray:
-    """The C kernel decode_rows: statistic STATISTICS[which] of the windows
-    of the tower choices into the (rows,) array out.  Column t of pops and
-    signs is stage n - t, which pops the pops[:, t]-th smallest remaining
-    label into position n - t with sign signs[:, t]; type D's last label
-    fills position 1.  It releases the GIL for the whole call; its scratch
-    belongs to this call, so threads share none.
-    """
-    cnt, stages = pops.shape
-    need = len(_tower_stages(kind, n))
-    if signs.shape != pops.shape or stages != need:
-        raise ValueError(f"type {kind} windows of size {n} need {need} choice columns")
-    pops = np.ascontiguousarray(pops, dtype=np.int32)
-    signs = np.ascontiguousarray(signs, dtype=np.int8)
+    flip, S, guide, pw = table
     labels = np.zeros(n + 8, dtype=np.int32)
     row = np.empty(2 * n, dtype=np.int64)
-    bad = _decode_lib().decode_rows(
-        cnt, n, stages, "ABD".index(kind), which,
-        pops.ctypes.data, signs.ctypes.data, labels.ctypes.data, row.ctypes.data, out.ctypes.data,
-    )
+    bg = rng.bit_generator
+    with bg.lock:
+        bad = _decode_lib().tower_rows(
+            cnt, n, "ABD".index(kind), which, bg.ctypes.bit_generator, flip,
+            S.ctypes.data, guide.ctypes.data, pw.ctypes.data,
+            labels.ctypes.data, row.ctypes.data, out.ctypes.data,
+        )
     if bad:
-        raise ValueError(f"pop index out of range in choice row {bad - 1}")
+        raise ValueError(f"the bit generator gave a uniform outside [0, 1) in row {bad - 1}")
     return out
-
-
-def _choice_lengths(kind: str, n: int, pops: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Lengths of the windows that _decode decodes from these tower choices.
-
-    A window's length is the sum of its stage contributions (_stage_choices):
-    stage m's pop index p = a - 1 adds m - 1 - p with sign 1, and with sign
-    -1 adds m + p under B, m + p - 1 under D.  No window is decoded.
-    """
-    m = np.arange(n, n - pops.shape[1], -1, dtype=np.int32)
-    neg = m + pops - (1 if kind == "D" else 0)
-    return np.where(signs > 0, m - 1 - pops, neg).sum(axis=1, dtype=np.int64)
 
 
 _DECODE_C = r"""
@@ -485,114 +421,142 @@ static int64_t row_stat(const int64_t *w, const int64_t *inv, int64_t n, int typ
     return which == 1 ? d : d + row_descents(inv, n, type);
 }
 
-/* Row r of pops and signs holds the tower choices of window r; column t is
-   stage m = n - t, which pops the pops[t]-th smallest remaining label into
-   position m with sign signs[t].  Under type D (type 2) a negative choice
-   also negates the smallest label left.  Labels no stage pops fill the
-   leftmost positions.  Window r goes to row[0..n); placing label v at
-   position p also records the inverse, p with the sign of v at |v|, in
-   row[n..2n), and out[r] is the window's statistic which (row_stat).  buf
-   is scratch for n + 8 labels; the remaining ones are lab[0..left), and lab
-   starts at buf + 4.  A pop closes its gap from the shorter side: the
-   labels below k move up one and lab advances, or the labels above k move
-   down one.  Either way the four moves next to the gap are unconditional
-   scalar copies and memmove shifts only the rest, so a short shift takes no
-   branch on its length.  The copies may read four slots past either end of
-   the labels: lab never falls below buf + 4, and its top end never rises
-   above buf + n + 4, so the pads hold them.  Returns 0, or 1 + the first
-   row with a pop index out of range. */
-int64_t decode_rows(int64_t cnt, int64_t n, int64_t stages, int type, int which,
-                    const int32_t *pops, const int8_t *signs,
-                    int32_t *buf, int64_t *row, int64_t *out)
+/* The tower choices of one row, drawn from the numpy bit generator bg:
+   stage m = n, n - 1, ... (down to 1, or to 2 under D) of type 0, 1 or 2
+   (A, B or D) takes one v = next_double, so rows drawn one after another
+   read the stream of rng.random((rows, stages)).  Stage m's choice goes to
+   row[m - 1] as 2 p + neg: it pops the p-th smallest remaining label, with
+   sign -1 when neg is 1.  Returns the sum of the choices' length
+   contributions c, or -1 for a double outside [0, 1).
+
+   Stage m's choice law is a truncated geometric law in c, weight q^c: c in
+   0..m-1 under A (p = m - 1 - c) and 0..2m-1 under B (neg for c >= m,
+   p = c - m); under D two halves of m choices, j in 0..m-1 with sign + and
+   c = j, or sign - and c = m - 1 + j (p = m - 1 - j or j).  Read from the
+   heavy end, every weight is q'^k, q' = min(q, 1/q): c = k, or at q > 1
+   (flip = 1) c = top - k, top the stage's largest c.  So each stage's
+   cumulative weights are the prefix S[0..M) of one table (_prefix_table),
+   M = 2m under B and m otherwise, and the stage takes the first k with
+   S[k] > x = v S[M-1].  Under D it picks its half first: x = v (h + w h)
+   with h = S[m-1] and w = pw[m-1] = q'^(m-1), and x >= h takes the light
+   half (sign - at q < 1, + at q > 1), searched at x = (x - h) / w, with c
+   counted from m - 1.
+
+   The search starts at guide[(int64_t)(x * inv)], a lower bound on k (the
+   proof is at _prefix_table), and steps up.  It stops by M - 1: S[0] = 1,
+   so S[M-1] >= 1 is a normal double, and v <= 1 - 2^-53 gives
+   v S[M-1] < S[M-1] after rounding; D's heavy half has x < h by its test.
+   Only the light half's quotient may round past S[m-1]: the sentinel
+   S[size] = inf ends that walk, and the clamp to M - 1 takes it back.  At
+   q' = 1e-3, w is at most 1e-18 from m = 7 on, subnormal from m = 104
+   and 0 from m = 109; h + w h then rounds to h, so the light half is never
+   taken and the division never meets w = 0.  type is a constant at each
+   call, so the compiler drops the other types' branches. */
+static inline __attribute__((always_inline)) int64_t
+draw_row(int64_t n, const int type, int flip, bitgen_t *bg, const double *S,
+         const int32_t *guide, const double *pw, double inv, int64_t *row)
 {
-    int64_t *inv = row + n;
+    int64_t len = 0;
+    for (int64_t m = n; m >= (type == 2 ? 2 : 1); m--) {
+        int64_t M = type == 1 ? 2 * m : m;
+        double v = bg->next_double(bg->state), h = S[M - 1], x = v * h;
+        if (!(v >= 0.0 && v < 1.0))
+            return -1;
+        int light = 0;
+        if (type == 2) {
+            double w = pw[m - 1];
+            x = v * (h + w * h);
+            light = x >= h;
+            if (light)
+                x = (x - h) / w;
+        }
+        int64_t k = guide[(int64_t)(x * inv)];
+        while (S[k] <= x)
+            k++;
+        k = k < M ? k : M - 1;
+        int64_t c = light ? m - 1 + k : k;
+        if (flip)
+            c = (type == 0 ? m - 1 : type == 1 ? 2 * m - 1 : 2 * m - 2) - c;
+        len += c;
+        int neg = type == 2 ? light ^ flip : c >= m;
+        int64_t p = neg ? c - (type == 2 ? m - 1 : m) : m - 1 - c;
+        row[m - 1] = 2 * p + neg;
+    }
+    return len;
+}
+
+/* Statistic which (0..3: t, des, des_inv, length) of cnt tower rows of
+   type 0, 1 or 2 (A, B or D) and window size n, each drawn (draw_row),
+   decoded and counted in one pass, so no choice or window array exists.
+   flip is q > 1, and S, guide and pw are the prefix table
+   (_prefix_table).  For which = 3 the row's length is the sum of its
+   contributions, and nothing is decoded.  Otherwise stage m pops its
+   label into position m, and under D a negative choice also negates the
+   smallest label left; labels no stage pops fill the leftmost positions.
+   Placing label v at position m records the inverse, m with the sign of v
+   at |v|, so row holds the window in row[0..n) and its inverse in
+   row[n..2n), and out[r] is the window's statistic which (row_stat).  buf
+   is scratch for n + 8 labels; the remaining ones are lab[0..left), and
+   lab starts at buf + 4.  A pop closes its gap from the shorter side: the
+   labels below p move up one and lab advances, or the labels above p move
+   down one.  Either way the four moves next to the gap are unconditional
+   scalar copies and memmove shifts only the rest, so a short shift takes
+   no branch on its length.  The copies may read four slots past either end
+   of the labels: lab never falls below buf + 4, and its top end never
+   rises above buf + n + 4, so the pads hold them.  Returns 0, or 1 + the
+   first row given a double outside [0, 1). */
+int64_t tower_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *bg, int flip,
+                   const double *S, const int32_t *guide, const double *pw,
+                   int32_t *buf, int64_t *row, int64_t *out)
+{
+    int64_t last = type == 2 ? 2 : 1, size = type == 1 ? 2 * n : n;
+    double inv = (double)size / S[size - 1];
+    int64_t *winv = row + n;
     for (int64_t r = 0; r < cnt; r++) {
-        const int32_t *p = pops + r * stages;
-        const int8_t *s = signs + r * stages;
+        int64_t len = type == 0 ? draw_row(n, 0, flip, bg, S, guide, pw, inv, row)
+                    : type == 1 ? draw_row(n, 1, flip, bg, S, guide, pw, inv, row)
+                    : draw_row(n, 2, flip, bg, S, guide, pw, inv, row);
+        if (len < 0)
+            return r + 1;
+        if (which == 3) {
+            out[r] = len;
+            continue;
+        }
         int32_t *lab = buf + 4;
         int64_t left = n;
         for (int64_t i = 0; i < n; i++)
             lab[i] = (int32_t)(i + 1);
-        for (int64_t t = 0; t < stages; t++) {
-            int64_t k = p[t];
-            if (k < 0 || k >= left)
-                return r + 1;
-            int64_t v = s[t] * lab[k], sg = (v > 0) - (v < 0);
-            row[n - 1 - t] = v;
-            inv[sg * v - 1] = sg * (n - t);
+        for (int64_t m = n; m >= last; m--) {
+            int64_t p = row[m - 1] >> 1, neg = row[m - 1] & 1;
+            int64_t s = 1 - 2 * neg, u = s * lab[p], sg = (u > 0) - (u < 0);
+            row[m - 1] = u;
+            winv[sg * u - 1] = sg * m;
             left--;
-            if (k < left - k) {
-                lab[k] = lab[k - 1];
-                lab[k - 1] = lab[k - 2];
-                lab[k - 2] = lab[k - 3];
-                lab[k - 3] = lab[k - 4];
-                if (k > 4)
-                    memmove(lab + 1, lab, (size_t)(k - 4) * sizeof *lab);
+            if (p < left - p) {
+                lab[p] = lab[p - 1];
+                lab[p - 1] = lab[p - 2];
+                lab[p - 2] = lab[p - 3];
+                lab[p - 3] = lab[p - 4];
+                if (p > 4)
+                    memmove(lab + 1, lab, (size_t)(p - 4) * sizeof *lab);
                 lab++;
             } else {
-                lab[k] = lab[k + 1];
-                lab[k + 1] = lab[k + 2];
-                lab[k + 2] = lab[k + 3];
-                lab[k + 3] = lab[k + 4];
-                if (left - k > 4)
-                    memmove(lab + k + 4, lab + k + 5, (size_t)(left - k - 4) * sizeof *lab);
+                lab[p] = lab[p + 1];
+                lab[p + 1] = lab[p + 2];
+                lab[p + 2] = lab[p + 3];
+                lab[p + 3] = lab[p + 4];
+                if (left - p > 4)
+                    memmove(lab + p + 4, lab + p + 5, (size_t)(left - p - 4) * sizeof *lab);
             }
-            if (type == 2 && s[t] < 0)
+            if (type == 2 && neg)
                 lab[0] = -lab[0];
         }
         for (int64_t i = 0; i < left; i++) {
-            int64_t v = lab[i], sg = (v > 0) - (v < 0);
-            row[i] = v;
-            inv[sg * v - 1] = sg * (i + 1);
+            int64_t u = lab[i], sg = (u > 0) - (u < 0);
+            row[i] = u;
+            winv[sg * u - 1] = sg * (i + 1);
         }
-        out[r] = row_stat(row, inv, n, type, which);
-    }
-    return 0;
-}
-
-/* Columns first to last - 1 of the row-major (cnt, stages) tower choices
-   pops and signs, from stage-major uniforms: u[(t - first) * cnt + r]
-   drives column t of row r.  Column t's choice table is entries off[t] to
-   off[t + 1] - 1 of cum (cumulative weights), guide, pop and sgn.  A
-   uniform v starts at guide entry j = floor(v * len) and steps up to the
-   first choice k with cum[k] > x = v * total, which is exactly numpy's
-   searchsorted(cum, x, side="right"), flat runs of cum included.  The walk
-   needs no bound checks:
-   - guide[j] is the first choice whose cum exceeds low, the rounded
-     j / len * total * (1 - 2^-50).  With u = 2^-53, (int64)(v * len) >= j
-     gives v >= j / (len (1 + u)), so x >= v total (1 - u) >= low, because
-     low <= j / len * total (1 + u)^3 (1 - 2^-50) and
-     (1 + u)^4 (1 - 2^-50) <= 1 - u.  So the walk never has to step down.
-   - v <= 1 - u and total >= 1 (the largest weight is 1) give x < total =
-     cum[len - 1], so the walk stops by the last choice.
-   Rows go in blocks so the row-major outputs are written while their cache
-   lines are held.  Returns 0, or 1 + a row with a uniform outside
-   [0, 1). */
-int64_t draw_choices(int64_t cnt, int64_t stages, int64_t first, int64_t last,
-                     const double *u, const int64_t *off, const double *cum,
-                     const int32_t *guide, const int32_t *pop, const int8_t *sgn,
-                     int32_t *pops, int8_t *signs)
-{
-    for (int64_t r0 = 0; r0 < cnt; r0 += 64) {
-        int64_t r1 = r0 + 64 < cnt ? r0 + 64 : cnt;
-        for (int64_t t = first; t < last; t++) {
-            const double *c = cum + off[t], *ut = u + (t - first) * cnt;
-            const int32_t *g = guide + off[t], *p = pop + off[t];
-            const int8_t *s = sgn + off[t];
-            int64_t len = off[t + 1] - off[t];
-            double total = c[len - 1];
-            for (int64_t r = r0; r < r1; r++) {
-                double v = ut[r], x = v * total;
-                if (!(v >= 0.0 && v < 1.0))
-                    return r + 1;
-                int64_t j = (int64_t)(v * len);
-                int64_t k = g[j < len ? j : len - 1];
-                while (c[k] <= x)
-                    k++;
-                pops[r * stages + t] = p[k];
-                signs[r * stages + t] = s[k];
-            }
-        }
+        out[r] = row_stat(row, winv, n, type, which);
     }
     return 0;
 }
@@ -673,8 +637,10 @@ int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
 """
 # -O1: -O2 is not measurably faster.  Pinned to one CPU, t of 1e5 B200 rows
 # took 0.61-0.71 s at -O2 against 0.63-0.66 s at -O1 (medians of 7, gcc 12),
-# with the same output.
-_DECODE_FLAGS = ("-O1", "-shared", "-fPIC", "-Wall", "-Wextra")
+# with the same output.  -ffp-contract=off keeps a * b + c two roundings on
+# targets with fused multiply-add, so the tower draw stays bit-equal to its
+# numpy reference.
+_DECODE_FLAGS = ("-O1", "-ffp-contract=off", "-shared", "-fPIC", "-Wall", "-Wextra")
 
 
 def _compile_decoder(directory: str) -> tuple[str, str]:
@@ -781,10 +747,10 @@ def _decode_lib() -> ctypes.CDLL:
             with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as d:
                 os.replace(_compile_decoder(d)[0], path)
             lib = ctypes.CDLL(path)
-    lib.decode_rows.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 5
-    lib.decode_rows.restype = ctypes.c_int64
-    lib.draw_choices.argtypes = (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 8
-    lib.draw_choices.restype = ctypes.c_int64
+    lib.tower_rows.argtypes = (
+        (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p, ctypes.c_int) + (ctypes.c_void_p,) * 6
+    )
+    lib.tower_rows.restype = ctypes.c_int64
     lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 4
     lib.uniform_rows.restype = None
     lib.window_stats.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
@@ -818,7 +784,7 @@ def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
     return out
 
 
-STATISTICS = ("t", "des", "des_inv", "length")  # the first three: the kernels' `which` codes
+STATISTICS = ("t", "des", "des_inv", "length")  # the kernels' `which` codes (window_stats: the first three)
 
 
 def _check_statistic(statistic: str) -> None:
@@ -899,11 +865,9 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
     kind, n = g.kind, g.window_size
     # built once, before the sampler threads start, and shared by every chunk;
     # t, des and des_inv at q = 1 do not walk the tower
-    tables = _tower_tables(kind, n, q) if statistic == "length" or q != 1.0 else None
-    if statistic == "length":
-        return lambda cnt, rng: _choice_lengths(kind, n, *_draw_choices(tables, cnt, rng))
+    table = _prefix_table(kind, n, q) if statistic == "length" or q != 1.0 else None
     which = STATISTICS.index(statistic)
-    return lambda cnt, rng: _chunk_stats(kind, n, tables, cnt, rng, which)
+    return lambda cnt, rng: _chunk_stats(kind, n, table, cnt, rng, which)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,12 @@ def variance_bounds_two_sided(g, q: float) -> VarianceBounds:
     return VarianceBounds(lower, upper, co_lower, co_upper, applicable, note)
 
 
+def _check_draws(xs) -> None:
+    """A sampled check needs a sample variance, so at least 2 drawn values."""
+    if xs is not None and len(xs) < 2:
+        raise ValueError("a sampled variance needs at least 2 draws")
+
+
 def _t_law(spec: MallowsSpec, xs) -> DiscreteDistribution:
     """The exact law of t under spec when xs is None, else the law of xs."""
     return exact_distribution(spec, "t") if xs is None else DiscreteDistribution.from_samples(xs)
@@ -224,8 +230,10 @@ def mean_formula_check(g, q: float, xs=None) -> CheckResult:
     """E t = 2qn/(1+q), to a relative error of 1e-10.
 
     xs is None for the exact law, or drawn values of t under (g, q), whose
-    mean gets five standard errors of slack in place of the 1e-10.
+    mean gets five standard errors of slack in place of the 1e-10; fewer
+    than 2 are refused.
     """
+    _check_draws(xs)
     spec = MallowsSpec.make(g, q)
     law = _t_law(spec, xs)
     measured, variance = law.mean(), law.variance()
@@ -250,8 +258,7 @@ def variance_bounds_check(g, q: float, xs=None) -> CheckResult:
     variance gets 5 var sqrt(2/(count-1)) of slack on every bound: five
     standard errors of a sample variance of a near-normal law.
     """
-    if xs is not None and len(xs) < 2:
-        raise ValueError("a sampled variance needs at least 2 draws")
+    _check_draws(xs)
     spec = MallowsSpec.make(g, q)
     var = _t_law(spec, xs).variance()
     b = variance_bounds_two_sided(g, q)
@@ -279,8 +286,9 @@ def cube_moment_bound_check(g, q: float, des=None) -> CheckResult:
     """E(des(w)^3) <= n^3 q^3/(1+q)^3 + 24 n^2 q^2/(1+q)^2 + 16 n q/(1+q).
 
     des is None for the exact law, or drawn values of des under (g, q),
-    whose mean gets four standard errors of slack.
+    whose mean gets four standard errors of slack; fewer than 2 are refused.
     """
+    _check_draws(des)
     n = g.num_generators
     r = q / (1.0 + q)
     bound = (n * r) ** 3 + 24.0 * (n * r) ** 2 + 16.0 * n * r

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .mallows import MallowsSpec, sample_statistic
-from .moments import DiscreteDistribution, exact_distribution, mean_two_sided
+from .moments import DiscreteDistribution, _check_draws, exact_distribution, mean_two_sided
 from .reports import CheckResult
 from .sizebias import generic_stein_bound, stein_bound_rhs, stein_error_terms
 
@@ -311,10 +311,12 @@ def tail_bound_check(g, q: float, xs=None) -> CheckResult:
     P(t - mu <= -x) <= exp(-x^2 / (8 mu)), on an integer grid of x >= 0.
 
     xs is None for the exact law, or drawn values of t under (g, q); drawn
-    tail frequencies get a one-sided Hoeffding slack at level TAIL_ALPHA.
+    tail frequencies get a one-sided Hoeffding slack at level TAIL_ALPHA;
+    fewer than 2 are refused, as by the other sampled checks.
     """
     if getattr(g, "kind", None) not in ("A", "B", "D"):
         raise ValueError("tail bounds are stated for irreducible types A, B, D")
+    _check_draws(xs)
     n = g.num_generators
     mu = mean_two_sided(g, q)
     grid = range(0, 2 * n + 1)

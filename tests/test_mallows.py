@@ -36,21 +36,18 @@ from coxmal.mallows import (
     _DECODE_C,
     _DECODE_FLAGS,
     SAMPLE_CHUNK,
-    STAGE_BLOCK,
     MallowsSpec,
-    _choice_lengths,
     _chunk_stats,
     _compile_decoder,
-    _decode,
     _decode_lib,
     _dihedral_stat_values,
     _dihedral_table,
-    _draw_choices,
     _map_chunks,
+    _prefix_table,
     _segments_in_file,
     _stage_choices,
+    _tower,
     _tower_stages,
-    _tower_tables,
     _uniform,
     _windows_and_weights,
     _windows_stat,
@@ -70,9 +67,11 @@ from coxmal.moments import exact_distribution, goodness_of_fit
 from window_reference import (
     chunk_windows,
     itertools_windows,
+    reference_choices,
     reference_decode,
     reference_uniform,
     sampled_windows,
+    stage_choice,
     windows_lengths,
     windows_statistic,
 )
@@ -169,79 +168,118 @@ def _list_contributions(kind, m):
     return out
 
 
-def _list_tower_tables(kind, n, q):
-    """_tower_tables built stage by stage from Python lists of choices."""
-    stages = []
-    for m in _tower_stages(kind, n):
-        cands = stage_candidates(kind, m) if m <= 8 else _list_contributions(kind, m)
-        a = np.array([c[0] for c in cands], dtype=np.int64)
-        s = np.array([c[1] for c in cands], dtype=np.int64)
-        contrib = np.array([c[2] for c in cands], dtype=np.float64)
-        if q > 1.0:
-            contrib = contrib - contrib.max()
-        stages.append((a, s, np.cumsum(np.power(q, contrib))))
-    guides = []
-    for _, _, cum in stages:
-        size = len(cum)
-        low = np.arange(size) / size * cum[-1] * (1.0 - 2.0**-50)
-        guides.append(np.minimum(np.searchsorted(cum, low, side="right"), size - 1))
-    return (
-        np.cumsum([0] + [len(cum) for _, _, cum in stages], dtype=np.int64),
-        np.concatenate([cum for _, _, cum in stages]),
-        np.concatenate(guides).astype(np.int32),
-        np.concatenate([a for a, _, _ in stages]).astype(np.int32) - 1,
-        np.concatenate([s for _, s, _ in stages]).astype(np.int8),
-    )
+def _list_prefix_table(kind, n, q, pw):
+    """_prefix_table built from the powers pw by Python loops over floats."""
+    size = 2 * n if kind == "B" else n
+    S, total = [], 0.0
+    for w in pw[:size]:
+        total += w
+        S.append(total)
+    S.append(math.inf)
+    inv = size / S[size - 1]
+    low = [j / inv * (1.0 - 2.0**-50) for j in range(size + 1)]
+    guide = [next(k for k, v in enumerate(S) if v > x) for x in low]
+    return q > 1.0, np.array(S), np.array(guide, dtype=np.int32)
+
+
+def _table_stage_law(kind, m, q):
+    """{(a, s): probability} of stage m's choices as the tower kernel draws
+    them: table index k with weight q'^k (D's light half times q'^(m - 1)),
+    mapped to a choice by stage_choice."""
+    flip, S, _, pw = _prefix_table(kind, max(m, 2), q)
+    M = 2 * m if kind == "B" else m
+    k = np.arange(M)
+    light = np.zeros(M, dtype=bool)
+    weight = pw[:M]
+    if kind == "D":
+        k, light = np.tile(k, 2), np.repeat([False, True], M)
+        weight = np.concatenate([pw[:M], pw[m - 1] * pw[:M]])
+    pops, signs, _ = stage_choice(kind, m, flip, k, light)
+    law = {}
+    for a, s, w in zip((pops + 1).tolist(), signs.tolist(), (weight / weight.sum()).tolist()):
+        law[a, s] = law.get((a, s), 0.0) + w
+    return law
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 @pytest.mark.parametrize("q", [1e-3, 0.5, 2.0, 1e3])
 def test_tower_tables_equal_the_list_build(kind, q):
-    """The numpy closed form builds the same tables, to the bit, as the
-    enumerated choices (stages up to 8) and the list loop (the rest).  Rank
-    201 holds every stage table from 1 to 201."""
+    """The numpy prefix table equals, to the bit, the one that Python loops
+    build from its powers, at ranks 2 to 201, and the powers are q'^k to
+    an ulp; and read through the kernel's choice rule
+    (stage_choice) its prefixes give every stage the law of
+    stage_distribution, on the enumerated choices (stages up to 8) and the
+    closed form (the rest).  (The name is older than the shared table.)"""
     for m in range(2 if kind == "D" else 1, 9):
         assert stage_candidates(kind, m) == tuple(_list_contributions(kind, m))
+    qq = min(q, 1.0 / q)
     for n in (2, 3, 50, 201):
-        got, want = _tower_tables(kind, n, q), _list_tower_tables(kind, n, q)
-        for x, y in zip(got, want):
+        got = _prefix_table(kind, n, q)
+        pw = got[3].tolist()
+        assert got[3].dtype == np.float64 and len(pw) == (2 * n if kind == "B" else n) + 1
+        assert all(abs(w - qq**k) <= 2**-52 * qq**k for k, w in enumerate(pw))  # numpy's pow
+        want = _list_prefix_table(kind, n, q, pw)
+        assert got[0] is want[0]
+        for x, y in zip(got[1:3], want[1:]):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n, x.dtype)
+    for m in list(range(2 if kind == "D" else 1, 9)) + [50, 201]:
+        cands = stage_candidates(kind, m) if m <= 8 else _list_contributions(kind, m)
+        want = dict(zip([c[:2] for c in cands], stage_distribution(kind, m, q).tolist()))
+        got = _table_stage_law(kind, m, q)
+        assert got.keys() == want.keys()
+        assert all(abs(got[c] - want[c]) <= 1e-12 * want[c] + 1e-300 for c in want), m
 
 
-def _smallest_in_bucket(j, size):
-    """The smallest double v with (int64)(v * size) >= j, elementwise, found
-    by nextafter steps from j / size."""
-    v = j / size
+def _smallest_in_bucket(j, inv):
+    """The smallest double x with (int64)(x * inv) >= j, elementwise, found
+    by nextafter steps from j / inv."""
+    x = j / inv
     while True:
-        down = np.nextafter(v, 0.0)
-        step = (v > 0) & ((down * size).astype(np.int64) >= j)
+        down = np.nextafter(x, 0.0)
+        step = (x > 0) & ((down * inv).astype(np.int64) >= j)
         if not step.any():
             break
-        v = np.where(step, down, v)
+        x = np.where(step, down, x)
     while True:
-        step = (v * size).astype(np.int64) < j
+        step = (x * inv).astype(np.int64) < j
         if not step.any():
-            return v
-        v = np.where(step, np.nextafter(v, 1.0), v)
+            return x
+        x = np.where(step, np.nextafter(x, np.inf), x)
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 @pytest.mark.parametrize("q", [1e-3, 0.25, 0.5, 0.97, 1.0, 1.03, 2.0, 4.0, 1e3])
 def test_guide_is_a_lower_bound(kind, q):
-    """draw_choices only steps up from its guide entry, and stops by the last
-    choice without a bound check.  So every guide entry j must be at most
-    the choice of the smallest uniform of its bucket (the choices grow with
-    v), and the largest uniform must land below the stage total."""
+    """tower_rows only steps up from its guide entry, and each stage's
+    search stops within its prefix.  So every guide entry j must be at most
+    the answer for the smallest x of its bucket (the answers grow with x);
+    the largest uniform must land below every prefix total S[M - 1], in a
+    bucket the guide has; and D's light half, whose quotient may round past
+    S[m - 1], must end at the sentinel at the latest, where the clamp takes
+    it back.  At q' = 1e-3 the light half is never taken from m = 7 on,
+    where its weight q'^(m - 1) rounds away next to 1, and from m = 109 on
+    that weight is 0."""
+    top = np.nextafter(1.0, 0.0)
     for n in (2, 3, 7, 50, 201):
-        off, cum, guide, _, _ = _tower_tables(kind, n, q)
-        for t in range(len(off) - 1):
-            c, g = cum[off[t] : off[t + 1]], guide[off[t] : off[t + 1]]
-            size = len(c)
-            v = _smallest_in_bucket(np.arange(size), size)
-            assert ((v * size).astype(np.int64) == np.arange(size)).all()
-            choice = np.minimum(np.searchsorted(c, v * c[-1], side="right"), size - 1)
-            assert (g <= choice).all(), (n, t)
-            assert np.nextafter(1.0, 0.0) * c[-1] < c[-1]
+        flip, S, guide, pw = _prefix_table(kind, n, q)
+        size = len(S) - 1
+        inv = size / S[size - 1]
+        x = _smallest_in_bucket(np.arange(size + 1), inv)
+        assert ((x * inv).astype(np.int64) == np.arange(size + 1)).all()
+        assert (guide <= np.searchsorted(S, x, side="right")).all(), n
+        assert np.isinf(S[size]) and guide.dtype == np.int32 and len(guide) == size + 1
+        h = S[:size]
+        assert (top * h < h).all() and ((top * h * inv).astype(np.int64) <= size).all()
+        if kind == "D":
+            h = S[:n]
+            total = h + pw[:n] * h
+            light = top * total >= h
+            if q in (1e-3, 1e3):
+                assert not light[6:].any()  # w <= 1e-18 from m = 7 on
+                assert n < 109 or pw[n - 1] == 0.0
+            x = (top * total[light] - h[light]) / pw[:n][light]
+            assert ((x * inv).astype(np.int64) <= size).all()
+            assert (np.searchsorted(S, x, side="right") <= size).all()
 
 
 @pytest.mark.parametrize("name,q", [("A3", 0.7), ("B3", 0.7), ("B3", 2.5), ("D4", 0.7)])
@@ -314,16 +352,43 @@ def _random_choices(kind, n, count, rng):
     return pops, signs
 
 
+def _uniforms_for(kind, n, pops, signs):
+    """Uniforms that make tower_rows on the linear (q = 1) table choose the
+    given pops and signs: there every table index k has weight 1, so x = u *
+    total = k + 1/2 (under D, m + k + 1/2 in the light half, of sign -)
+    selects k."""
+    m = np.array(list(_tower_stages(kind, n)))
+    neg = signs < 0
+    if kind == "D":
+        return (np.where(neg, pops + m, m - 1 - pops) + 0.5) / (2 * m)
+    c = np.where(neg, pops + m, m - 1 - pops)
+    return (c + 0.5) / ((2 if kind == "B" else 1) * m)
+
+
+def _fed_tower_rows(kind, n, q, U, which):
+    """tower_rows fed the (rows, stages) uniforms U by a fake bit generator:
+    statistic which of each row, after checking that the kernel made
+    exactly one next_double call per stage and no other call."""
+    rng = _FakeBitgen(doubles=U.ravel())
+    out = _tower(kind, n, _prefix_table(kind, n, q), len(U), rng, which, np.empty(len(U), dtype=np.int64))
+    assert rng.calls == ["next_double"] * U.size
+    return out
+
+
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 @pytest.mark.parametrize("n", [2, 4, 7, 50, 300])
 def test_decode_rows_matches_reference(kind, n):
-    """Random stage choices; n = 2 is type D's smallest tower, n = 300 has
-    labels above 255.  Fixed rows pop at either end and in the middle, where
-    the decoder closes the gap from one side or the other, and alternate
-    the ends, with D negations after the low-end pops.  The kernel's t, des
-    and des_inv equal those of the reference decode's windows."""
+    """The decode in tower_rows: random stage choices, fed to the kernel as
+    the uniforms that choose them on the linear table; n = 2 is type D's
+    smallest tower, n = 300 has labels above 255.  Fixed rows pop at either
+    end and in the middle, where the decoder closes the gap from one side
+    or the other, and alternate the ends, with D negations after the
+    low-end pops.  The kernel's t, des, des_inv and length equal those of
+    the reference decode's windows.  (The name is older than the one-pass
+    kernel.)"""
     rng = np.random.default_rng(1000 * n + ord(kind))
-    pops, signs = _random_choices(kind, n, 2500, rng)
+    # fewer random rows at n = 300: the fake generator calls back per stage
+    pops, signs = _random_choices(kind, n, 2500 if n <= 50 else 300, rng)
     left = np.array(list(_tower_stages(kind, n)), dtype=np.int32)  # labels left at each stage
     bottom = np.zeros_like(left)
     even = np.arange(len(left)) % 2 == 0
@@ -335,127 +400,106 @@ def test_decode_rows_matches_reference(kind, n):
     signs = np.concatenate([signs] + fixed_signs).astype(np.int8)
     if kind == "A":
         signs[:] = 1
+    U = _uniforms_for(kind, n, pops, signs)
+    drawn = reference_choices(kind, n, 1.0, U)
+    assert np.array_equal(drawn[0], pops) and np.array_equal(drawn[1], signs)
     W = reference_decode(kind, n, pops, signs)
     assert np.array_equal(np.sort(np.abs(W), axis=1), np.tile(np.arange(1, n + 1), (len(W), 1)))
     if kind == "D":
         assert ((W < 0).sum(axis=1) % 2 == 0).all()
         unflipped = reference_decode(kind, n, pops, signs, d_flip=False)
-    for which, stat in enumerate(WINDOW_STATS):
-        got = _decode(kind, n, pops, signs, which, np.empty(len(pops), dtype=np.int64))
+    for which, stat in enumerate(STATS):
+        got = _fed_tower_rows(kind, n, 1.0, U, which)
         assert got.dtype == np.int64
         assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
-        if kind == "D" and n > 2:
+        if kind == "D" and n > 2 and stat != "length":
             # negative control: the comparison sees a decode without the D
             # flip (at n = 2 both decodes give the same statistics)
             assert not np.array_equal(got, windows_statistic(kind, unflipped, stat)), stat
 
 
-def test_decode_rows_rejects_bad_choices():
-    pops, signs = _random_choices("B", 5, 10, np.random.default_rng(0))
-    out = np.empty(10, dtype=np.int64)
-    for bad in (5, -1):  # stage 5 offers pop indices 0..4
-        p = pops.copy()
-        p[3, 0] = bad
-        for which in range(3):
-            with pytest.raises(ValueError, match="row 3"):
-                _decode("B", 5, p, signs, which, out)
-    with pytest.raises(ValueError):
-        _decode("D", 5, pops, signs, 0, out)  # D5 has four stages, not five
-    with pytest.raises(ValueError):
-        _decode("B", 5, pops, signs[:, :4], 0, out)
-
-
-def _stage_arrays(kind, m, q):
-    """(a, s, cumweight) arrays of one stage, weights scaled to <= 1: the
-    stage-by-stage reference of _tower_tables and the draw_choices kernel."""
-    a, s, contrib = _stage_choices(kind, m)
-    contrib = contrib.astype(np.float64)
-    if q > 1.0:
-        contrib = contrib - contrib.max()
-    return a, s, np.cumsum(np.power(q, contrib))
-
-
-def _reference_choices(kind, n, q, cnt, uniforms, side="right"):
-    """The per-stage numpy inverse-CDF draws: the draw_choices kernel's
-    reference.  uniforms yields one array of cnt uniforms per stage, stage n
-    first."""
-    stages = list(_tower_stages(kind, n))
-    pops = np.empty((cnt, len(stages)), dtype=np.int32)
-    signs = np.empty((cnt, len(stages)), dtype=np.int8)
-    for t, (m, u) in enumerate(zip(stages, uniforms)):
-        a_arr, s_arr, cum = _stage_arrays(kind, m, q)
-        col = np.searchsorted(cum, u * cum[-1], side=side)
-        np.minimum(col, len(cum) - 1, out=col)
-        pops[:, t] = a_arr[col] - 1
-        signs[:, t] = s_arr[col]
-    return pops, signs
+def _ties(targets, total):
+    """Uniforms u with u * total on each target x, where one of the nine
+    doubles nearest x / total puts it exactly, else the nearest, each with
+    the doubles next to it."""
+    cands = [targets / total]
+    for _ in range(4):
+        cands = [np.nextafter(cands[0], 0.0)] + cands + [np.nextafter(cands[-1], 1.0)]
+    cands = np.array(cands)
+    exact = cands * total == targets
+    u = cands[np.where(exact.any(axis=0), exact.argmax(axis=0), 4), np.arange(len(targets))]
+    return np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
 
 
 def _tie_uniforms(kind, n, q, cnt, rng):
-    """Stage-major uniforms whose first entries put u * total on, or a few
-    ulps beside, every cumulative weight and every guide boundary of the
-    stage, where a search that breaks ties the wrong way or stops at its
-    guide entry picks another choice; the rest are random."""
+    """(cnt, stages) uniforms whose first rows put x on, or an ulp beside,
+    every prefix weight S[k] of the stage (in both halves under D) and
+    every guide boundary below the stage total, where a search that breaks
+    ties the wrong way or stops at its guide entry picks another choice (a
+    random cnt of them where there are more); the rest are random."""
+    _, S, _, pw = _prefix_table(kind, n, q)
+    size = len(S) - 1
+    bounds = np.arange(size + 1) / (size / S[size - 1])
     stages = list(_tower_stages(kind, n))
-    u = rng.random((len(stages), cnt))
+    u = rng.random((cnt, len(stages)))
     for t, m in enumerate(stages):
-        cum = _stage_arrays(kind, m, q)[2]
-        near = [np.concatenate([cum / cum[-1], np.arange(len(cum)) / len(cum)])]
-        for _ in range(2):
-            near += [np.nextafter(near[-1], 0.0), np.nextafter(near[-1], 1.0)]
-        r = np.unique(np.concatenate(near))
-        r = r[r < 1.0]
-        u[t, : len(r)] = r
+        M = 2 * m if kind == "B" else m
+        h = S[M - 1]
+        if kind == "D":
+            total = h + pw[m - 1] * h
+            r = _ties(np.concatenate([S[:m], h + pw[m - 1] * S[:m], bounds[bounds < h]]), total)
+        else:
+            r = _ties(np.concatenate([S[:M], bounds[bounds < h]]), h)
+        r = np.unique(r)
+        r = r[(r >= 0.0) & (r < 1.0)]
+        if len(r) > cnt:
+            r = rng.choice(r, cnt, replace=False)
+        u[: len(r), t] = r
     return u
-
-
-class _Rows:
-    """Stands in for the generator: random(out=...) hands out the rows of u
-    in order."""
-
-    def __init__(self, u):
-        self.u, self.next = u, 0
-
-    def random(self, out):
-        out[...] = self.u[self.next : self.next + len(out)]
-        self.next += len(out)
-        return out
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
 @pytest.mark.parametrize("n", [2, 4, 7, 50, 200, 300])
 @pytest.mark.parametrize("q", [1e-3, 0.3, 0.97, 1.03, 3.0, 1e3])
 def test_stage_choices_match_reference(kind, n, q):
-    """The C stage draws equal numpy's searchsorted walk bit for bit, on the
-    seeded stream and on uniforms that land on ties.  Row counts are no
-    multiple of the kernel's row block, and stage counts span several
-    STAGE_BLOCKs and part of one."""
+    """The draws of tower_rows equal numpy's searchsorted walk on the
+    prefix table (reference_choices) bit for bit: each row's summed
+    contributions, on the seeded stream, after which the generator is
+    where rng.random((cnt, stages)) leaves it, and on uniforms that land on
+    ties and guide boundaries.  Row counts are no multiple of anything in the kernel.  (The name
+    is older than the one-pass kernel.)"""
     stages = len(_tower_stages(kind, n))
     cnt = 20 * n + 37
     seed = 1000 * n + ord(kind)
-    tables = _tower_tables(kind, n, q)
-    got = _draw_choices(tables, cnt, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    want = _reference_choices(kind, n, q, cnt, (rng.random(cnt) for _ in range(stages)))
-    assert got[0].dtype == np.int32 and got[1].dtype == np.int8
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    table = _prefix_table(kind, n, q)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _tower(kind, n, table, cnt, rng, 3, np.empty(cnt, dtype=np.int64))
+    want = reference_choices(kind, n, q, ref.random((cnt, stages)))[2].sum(axis=1)
+    assert np.array_equal(got, want)
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
-    u = _tie_uniforms(kind, n, q, cnt, np.random.default_rng(seed))
-    got = _draw_choices(tables, cnt, _Rows(u))
-    want = _reference_choices(kind, n, q, cnt, u)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    # negative control: the ties are there, and the comparison sees them
-    left = _reference_choices(kind, n, q, cnt, u, side="left")
-    assert not (np.array_equal(got[0], left[0]) and np.array_equal(got[1], left[1]))
+    # the fake generator calls back per stage: fewer tie rows past n = 50
+    u = _tie_uniforms(kind, n, q, cnt if n <= 50 else 637, np.random.default_rng(seed))
+    got = _fed_tower_rows(kind, n, q, u, 3)
+    assert np.array_equal(got, reference_choices(kind, n, q, u)[2].sum(axis=1))
+    # negative controls: the comparison sees a search that stops at its
+    # guide entry, and one that breaks ties the other way where a double
+    # u * S[M - 1] lands on a weight (at A2, q = 0.97 none does)
+    assert not np.array_equal(got, reference_choices(kind, n, q, u, side="guide")[2].sum(axis=1))
+    if n > 2:
+        assert not np.array_equal(got, reference_choices(kind, n, q, u, side="left")[2].sum(axis=1))
 
 
 def test_draw_choices_rejects_bad_uniforms():
-    u = np.random.default_rng(0).random((5, 10))
+    """A bit generator whose next_double leaves [0, 1) stops tower_rows
+    with the row it was in.  (The name is older than the one-pass kernel.)"""
+    u = np.random.default_rng(0).random((10, 5))
     for bad in (1.0, -0.25, np.nan):
         v = u.copy()
-        v[2, 3] = bad
-        with pytest.raises(ValueError, match="row 3"):
-            _draw_choices(_tower_tables("B", 5, 0.5), 10, _Rows(v))
+        v[3, 2] = bad
+        for which in range(4):
+            with pytest.raises(ValueError, match="row 3"):
+                _fed_tower_rows("B", 5, 0.5, v, which)
 
 
 class _Bitgen(ctypes.Structure):
@@ -471,12 +515,14 @@ class _Bitgen(ctypes.Structure):
 
 
 class _FakeBitgen:
-    """A stand-in for a numpy Generator, as _uniform reads it, whose bit
-    generator hands out the given 64-bit words by next_uint64.  calls logs,
-    by name, each bitgen_t function the kernel calls."""
+    """A stand-in for a numpy Generator, as _uniform and _tower read it,
+    whose bit generator hands out the given 64-bit words by next_uint64 and
+    the given doubles by next_double.  calls logs, by name, each bitgen_t
+    function the kernel calls."""
 
-    def __init__(self, words):
+    def __init__(self, words=(), doubles=()):
         words = iter(np.asarray(words, dtype=np.uint64).tolist())
+        doubles = iter(np.asarray(doubles, dtype=np.float64).tolist())
         self.calls = []
 
         def logged(name, value):
@@ -486,8 +532,9 @@ class _FakeBitgen:
 
             return call
 
+        feeds = {"next_uint64": lambda: next(words), "next_double": lambda: next(doubles)}
         self._fns = [
-            ftype(logged(name, (lambda: next(words)) if name == "next_uint64" else (lambda: 0)))
+            ftype(logged(name, feeds.get(name, lambda: 0)))
             for name, ftype in _Bitgen._fields_[1:]
         ]
         self.struct = _Bitgen(None, *self._fns)
@@ -655,18 +702,34 @@ def test_window_stats_rejects_bad_windows():
 @pytest.mark.parametrize("n", [2, 3, 7, 50, 201])
 @pytest.mark.parametrize("q", [1e-3, 0.5, 1.0, 2.0, 1e3])
 def test_fused_rows_equal_window_stats(kind, n, q):
-    """The kernels that make each row compute its statistic from the inverse
-    they record while placing the labels: the values equal window_stats and
-    the numpy reference on the same seeded windows, decoded (q != 1) or
-    uniform (q = 1)."""
+    """The kernels that make each row equal the numpy reference draw bit
+    for bit, for all four statistics: tower_rows, at q != 1 and for lengths
+    at q = 1 (the linear table), against rng.random((cnt, stages)), a
+    searchsorted per stage on the prefix table and the reference decode
+    (reference_choices, reference_decode), after which the generator is
+    where rng.random leaves it; uniform_rows for t, des and des_inv at
+    q = 1.  t, des and des_inv also equal window_stats on the same
+    windows, and lengths the windows' counted lengths."""
     cnt, seed = 300, 1000 * n + ord(kind)
+    stages = len(_tower_stages(kind, n))
     W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
-    tables = None if q == 1.0 else _tower_tables(kind, n, q)
+    table = None if q == 1.0 else _prefix_table(kind, n, q)
     for which, stat in enumerate(WINDOW_STATS):
-        got = _chunk_stats(kind, n, tables, cnt, np.random.default_rng(seed), which)
+        rng = np.random.default_rng(seed)
+        got = _chunk_stats(kind, n, table, cnt, rng, which)
         want = _windows_stat(kind, W, stat)
         assert got.dtype == np.int64 and np.array_equal(got, want), stat
         assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
+        if q != 1.0:
+            ref = np.random.default_rng(seed)
+            ref.random((cnt, stages))
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _chunk_stats(kind, n, _prefix_table(kind, n, q), cnt, rng, STATS.index("length"))
+    pops, signs, contrib = reference_choices(kind, n, q, ref.random((cnt, stages)))
+    assert got.dtype == np.int64 and np.array_equal(got, contrib.sum(axis=1))
+    assert np.array_equal(got, windows_lengths(kind, reference_decode(kind, n, pops, signs)))
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 ENUMERATED_GROUPS = [f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)] + [
@@ -697,21 +760,31 @@ def test_tower_enumeration_equals_itertools(name):
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5"])
 def test_stage_tables_are_a_bijection_onto_the_group(name):
-    """Every tuple of tower stage choices, decoded by the reference decode,
-    gives each element of the group once, and the length summed from its
-    choices (_choice_lengths) is that element's length in the object model."""
+    """Every tuple of table indices, mapped to stage choices by the kernel's
+    rule (stage_choice) at q < 1 and, reflected, at q > 1 and decoded by the
+    reference decode, gives each element of the group once, and the sum of
+    its contributions is that element's length in the object model.  (The
+    name is older than the shared table.)"""
     g = parse_group(name)
     kind, n = g.kind, g.window_size
-    stages = [_stage_choices(kind, m) for m in _tower_stages(kind, n)]
-    pick = np.array(list(itertools.product(*(range(len(a)) for a, _, _ in stages))))
-    pops = np.stack([a[pick[:, t]] - 1 for t, (a, _, _) in enumerate(stages)], axis=1)
-    signs = np.stack([s[pick[:, t]] for t, (_, s, _) in enumerate(stages)], axis=1)
-    pops, signs = pops.astype(np.int32), signs.astype(np.int8)
-    W = reference_decode(kind, n, pops, signs)
-    assert len(W) == g.order() == len(np.unique(W, axis=0))
-    assert np.array_equal(_lexsorted(W), _lexsorted(itertools_windows(g)))
-    want = [length(SignedPermutation(tuple(w)), g) for w in W.tolist()]
-    assert _choice_lengths(kind, n, pops, signs).tolist() == want
+    elements = _lexsorted(itertools_windows(g))
+    for flip in (False, True):
+        stages = []
+        for m in _tower_stages(kind, n):
+            M = 2 * m if kind == "B" else m
+            k, light = np.arange(M), np.zeros(M, dtype=bool)
+            if kind == "D":
+                k, light = np.tile(k, 2), np.repeat([False, True], M)
+            stages.append(stage_choice(kind, m, flip, k, light))
+        pick = np.array(list(itertools.product(*(range(len(c)) for _, _, c in stages))))
+        pops, signs, contrib = (
+            np.stack([x[i][pick[:, t]] for t, x in enumerate(stages)], axis=1) for i in range(3)
+        )
+        W = reference_decode(kind, n, pops.astype(np.int32), signs.astype(np.int8))
+        assert len(W) == g.order() == len(np.unique(W, axis=0))
+        assert np.array_equal(_lexsorted(W), elements)
+        want = [length(SignedPermutation(tuple(w)), g) for w in W.tolist()]
+        assert contrib.sum(axis=1).tolist() == want
 
 
 def test_tower_enumeration_checks_the_cap_on_every_call(monkeypatch):
@@ -746,15 +819,16 @@ def _factor_windows(spec, count, seed):
 
 def _factor_tower_windows(spec, count, seed):
     """The windows of the tower choices that sample_statistic draws for each
-    factor's lengths, by the reference decode: the sampled windows at
-    q != 1, the decoded q = 1 tower choices at q = 1."""
+    factor's lengths, by the reference draw and decode: the sampled windows
+    at q != 1, the decoded choices on the linear table at q = 1."""
     children = np.random.SeedSequence(seed).spawn(len(spec.qs))
     out = []
     for (g, q), child in zip(spec.factor_specs(), children):
-        kind, n, tables = g.kind, g.window_size, _tower_tables(g.kind, g.window_size, q)
+        kind, n = g.kind, g.window_size
 
         def draw(cnt, rng):
-            return reference_decode(kind, n, *_draw_choices(tables, cnt, rng))
+            U = rng.random((cnt, len(_tower_stages(kind, n))))
+            return reference_decode(kind, n, *reference_choices(kind, n, q, U)[:2])
 
         out.append((kind, np.concatenate(_map_chunks(g, count, child, 1, draw))))
     return out
@@ -795,18 +869,27 @@ def test_sample_statistic_equals_reference_at_full_chunks():
 
 def test_sampled_lengths_skip_the_decode(monkeypatch):
     """Sampled lengths, q = 1 included, are sums of the drawn choices'
-    contributions: the same values, with no window decoded or reduced."""
+    contributions (reference_choices): the same values, with no window
+    reduced and no uniform row drawn."""
     monkeypatch.setattr(coxmal.mallows, "SAMPLE_CHUNK", 256)
     cases = [(name, q) for name in ("A6", "B6", "D6") for q in (0.5, 1.0, 2.0)]
-    want = [sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5) for g, q in cases]
 
     def no_windows(*args, **kwargs):
         raise AssertionError("decoded windows for sampled lengths")
 
-    monkeypatch.setattr(coxmal.mallows, "_decode", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_uniform", no_windows)
     monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
-    for (g, q), w in zip(cases, want):
-        assert np.array_equal(sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5), w)
+    for name, q in cases:
+        g = parse_group(name)
+        kind, n = g.kind, g.window_size
+
+        def draw(cnt, rng):
+            U = rng.random((cnt, len(_tower_stages(kind, n))))
+            return reference_choices(kind, n, q, U)[2].sum(axis=1)
+
+        child = np.random.SeedSequence(5).spawn(1)[0]
+        want = np.concatenate(_map_chunks(g, 600, child, 1, draw))
+        assert np.array_equal(sample_statistic(MallowsSpec.make(g, q), "length", 600, seed=5), want)
 
 
 def test_sampled_statistics_build_no_windows(monkeypatch):
@@ -827,27 +910,24 @@ def test_sampled_statistics_build_no_windows(monkeypatch):
         assert np.array_equal(got, w), (g, q, stat)
 
 
+@pytest.mark.parametrize("stat", ["t", "length"])
 @pytest.mark.parametrize("q", [0.5, 1.0])
-def test_sampled_t_holds_no_window_array(q):
-    """Sampling t of one B200 chunk holds the chunk's inputs and little
-    more: at q = 0.5 the choices and the STAGE_BLOCK uniform buffer, at
-    q = 1 only the (cnt,) output, because uniform_rows draws each row's
-    words itself.  A (SAMPLE_CHUNK, 200) int64 window
-    array alone is 26 MB."""
-    n = 200
-    spec = MallowsSpec.make(f"B{n}", q)
-    sample_statistic(spec, "t", 64, seed=1)  # kernels and tables built untraced
-    if q == 1.0:
-        inputs = SAMPLE_CHUNK * 8
-    else:
-        inputs = SAMPLE_CHUNK * n * (4 + 1) + STAGE_BLOCK * SAMPLE_CHUNK * 8
+@pytest.mark.parametrize("group", ["A200", "B200", "D200"])
+def test_sampled_t_holds_no_window_array(group, q, stat):
+    """Sampling t or lengths of one rank-200 chunk holds the (cnt,) output
+    and little more, at every q: tower_rows and uniform_rows draw each
+    row's uniforms or words themselves, and the prefix table is a few KB.
+    Any (SAMPLE_CHUNK, n) array, even of int8, is 3.2 MB or more, over
+    the bound; a window array of int64 is 26 MB."""
+    spec = MallowsSpec.make(group, q)
+    sample_statistic(spec, stat, 64, seed=1)  # kernels built untraced
     tracemalloc.start()
     try:
-        sample_statistic(spec, "t", SAMPLE_CHUNK, seed=2, threads=1)
+        sample_statistic(spec, stat, SAMPLE_CHUNK, seed=2, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < inputs + 2**20, (peak, inputs)
+    assert peak < SAMPLE_CHUNK * 8 + 2**20, peak
 
 
 def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
@@ -874,16 +954,17 @@ def test_thread_pool_never_outnumbers_the_chunks(monkeypatch):
 
 
 def test_tower_tables_are_built_once_per_call(monkeypatch):
-    """One sample_statistic call builds each q != 1 or length factor's tower
-    tables once, before the sampler threads start, and every chunk shares
-    them; t at q = 1 does not walk the tower and builds none."""
+    """One sample_statistic call builds each q != 1 or length factor's
+    prefix table once, before the sampler threads start, and every chunk
+    shares it; t at q = 1 does not walk the tower and builds none.  (The
+    name is older than the shared table.)"""
     built = []
 
     def counted(kind, n, q):
         built.append((kind, n, q))
-        return _tower_tables(kind, n, q)
+        return _prefix_table(kind, n, q)
 
-    monkeypatch.setattr(coxmal.mallows, "_tower_tables", counted)
+    monkeypatch.setattr(coxmal.mallows, "_prefix_table", counted)
     spec = MallowsSpec.make("B200 x D50", [2.0, 0.5])
     sample_statistic(spec, "t", 2 * SAMPLE_CHUNK, seed=3, threads=2)
     assert built == [("B", 200, 2.0), ("D", 50, 0.5)]
@@ -896,20 +977,21 @@ def test_tower_tables_are_built_once_per_call(monkeypatch):
 
 
 def test_tower_tables_do_not_outlive_the_call(monkeypatch):
-    """Nothing keeps a call's tower tables once it returns: at B1600 they
-    hold 44 MB, so a kept set per q grows by that much over a q sweep."""
+    """Nothing keeps a call's prefix table once it returns, so a q sweep
+    holds one table at a time.  (The name is older than the shared
+    table.)"""
     refs = []
 
     def watched(kind, n, q):
-        tables = _tower_tables(kind, n, q)
-        refs.extend(weakref.ref(arr) for arr in tables)
-        return tables
+        table = _prefix_table(kind, n, q)
+        refs.extend(weakref.ref(arr) for arr in table[1:])
+        return table
 
-    monkeypatch.setattr(coxmal.mallows, "_tower_tables", watched)
+    monkeypatch.setattr(coxmal.mallows, "_prefix_table", watched)
     for statistic in ("t", "length"):
         sample_statistic(MallowsSpec.make("B200", 0.5), statistic, 2 * SAMPLE_CHUNK, seed=3, threads=2)
     gc.collect()
-    assert len(refs) == 10 and all(ref() is None for ref in refs)
+    assert len(refs) == 6 and all(ref() is None for ref in refs)
 
 
 def test_dihedral_draws_keep_their_stream(monkeypatch):
@@ -937,7 +1019,7 @@ def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
         raise AssertionError("built windows for an unknown statistic")
 
     monkeypatch.setattr(coxmal.mallows, "_chunk_stats", no_windows)
-    monkeypatch.setattr(coxmal.mallows, "_draw_choices", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "_prefix_table", no_windows)
     monkeypatch.setattr(coxmal.mallows, "enumerate_windows", no_windows)
     monkeypatch.setattr(coxmal.moments, "enumerate_windows", no_windows)
     for group in ("B200", "I2(5)", "B4 x I2(5)"):
@@ -1231,6 +1313,17 @@ def test_sampler_matches_exact_law(name, q, stat):
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("stat", STATS)
+@pytest.mark.parametrize("q", [0.5, 2.0])
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "D5"])
+def test_tower_sampler_matches_exact_laws(name, q, stat):
+    """Every statistic of the tower kernel, at q < 1 and q > 1, against its
+    exact law from the insertion enumeration, at verify's 20,000 draws."""
+    spec = MallowsSpec.make(name, q)
+    xs = sample_statistic(spec, stat, 20000, seed=103)
+    assert goodness_of_fit(xs, exact_distribution(spec, stat))[2] > 1e-3
+
+
 def test_uniform_shortcut_matches_tower():
     """q = 1 windows come from the uniform_rows shuffle kernel, not the
     tower; their law must match the q = 1 tower law, including the type D
@@ -1243,11 +1336,11 @@ def test_uniform_shortcut_matches_tower():
         assert p > 1e-3
 
 
-def _mutant_t_gof(monkeypatch, tmp_path, mutant, names, q):
-    """p-values of the t law checks above at q, run with the kernels built
-    from the mutant source in their own cache.  Only the sample comes from
-    the mutant: the exact law's windows come from enumerate_windows, which
-    no kernel decodes."""
+def _mutant_t_gof(monkeypatch, tmp_path, mutant, names, q, statistic="t"):
+    """p-values of the law checks above at q, of t or another statistic,
+    run with the kernels built from the mutant source in their own cache.
+    Only the sample comes from the mutant: the exact law's windows come
+    from enumerate_windows, which no kernel decodes."""
     assert mutant != _DECODE_C
     _decode_lib.cache_clear()
     try:
@@ -1257,8 +1350,8 @@ def _mutant_t_gof(monkeypatch, tmp_path, mutant, names, q):
             ps = {}
             for name in names:
                 spec = MallowsSpec.make(name, q)
-                xs = sample_statistic(spec, "t", 20000, seed=7)
-                ps[name] = goodness_of_fit(xs, exact_distribution(spec, "t"))[2]
+                xs = sample_statistic(spec, statistic, 20000, seed=7)
+                ps[name] = goodness_of_fit(xs, exact_distribution(spec, statistic))[2]
             return ps
     finally:
         _decode_lib.cache_clear()
@@ -1284,13 +1377,50 @@ def test_uniform_law_check_rejects_sattolo_shuffle(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("q", [0.5, 2.0])
 def test_tower_law_check_rejects_flipped_pop_signs(monkeypatch, tmp_path, q):
-    """A decode_rows that flips the sign of every pop turns each B window w
+    """A tower_rows that flips the sign of every pop turns each B window w
     into -w = w0 w, whose length is l(w0) - l(w), so the sampled law of t
     is the law at 1/q.  The t law check rejects it at B3 at 20,000 draws,
     as verify's sampler-gof cells draw."""
-    mutant = _DECODE_C.replace("s[t] * lab[k]", "-s[t] * lab[k]")
+    mutant = _DECODE_C.replace("s * lab[p]", "-s * lab[p]")
     [p] = _mutant_t_gof(monkeypatch, tmp_path, mutant, ("B3",), q).values()
     assert p < 1e-3, p
+
+
+# text patches of tower_rows's draw, each rejected by the t law check at
+# verify's GOF groups and 20,000 draws (p = 0 to double precision, or below
+# 1e-160, at seed 7)
+DRAW_MUTANTS = {
+    # the stage search takes the next choice
+    "next-choice": ("k = k < M ? k : M - 1;", "k = k + 1 < M ? k + 1 : M - 1;", ("A3", "B3", "D4"), 0.5),
+    # D's light half weighs q'^m instead of q'^(m - 1)
+    "d-light-weight": ("double w = pw[m - 1];", "double w = pw[m];", ("D4",), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(DRAW_MUTANTS))
+def test_tower_law_check_rejects_draw_mutants(monkeypatch, tmp_path, name):
+    old, new, groups, q = DRAW_MUTANTS[name]
+    assert _DECODE_C.count(old) == 1
+    ps = _mutant_t_gof(monkeypatch, tmp_path, _DECODE_C.replace(old, new), groups, q)
+    for group, p in ps.items():
+        assert p < 1e-3, (group, p)
+
+
+def test_tower_law_check_rejects_a_dropped_reflection(monkeypatch):
+    """A table whose flip is always off draws at q > 1 the choices of
+    q' = 1/q, so the sampled law of t is the law at 1/q.  (Dropped in the
+    kernel's text instead, D's half signs would still follow q > 1 and pop
+    outside the labels.)  The t law check rejects it at verify's GOF
+    groups, q = 2 and 20,000 draws (p = 0 to double precision)."""
+
+    def unflipped(kind, n, q):
+        return (False, *_prefix_table(kind, n, q)[1:])
+
+    monkeypatch.setattr(coxmal.mallows, "_prefix_table", unflipped)
+    for name in ("A3", "B3", "D4"):
+        spec = MallowsSpec.make(name, 2.0)
+        xs = sample_statistic(spec, "t", 20000, seed=7)
+        assert goodness_of_fit(xs, exact_distribution(spec, "t"))[2] < 1e-3, name
 
 
 def test_kernel_argtypes_match_their_c_prototypes():
@@ -1300,7 +1430,7 @@ def test_kernel_argtypes_match_their_c_prototypes():
     c_int, any pointer as c_void_p and void as None."""
     ctype = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "void": None}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _DECODE_C, re.M)
-    names = ["decode_rows", "draw_choices", "uniform_rows", "window_stats"]
+    names = ["tower_rows", "uniform_rows", "window_stats"]
     assert [name for _, name, _ in exported] == names  # static helpers excluded
     lib = _decode_lib()
     for ret, name, params in exported:

@@ -259,6 +259,20 @@ def test_variance_bounds_check_fails_on_a_law_of_another_group(monkeypatch):
         variance_bounds_check(b2, 0.5, np.array([3]))
 
 
+def test_mean_formula_check_refuses_one_draw():
+    """One drawn value has no standard error: the check refuses it, as the
+    variance check does, instead of failing on a zero bound."""
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        mean_formula_check(parse_group("B4"), 0.5, np.array([3]))
+
+
+def test_cube_moment_bound_check_refuses_one_draw():
+    """One drawn des has no standard deviation: the check refuses it instead
+    of reporting a FAIL with a nan slack."""
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        cube_moment_bound_check(parse_group("B4"), 0.5, np.array([3]))
+
+
 def test_goodness_of_fit_behaviour():
     rng = np.random.default_rng(0)
     d = bernoulli(0.5)

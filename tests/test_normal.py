@@ -170,6 +170,13 @@ def test_w2_bound_hypothesis_flag():
     assert c.passed
 
 
+def test_tail_bound_check_refuses_one_draw():
+    """One drawn value makes every tail frequency 0 or 1: the check refuses
+    it, as the other sampled checks do, instead of passing on its slack."""
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        tail_bound_check(parse_group("B4"), 0.5, np.array([3]))
+
+
 def test_tail_bound_check_exact():
     for name, q in (("B4", 0.5), ("B4", 1.0), ("D4", 0.5)):
         c = tail_bound_check(parse_group(name), q)

@@ -1,17 +1,20 @@
 """Seeded sampler outputs pinned by digest, so that a kernel change that
 alters any seeded stream fails here.
 
-The digests were computed with numpy 2.4.6 before the lower-bound guide and
-the two-sided label pop went into the tower kernels.  The nine q = 1
-entries of B and D were recomputed when q = 1 rows moved to one 64-bit
-word per entry, which changed their signs only.  All fourteen q = 1
-entries were recomputed when q = 1 rows became an inside-out Fisher-Yates
-shuffle in place of the stable argsort of the words' uniforms: the same
-words now give other permutations, type A's included.  Every q != 1 entry
-kept its digest through both.  A numpy release that changes Generator
-streams changes them too: recompute them then, on a commit whose kernels
-are known to be right, with PYTHONPATH=src python tests/test_seeded_digests.py,
-which prints the table.
+Each digest covers the reference windows of a cell and the sampled t, des,
+des_inv and length.  The digests were last recomputed, all seventy, with
+numpy 2.4.6 when the tower draw moved into the one-pass kernel tower_rows
+on one shared prefix table.  Its stream is rng.random((rows, stages)), a
+row's stages in a row, where the earlier stage-major draw read each
+stage's uniforms in blocks of 16 stages; and a stage now orders its
+choices by length contribution, reflected at q > 1, where the earlier
+tables kept choice order.  So every q != 1 output changed, and at q = 1
+the lengths, which come from the same kernel on a linear table (t, des
+and des_inv at q = 1 come from the unchanged uniform_rows shuffle).  A
+numpy release that changes Generator streams changes them too: recompute
+them then, on a commit whose kernels are known to be right, with
+PYTHONPATH=src python tests/test_seeded_digests.py, which prints the
+table.
 """
 
 import hashlib
@@ -50,20 +53,20 @@ def _digest(kind, n, q, threads):
 
 
 DIGESTS = {
-    "A2": ['95c660774f52b56a', '0887a44f2b06ed3c', 'dbd58f56f253243a', '2642ae55f246f2d2', '7ff08b3e68381861'],
-    "A3": ['0c9cea4ae533888c', '323879417659540b', 'a7bc94ba5ac5bcea', '55aaa91f828b968c', '88f445e1666dc141'],
-    "A7": ['f3d50739723027fc', '565c3293c41ae37b', 'f3c3b3dd40cd35ba', 'c3993d9fa4500a13', '7a6179f9d4475472'],
-    "A50": ['ce01cda51298ddc6', '3b5b0932fe6d00fd', '73c105dc6c4ed47f', 'b74517da2e1341cb', '389085690e37eaec'],
-    "A201": ['f9c066f6cc6543e2', '6c70f1c791f33ff0', 'ca6d7b8f587e9412', '9a5a6a1ea4dc4217', 'd918fe8b31b46b7b'],
-    "B2": ['556df6d99055be40', 'e497c1c14c4346d3', '9d652c6d44eda266', '2e3fb8cf93522cda', 'ea5c395ad681c760'],
-    "B3": ['5a8d8defb40d0f2c', '6f2f9e755380773a', '4506a7b980756d21', '6f5b7d9b7b3124e8', '232b0b5cdf84a9d0'],
-    "B7": ['71cae99dfced14c2', '13cc1e85f200ae01', '3a97749d11fef87c', 'b3fc0c4b65968c0f', '5db7a3800e5a7139'],
-    "B50": ['e8ed9c57211fefa7', '88dfd04c7ced7870', '54825d76251863c8', 'b8cdca1dcbdf10c3', '8fbd06c9a5ac39d6'],
-    "B201": ['b4f038d616b9eb53', 'b93811e76f4efd84', '5bedf6aba7dc1362', 'bd669256bbec8396', '03c511621d2cb804'],
-    "D4": ['911223bf2ab60e2c', '439962efe037c173', 'c3d41d3413de717b', '3e56d2cc66d34a93', '6f2a780222896275'],
-    "D7": ['7867ebc1b71f3aaf', 'abe1927252275241', '8709f7f4752ac321', 'd670594619b85341', '9598fdb55c5ff80d'],
-    "D50": ['1c6ed33d6a8c4456', 'cb25d7f6b7db4806', '2fa347ed2ab6758c', 'c5c9232ad6289ada', '9ad90be4806216a8'],
-    "D201": ['281c6c24e28f8305', 'cd6cb930128a6937', '2e8895a5479ee47e', '89eb043e1294687c', 'd5105578ff693b4b'],
+    "A2": ['de23f9b72e22e6d1', 'bc380d72b0d993e5', '66b7997e06f13ed9', '17b0cd46d23c735f', '17924497d6e121d5'],
+    "A3": ['32d225f36e9a6792', '681d4706f87b50dd', '20494c5057799847', 'd9ae697d146d0404', '91c93fe5ab42591c'],
+    "A7": ['0792bff7693c4749', '3f043e4fe45657a3', 'ab03f6f8d606964f', '456a1f08b226d3fd', '6da965a50d521903'],
+    "A50": ['58283c5c80fd8509', '3d5330ddd77357f1', '0f6e3766f9ce8b61', '44770be43d5d4c47', '9f2fc120408c7b78'],
+    "A201": ['645ecd01c8760e56', 'fe104c7d33a1e7ec', 'a1fcdc28a9cd6b06', 'a826e1f3fc78e4ac', '2ac69f2e1ad099a3'],
+    "B2": ['ef1aa08fce5335ca', 'f61640d97936c32a', '17c40e07cd90bcfe', '4208dcc161bcc413', 'e3c394d9f639c95e'],
+    "B3": ['599c7df29db695c3', 'c9399585d15e9f2a', '0e9a1f4a8ab04f44', '1b93cd7b0433537f', '6b36e2e83f7d3a51'],
+    "B7": ['8dfa61c61bad86c4', '53ada1afcddde28b', '35909761cadbe604', '4b064e3b094a5b74', '42e1f3d80fb1abf2'],
+    "B50": ['71fb8e328b2026ca', '9b2629f2cc174ecc', '5859fc48165478e0', '14f45511685f490e', '55169614b088c0e7'],
+    "B201": ['878554364c893469', 'f854c78715265679', 'f4e09e367cb536e9', '817fff16e5bbba3e', '658e352ce0df6a70'],
+    "D4": ['b71381d42e5c7003', 'c7358ab5021e3e39', '724c9edac667ab28', '4315c3b9670d991a', 'ce35c02c906e1bf9'],
+    "D7": ['7bc4eca1f7f60bb7', '65477d1aac13edca', '5a9523947c4e915d', 'cf5f7dbfce5b25ed', 'caba47004719090d'],
+    "D50": ['1d98e5549fe191e2', 'e1d83480ce99b2ff', '1e7dccbbcf5a459e', '84dc0d24639b2a87', '644893a7bdca7a51'],
+    "D201": ['297f643db5e30875', '8a89b957e3363ad8', 'b60e294012d1f86f', 'fa230598919d0361', 'c9be37119a3b3615'],
 }
 
 

@@ -1,10 +1,10 @@
 """Numpy references for the window kernels, the coupling kernel, the
-window enumeration, the tower decode and the sampled windows.
+window enumeration, the tower draw and decode, and the sampled windows.
 
 These are the array kernels the package used before the statistics moved
-into C, an itertools enumeration of the group, a tower decode in numpy, and
-the seeded windows whose statistics the sampler returns; the tests keep
-them to check the package bit for bit.
+into C, an itertools enumeration of the group, a tower draw and decode in
+numpy, and the seeded windows whose statistics the sampler returns; the
+tests keep them to check the package bit for bit.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
-from coxmal.mallows import _draw_choices, _map_chunks, _tower_tables
+from coxmal.mallows import _map_chunks, _prefix_table, _tower_stages
 from coxmal.sizebias import _ensure_right_batch
 
 
@@ -120,9 +120,60 @@ def reference_uniform(kind: str, words, parity=True) -> np.ndarray:
     return W * signs
 
 
+def stage_choice(kind: str, m: int, flip: bool, k, light):
+    """(pops, signs, contributions) of stage m's table indices k, light
+    marking type D's light half: the contribution c is k, plus m - 1 in the
+    light half, reflected about the stage's largest contribution when flip
+    (q > 1); it pops the p-th smallest remaining label, p = m - 1 - c with
+    sign +, or with sign - p = c - m under B and the light half's k under
+    D (its half has sign - at q < 1)."""
+    k, light = np.asarray(k), np.asarray(light, dtype=bool)
+    c = k + np.where(light, m - 1, 0)
+    if flip:
+        c = {"A": m - 1, "B": 2 * m - 1, "D": 2 * m - 2}[kind] - c
+    neg = light ^ flip if kind == "D" else c >= m
+    pops = np.where(neg, c - (m - 1 if kind == "D" else m), m - 1 - c)
+    return pops, np.where(neg, -1, 1), c
+
+
+def reference_choices(kind: str, n: int, q: float, U, side="right"):
+    """Tower choices (pops, signs, contributions) of the (rows, stages)
+    uniforms U, one stage at a time over all rows: the reference of the
+    tower_rows draw.  Column t is stage m = n - t.  A stage takes the first
+    k with S[k] > x = u * S[M - 1] on the prefix table (_prefix_table) by
+    searchsorted, M = 2m under B and m otherwise (the negative controls:
+    side="left" takes the first k with S[k] >= x, side="guide" the guide
+    entry of x without a walk); under D it first picks its
+    half, x = u * (h + w * h) with h = S[m - 1] and w = q'^(m - 1), and
+    x >= h takes the light half at (x - h) / w.  k is clamped to M - 1 and
+    mapped by stage_choice."""
+    flip, S, guide, pw = _prefix_table(kind, n, q)
+    cnt, stages = U.shape
+    pops = np.empty((cnt, stages), dtype=np.int32)
+    signs = np.empty((cnt, stages), dtype=np.int8)
+    contrib = np.empty((cnt, stages), dtype=np.int64)
+    for t in range(stages):
+        m = n - t
+        M = 2 * m if kind == "B" else m
+        h = S[M - 1]
+        x = U[:, t] * h
+        light = np.zeros(cnt, dtype=bool)
+        if kind == "D":
+            w = pw[m - 1]
+            x = U[:, t] * (h + w * h)
+            light = x >= h
+            x[light] = (x[light] - h) / w
+        if side == "guide":  # the negative control that does not walk
+            k = np.minimum(guide[(x * (len(guide) - 1) / S[-2]).astype(np.int64)], M - 1)
+        else:
+            k = np.minimum(np.searchsorted(S, x, side=side), M - 1)
+        pops[:, t], signs[:, t], contrib[:, t] = stage_choice(kind, m, flip, k, light)
+    return pops, signs, contrib
+
+
 def reference_decode(kind: str, n: int, pops, signs, d_flip=True) -> np.ndarray:
     """The windows of tower choices, decoded one stage at a time over a
-    block of rows: the reference of the decode_rows kernel.  Column t of
+    block of rows: the reference of the tower_rows decode.  Column t of
     pops and signs is stage m = n - t, which takes the pops[:, t]-th
     smallest remaining label into position m with sign signs[:, t].  Under
     D a negative choice also negates the smallest label left (d_flip=False
@@ -147,10 +198,12 @@ def reference_decode(kind: str, n: int, pops, signs, d_flip=True) -> np.ndarray:
 
 def chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
     """The cnt windows whose statistics the sampler draws from rng: the
-    reference decode of the drawn tower choices at q != 1; at q = 1 the
-    uniform windows of rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
+    reference decode of the tower choices of rng.random((cnt, stages)) at
+    q != 1; at q = 1 the uniform windows of
+    rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
     if q != 1.0:
-        return reference_decode(kind, n, *_draw_choices(_tower_tables(kind, n, q), cnt, rng))
+        U = rng.random((cnt, len(_tower_stages(kind, n))))
+        return reference_decode(kind, n, *reference_choices(kind, n, q, U)[:2])
     return reference_uniform(kind, rng.integers(0, 2**64, (cnt, n), dtype=np.uint64))
 
 
