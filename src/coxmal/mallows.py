@@ -267,10 +267,6 @@ def _stage_choices(kind: str, m: int):
     return a, s, np.where(s > 0, m - a, m + a - (1 if kind == "B" else 2))
 
 
-def _tower_stages(kind: str, n: int):
-    return range(n, 1 if kind == "D" else 0, -1)
-
-
 def _prefix_table(kind: str, n: int, q: float):
     """The one table the tower kernel draws every stage from: (flip, S,
     guide, pw).

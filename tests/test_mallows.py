@@ -47,7 +47,6 @@ from coxmal.mallows import (
     _segments_in_file,
     _stage_choices,
     _tower,
-    _tower_stages,
     _uniform,
     _windows_and_weights,
     _windows_stat,
@@ -72,6 +71,7 @@ from window_reference import (
     reference_uniform,
     sampled_windows,
     stage_choice,
+    tower_stages,
     windows_lengths,
     windows_statistic,
 )
@@ -186,7 +186,7 @@ def _table_stage_law(kind, m, q):
     """{(a, s): probability} of stage m's choices as the tower kernel draws
     them: table index k with weight q'^k (D's light half times q'^(m - 1)),
     mapped to a choice by stage_choice."""
-    flip, S, _, pw = _prefix_table(kind, max(m, 2), q)
+    flip, S, _, pw = _prefix_table(kind, m, q)
     M = 2 * m if kind == "B" else m
     k = np.arange(M)
     light = np.zeros(M, dtype=bool)
@@ -217,7 +217,8 @@ def test_tower_tables_equal_the_list_build(kind, q):
         got = _prefix_table(kind, n, q)
         pw = got[3].tolist()
         assert got[3].dtype == np.float64 and len(pw) == (2 * n if kind == "B" else n) + 1
-        assert all(abs(w - qq**k) <= 2**-52 * qq**k for k, w in enumerate(pw))  # numpy's pow
+        # numpy's pow against Python's, to an ulp (an absolute one among subnormals)
+        assert all(abs(w - qq**k) <= 2**-52 * qq**k + 5e-324 for k, w in enumerate(pw))
         want = _list_prefix_table(kind, n, q, pw)
         assert got[0] is want[0]
         for x, y in zip(got[1:3], want[1:]):
@@ -290,7 +291,7 @@ def test_tower_walk_reproduces_pmf(name, q):
     g = parse_group(name)
     kind, n = g.kind, g.window_size
     spec = MallowsSpec.make(g, q)
-    stages = list(_tower_stages(kind, n))
+    stages = list(tower_stages(kind, n))
     law = {}
     choice_lists = [
         list(zip(stage_candidates(kind, m), stage_distribution(kind, m, q)))
@@ -320,7 +321,7 @@ def test_stage_products_telescope_to_normalization():
         g = parse_group(name)
         kind, n = g.kind, g.window_size
         prod = 1.0
-        for m in _tower_stages(kind, n):
+        for m in tower_stages(kind, n):
             prod *= sum(q ** c for c in _stage_choices(kind, m)[2].tolist())
         assert math.isclose(prod, normalization_constant(g, q), rel_tol=1e-12)
 
@@ -344,7 +345,7 @@ def test_sample_windows_deterministic_across_threads(name, q):
 
 
 def _random_choices(kind, n, count, rng):
-    stages = list(_tower_stages(kind, n))
+    stages = list(tower_stages(kind, n))
     pops = np.stack([rng.integers(0, m, count) for m in stages], axis=1).astype(np.int32)
     signs = np.ones(pops.shape, dtype=np.int8)
     if kind != "A":
@@ -357,7 +358,7 @@ def _uniforms_for(kind, n, pops, signs):
     given pops and signs: there every table index k has weight 1, so x = u *
     total = k + 1/2 (under D, m + k + 1/2 in the light half, of sign -)
     selects k."""
-    m = np.array(list(_tower_stages(kind, n)))
+    m = np.array(list(tower_stages(kind, n)))
     neg = signs < 0
     if kind == "D":
         return (np.where(neg, pops + m, m - 1 - pops) + 0.5) / (2 * m)
@@ -389,7 +390,7 @@ def test_decode_rows_matches_reference(kind, n):
     rng = np.random.default_rng(1000 * n + ord(kind))
     # fewer random rows at n = 300: the fake generator calls back per stage
     pops, signs = _random_choices(kind, n, 2500 if n <= 50 else 300, rng)
-    left = np.array(list(_tower_stages(kind, n)), dtype=np.int32)  # labels left at each stage
+    left = np.array(list(tower_stages(kind, n)), dtype=np.int32)  # labels left at each stage
     bottom = np.zeros_like(left)
     even = np.arange(len(left)) % 2 == 0
     fixed = [left - 1, bottom, left // 2, (left - 1) // 2]
@@ -440,7 +441,7 @@ def _tie_uniforms(kind, n, q, cnt, rng):
     _, S, _, pw = _prefix_table(kind, n, q)
     size = len(S) - 1
     bounds = np.arange(size + 1) / (size / S[size - 1])
-    stages = list(_tower_stages(kind, n))
+    stages = list(tower_stages(kind, n))
     u = rng.random((cnt, len(stages)))
     for t, m in enumerate(stages):
         M = 2 * m if kind == "B" else m
@@ -468,7 +469,7 @@ def test_stage_choices_match_reference(kind, n, q):
     where rng.random((cnt, stages)) leaves it, and on uniforms that land on
     ties and guide boundaries.  Row counts are no multiple of anything in the kernel.  (The name
     is older than the one-pass kernel.)"""
-    stages = len(_tower_stages(kind, n))
+    stages = len(tower_stages(kind, n))
     cnt = 20 * n + 37
     seed = 1000 * n + ord(kind)
     table = _prefix_table(kind, n, q)
@@ -711,7 +712,7 @@ def test_fused_rows_equal_window_stats(kind, n, q):
     q = 1.  t, des and des_inv also equal window_stats on the same
     windows, and lengths the windows' counted lengths."""
     cnt, seed = 300, 1000 * n + ord(kind)
-    stages = len(_tower_stages(kind, n))
+    stages = len(tower_stages(kind, n))
     W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
     table = None if q == 1.0 else _prefix_table(kind, n, q)
     for which, stat in enumerate(WINDOW_STATS):
@@ -770,7 +771,7 @@ def test_stage_tables_are_a_bijection_onto_the_group(name):
     elements = _lexsorted(itertools_windows(g))
     for flip in (False, True):
         stages = []
-        for m in _tower_stages(kind, n):
+        for m in tower_stages(kind, n):
             M = 2 * m if kind == "B" else m
             k, light = np.arange(M), np.zeros(M, dtype=bool)
             if kind == "D":
@@ -827,7 +828,7 @@ def _factor_tower_windows(spec, count, seed):
         kind, n = g.kind, g.window_size
 
         def draw(cnt, rng):
-            U = rng.random((cnt, len(_tower_stages(kind, n))))
+            U = rng.random((cnt, len(tower_stages(kind, n))))
             return reference_decode(kind, n, *reference_choices(kind, n, q, U)[:2])
 
         out.append((kind, np.concatenate(_map_chunks(g, count, child, 1, draw))))
@@ -884,7 +885,7 @@ def test_sampled_lengths_skip_the_decode(monkeypatch):
         kind, n = g.kind, g.window_size
 
         def draw(cnt, rng):
-            U = rng.random((cnt, len(_tower_stages(kind, n))))
+            U = rng.random((cnt, len(tower_stages(kind, n))))
             return reference_choices(kind, n, q, U)[2].sum(axis=1)
 
         child = np.random.SeedSequence(5).spawn(1)[0]

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
-from coxmal.mallows import _map_chunks, _prefix_table, _tower_stages
+from coxmal.mallows import _map_chunks, _prefix_table
 from coxmal.sizebias import _ensure_right_batch
 
 
@@ -120,6 +120,12 @@ def reference_uniform(kind: str, words, parity=True) -> np.ndarray:
     return W * signs
 
 
+def tower_stages(kind: str, n: int):
+    """The tower's stages m, in the order a row draws them: n down to 1, or
+    to 2 under D, whose last label fills position 1."""
+    return range(n, 1 if kind == "D" else 0, -1)
+
+
 def stage_choice(kind: str, m: int, flip: bool, k, light):
     """(pops, signs, contributions) of stage m's table indices k, light
     marking type D's light half: the contribution c is k, plus m - 1 in the
@@ -202,7 +208,7 @@ def chunk_windows(kind: str, n: int, q: float, cnt: int, rng) -> np.ndarray:
     q != 1; at q = 1 the uniform windows of
     rng.integers(0, 2**64, (cnt, n), dtype=np.uint64)."""
     if q != 1.0:
-        U = rng.random((cnt, len(_tower_stages(kind, n))))
+        U = rng.random((cnt, len(tower_stages(kind, n))))
         return reference_decode(kind, n, *reference_choices(kind, n, q, U)[:2])
     return reference_uniform(kind, rng.integers(0, 2**64, (cnt, n), dtype=np.uint64))
 
