@@ -176,8 +176,8 @@ def _list_prefix_table(kind, n, q, pw):
         total += w
         S.append(total)
     S.append(math.inf)
-    inv = size / S[size - 1]
-    low = [j / inv * (1.0 - 2.0**-50) for j in range(size + 1)]
+    inv = 4 * size / S[size - 1]
+    low = [j / inv * (1.0 - 2.0**-50) for j in range(4 * size + 1)]
     guide = [next(k for k, v in enumerate(S) if v > x) for x in low]
     return q > 1.0, np.array(S), np.array(guide, dtype=np.int32)
 
@@ -263,14 +263,14 @@ def test_guide_is_a_lower_bound(kind, q):
     top = np.nextafter(1.0, 0.0)
     for n in (2, 3, 7, 50, 201):
         flip, S, guide, pw = _prefix_table(kind, n, q)
-        size = len(S) - 1
-        inv = size / S[size - 1]
-        x = _smallest_in_bucket(np.arange(size + 1), inv)
-        assert ((x * inv).astype(np.int64) == np.arange(size + 1)).all()
+        size, buckets = len(S) - 1, len(guide) - 1
+        assert buckets == 4 * size and guide.dtype == np.int32 and np.isinf(S[size])
+        inv = buckets / S[size - 1]
+        x = _smallest_in_bucket(np.arange(buckets + 1), inv)
+        assert ((x * inv).astype(np.int64) == np.arange(buckets + 1)).all()
         assert (guide <= np.searchsorted(S, x, side="right")).all(), n
-        assert np.isinf(S[size]) and guide.dtype == np.int32 and len(guide) == size + 1
         h = S[:size]
-        assert (top * h < h).all() and ((top * h * inv).astype(np.int64) <= size).all()
+        assert (top * h < h).all() and ((top * h * inv).astype(np.int64) <= buckets).all()
         if kind == "D":
             h = S[:n]
             total = h + pw[:n] * h
@@ -279,7 +279,7 @@ def test_guide_is_a_lower_bound(kind, q):
                 assert not light[6:].any()  # w <= 1e-18 from m = 7 on
                 assert n < 109 or pw[n - 1] == 0.0
             x = (top * total[light] - h[light]) / pw[:n][light]
-            assert ((x * inv).astype(np.int64) <= size).all()
+            assert ((x * inv).astype(np.int64) <= buckets).all()
             assert (np.searchsorted(S, x, side="right") <= size).all()
 
 
@@ -432,18 +432,18 @@ def _ties(targets, total):
     return np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
 
 
-def _tie_uniforms(kind, n, q, cnt, rng):
-    """(cnt, stages) uniforms whose first rows put x on, or an ulp beside,
-    every prefix weight S[k] of the stage (in both halves under D) and
-    every guide boundary below the stage total, where a search that breaks
-    ties the wrong way or stops at its guide entry picks another choice (a
-    random cnt of them where there are more); the rest are random."""
-    _, S, _, pw = _prefix_table(kind, n, q)
-    size = len(S) - 1
-    bounds = np.arange(size + 1) / (size / S[size - 1])
-    stages = list(tower_stages(kind, n))
-    u = rng.random((cnt, len(stages)))
-    for t, m in enumerate(stages):
+def _tie_uniforms(kind, n, q, rng, cap=None):
+    """(rows, stages) uniforms that put x on, or an ulp beside, every
+    prefix weight S[k] of each stage (in both halves under D) and every
+    guide boundary below the stage total, where a search that breaks ties
+    the wrong way or stops at its guide entry picks another choice.  A
+    stage's values fill the first rows of its column, a random cap of them
+    where there are more; the rest are random."""
+    _, S, guide, pw = _prefix_table(kind, n, q)
+    buckets = len(guide) - 1
+    bounds = np.arange(buckets + 1) / (buckets / S[-2])
+    cols = []
+    for m in tower_stages(kind, n):
         M = 2 * m if kind == "B" else m
         h = S[M - 1]
         if kind == "D":
@@ -453,8 +453,9 @@ def _tie_uniforms(kind, n, q, cnt, rng):
             r = _ties(np.concatenate([S[:M], bounds[bounds < h]]), h)
         r = np.unique(r)
         r = r[(r >= 0.0) & (r < 1.0)]
-        if len(r) > cnt:
-            r = rng.choice(r, cnt, replace=False)
+        cols.append(r if cap is None or len(r) <= cap else rng.choice(r, cap, replace=False))
+    u = rng.random((max(map(len, cols)), len(cols)))
+    for t, r in enumerate(cols):
         u[: len(r), t] = r
     return u
 
@@ -467,8 +468,8 @@ def test_stage_choices_match_reference(kind, n, q):
     prefix table (reference_choices) bit for bit: each row's summed
     contributions, on the seeded stream, after which the generator is
     where rng.random((cnt, stages)) leaves it, and on uniforms that land on
-    ties and guide boundaries.  Row counts are no multiple of anything in the kernel.  (The name
-    is older than the one-pass kernel.)"""
+    ties and guide boundaries.  (The name is older than the one-pass
+    kernel.)"""
     stages = len(tower_stages(kind, n))
     cnt = 20 * n + 37
     seed = 1000 * n + ord(kind)
@@ -479,8 +480,8 @@ def test_stage_choices_match_reference(kind, n, q):
     assert np.array_equal(got, want)
     assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
-    # the fake generator calls back per stage: fewer tie rows past n = 50
-    u = _tie_uniforms(kind, n, q, cnt if n <= 50 else 637, np.random.default_rng(seed))
+    # the fake generator calls back per stage: at most 637 tie rows past n = 50
+    u = _tie_uniforms(kind, n, q, np.random.default_rng(seed), None if n <= 50 else 637)
     got = _fed_tower_rows(kind, n, q, u, 3)
     assert np.array_equal(got, reference_choices(kind, n, q, u)[2].sum(axis=1))
     # negative controls: the comparison sees a search that stops at its
