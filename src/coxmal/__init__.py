@@ -1,39 +1,25 @@
 """Mallows-distributed random elements of finite Coxeter groups.
 
-Types A, B, D and the dihedral groups are realized as (signed) permutation
-windows; the library computes lengths, descents, the two-sided descent
-statistic and its exact or sampled distribution, and carries the verification
-checks (moment formulas, coupling bounds, normal-approximation distances)
-that the `coxmal` command drives.
+Types A, B and D are stored as (signed) permutation windows, and the
+dihedral groups I2(m) through closed forms in their length list; the library
+computes lengths, descents, the two-sided descent statistic and its exact or
+sampled distribution, and carries the verification checks (moment formulas,
+coupling bounds, normal-approximation distances) that the `coxmal` command
+drives.
 """
 
 from .coxeter import (
-    DihedralElement,
     EnumerationCapError,
     GroupDescriptor,
     ProductDescriptor,
-    SignedPermutation,
-    apply_left_generator,
-    apply_right_generator,
-    compose,
-    descent_number,
     descriptor_factors,
-    enumerate_group,
-    generator_element,
-    identity_element,
-    invert,
-    is_left_descent,
-    is_right_descent,
-    length,
     parse_group,
-    two_sided_descent,
 )
 from .mallows import (
     MallowsSpec,
     normalization_constant,
     normalization_enumeration_check,
     pattern_probability_bound_check,
-    pmf,
     reversal_identity_check,
     sample_statistic,
 )
@@ -66,7 +52,6 @@ from .sizebias import (
     covariance_type_sums,
     generic_stein_bound,
     size_bias_law_check,
-    star,
     stein_bound_rhs,
     stein_error_terms,
 )

@@ -15,12 +15,12 @@ Generators are indexed 0..num_generators-1:
 * type D: generator 0 maps (w(1), w(2)) to (-w(2), -w(1)), the rest act
   exactly as in type B,
 * type I2(m): generators 0 and 1 are the two reflections s0: x -> -x and
-  s1: x -> 1-x of Z/m; elements are stored as (shift, sign) pairs.
+  s1: x -> 1-x of Z/m.  No I2(m) element is stored: its laws are closed
+  forms in the length list 0, 1, 1, ..., m-1, m-1, m (mallows._dihedral_lengths).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import re
@@ -161,274 +161,6 @@ def descriptor_factors(g) -> tuple[GroupDescriptor, ...]:
 
 
 # ---------------------------------------------------------------------------
-# elements
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A window (w(1), ..., w(n)) of a type A, B or D element."""
-
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        mags = sorted(abs(v) for v in self.window)
-        if mags != list(range(1, len(self.window) + 1)):
-            raise ValueError(f"not a signed permutation window: {self.window}")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.window) + "]"
-
-
-@dataclass(frozen=True)
-class DihedralElement:
-    """Element of I2(m): the map x -> shift + sign*x on Z/m.
-
-    sign +1 gives the m rotations, sign -1 the m reflections.
-    """
-
-    m: int
-    shift: int
-    sign: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("need m >= 3")
-        if not (0 <= self.shift < self.m) or self.sign not in (1, -1):
-            raise ValueError(f"bad dihedral element ({self.shift}, {self.sign})")
-
-    @classmethod
-    def identity(cls, m: int) -> "DihedralElement":
-        return cls(m, 0, 1)
-
-    def __str__(self) -> str:
-        return f"r{self.shift}" + ("f" if self.sign < 0 else "")
-
-
-def identity_element(g):
-    if isinstance(g, ProductDescriptor):
-        return tuple(identity_element(f) for f in g.factors)
-    if g.kind == "I2":
-        return DihedralElement.identity(g.rank)
-    return SignedPermutation.identity(g.window_size)
-
-
-# ---------------------------------------------------------------------------
-# composition and inversion (no descriptor needed)
-
-
-def compose(u, v):
-    """The product uv, acting as (uv)(x) = u(v(x))."""
-    if isinstance(u, tuple):
-        return tuple(compose(a, b) for a, b in zip(u, v))
-    if isinstance(u, DihedralElement):
-        return DihedralElement(
-            u.m, (u.shift + u.sign * v.shift) % u.m, u.sign * v.sign
-        )
-    uw = u.window
-    out = []
-    for x in v.window:
-        out.append(uw[x - 1] if x > 0 else -uw[-x - 1])
-    return SignedPermutation(tuple(out))
-
-
-def invert(w):
-    if isinstance(w, tuple):
-        return tuple(invert(f) for f in w)
-    if isinstance(w, DihedralElement):
-        return DihedralElement(w.m, (-w.sign * w.shift) % w.m, w.sign)
-    out = [0] * len(w.window)
-    for pos, val in enumerate(w.window, start=1):
-        if val > 0:
-            out[val - 1] = pos
-        else:
-            out[-val - 1] = -pos
-    return SignedPermutation(tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# length
-
-
-def _window_length(kind: str, win: tuple[int, ...]) -> int:
-    n = len(win)
-    inv = 0
-    for i in range(n):
-        wi = win[i]
-        for j in range(i + 1, n):
-            if wi > win[j]:
-                inv += 1
-    if kind == "A":
-        return inv
-    if kind == "B":
-        # pairs 1 <= i <= j <= n with w(i) + w(j) < 0
-        extra = 0
-        for i in range(n):
-            if 2 * win[i] < 0:
-                extra += 1
-            wi = win[i]
-            for j in range(i + 1, n):
-                if wi + win[j] < 0:
-                    extra += 1
-        return inv + extra
-    if kind == "D":
-        extra = 0
-        for i in range(n):
-            wi = win[i]
-            for j in range(i + 1, n):
-                if wi + win[j] < 0:
-                    extra += 1
-        return inv + extra
-    raise ValueError(f"no window length for kind {kind!r}")
-
-
-@lru_cache(maxsize=None)
-def _dihedral_length_table(m: int) -> dict:
-    """Word lengths in I2(m) by breadth-first search over the Cayley graph."""
-    gens = (DihedralElement(m, 0, -1), DihedralElement(m, 1, -1))
-    dist = {DihedralElement.identity(m): 0}
-    frontier = [DihedralElement.identity(m)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = compose(w, s)
-                if ws not in dist:
-                    dist[ws] = dist[w] + 1
-                    nxt.append(ws)
-        frontier = nxt
-    return dist
-
-
-def length(w, g) -> int:
-    if isinstance(g, ProductDescriptor):
-        return sum(length(f, fg) for f, fg in zip(w, g.factors))
-    if g.kind == "I2":
-        return _dihedral_length_table(g.rank)[w]
-    return _window_length(g.kind, w.window)
-
-
-# ---------------------------------------------------------------------------
-# generator actions
-
-
-def generator_element(i: int, g):
-    """The generator s_i as a group element."""
-    return apply_right_generator(identity_element(g), i, g)
-
-
-def _product_locate(i: int, g: ProductDescriptor):
-    for k, f in enumerate(g.factors):
-        if i < f.num_generators:
-            return k, i
-        i -= f.num_generators
-    raise IndexError("generator index out of range")
-
-
-def apply_right_generator(w, i: int, g):
-    """w * s_i."""
-    if isinstance(g, ProductDescriptor):
-        k, j = _product_locate(i, g)
-        return tuple(
-            apply_right_generator(f, j, g.factors[k]) if t == k else f
-            for t, f in enumerate(w)
-        )
-    if g.kind == "I2":
-        return compose(w, DihedralElement(g.rank, i, -1))
-    if not 0 <= i < g.num_generators:
-        raise IndexError(f"generator index {i} out of range for {g}")
-    win = list(w.window)
-    if g.kind == "A":
-        win[i], win[i + 1] = win[i + 1], win[i]
-    elif g.kind == "B":
-        if i == 0:
-            win[0] = -win[0]
-        else:
-            win[i - 1], win[i] = win[i], win[i - 1]
-    else:  # D
-        if i == 0:
-            win[0], win[1] = -win[1], -win[0]
-        else:
-            win[i - 1], win[i] = win[i], win[i - 1]
-    return SignedPermutation(tuple(win))
-
-
-def apply_left_generator(w, i: int, g):
-    """s_i * w, computed by remapping window values."""
-    if isinstance(g, ProductDescriptor):
-        k, j = _product_locate(i, g)
-        return tuple(
-            apply_left_generator(f, j, g.factors[k]) if t == k else f
-            for t, f in enumerate(w)
-        )
-    if g.kind == "I2":
-        return compose(DihedralElement(g.rank, i, -1), w)
-    if not 0 <= i < g.num_generators:
-        raise IndexError(f"generator index {i} out of range for {g}")
-    if g.kind == "A":
-        a, b = i + 1, i + 2
-        table = {a: b, b: a}
-    elif i >= 1:  # B or D, value swap i <-> i+1 preserving sign
-        a, b = i, i + 1
-        table = {a: b, b: a, -a: -b, -b: -a}
-    elif g.kind == "B":
-        table = {1: -1, -1: 1}
-    else:  # D, generator 0
-        table = {1: -2, 2: -1, -1: 2, -2: 1}
-    return SignedPermutation(tuple(table.get(v, v) for v in w.window))
-
-
-# ---------------------------------------------------------------------------
-# descents
-
-
-def is_right_descent(w, i: int, g) -> bool:
-    """Whether l(w s_i) < l(w), via window comparisons where possible."""
-    if isinstance(g, ProductDescriptor):
-        k, j = _product_locate(i, g)
-        return is_right_descent(w[k], j, g.factors[k])
-    if g.kind == "I2":
-        table = _dihedral_length_table(g.rank)
-        return table[apply_right_generator(w, i, g)] < table[w]
-    win = w.window
-    if g.kind == "A":
-        return win[i] > win[i + 1]
-    if i >= 1:
-        return win[i - 1] > win[i]
-    if g.kind == "B":
-        return win[0] < 0
-    return win[0] + win[1] < 0  # D
-
-
-def is_left_descent(w, i: int, g) -> bool:
-    return is_right_descent(invert(w), i, g)
-
-
-def descent_indicator(w, i: int, g, side: str = "right") -> int:
-    if side == "right":
-        return 1 if is_right_descent(w, i, g) else 0
-    if side == "left":
-        return 1 if is_left_descent(w, i, g) else 0
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-
-
-def descent_number(w, g, side: str = "right") -> int:
-    return sum(descent_indicator(w, i, g, side) for i in range(g.num_generators))
-
-
-def two_sided_descent(w, g) -> int:
-    """t(w) = des(w) + des(w^{-1})."""
-    return descent_number(w, g, "right") + descent_number(w, g, "left")
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -436,39 +168,6 @@ def _check_enum_cap(g) -> None:
     limit = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     if g.order() > limit:
         raise EnumerationCapError(f"{g} has {g.order()} elements, above the cap {limit}")
-
-
-def enumerate_group(g):
-    """Yield every element of the group, respecting the enumeration cap.
-
-    Signed permutations come out as permutation-times-sign-choices; type D
-    keeps only windows with an even number of negative entries.
-    """
-    _check_enum_cap(g)
-    yield from _enumerate_uncapped(g)
-
-
-def _enumerate_uncapped(g):
-    if isinstance(g, ProductDescriptor):
-        pools = [list(_enumerate_uncapped(f)) for f in g.factors]
-        for combo in itertools.product(*pools):
-            yield combo
-        return
-    if g.kind == "I2":
-        for sign in (1, -1):
-            for shift in range(g.rank):
-                yield DihedralElement(g.rank, shift, sign)
-        return
-    n = g.window_size
-    if g.kind == "A":
-        for perm in itertools.permutations(range(1, n + 1)):
-            yield SignedPermutation(perm)
-        return
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if g.kind == "D" and signs.count(-1) % 2 != 0:
-                continue
-            yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
 
 
 def enumerate_windows(g):

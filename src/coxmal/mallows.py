@@ -76,14 +76,9 @@ import numpy as np
 from .coxeter import (
     GroupDescriptor,
     ProductDescriptor,
-    SignedPermutation,
     _check_enum_cap,
-    _dihedral_length_table,
-    _window_length,
     descriptor_factors,
-    enumerate_group,
     enumerate_windows,
-    length,
     parse_group,
 )
 from .reports import CheckResult
@@ -212,59 +207,8 @@ def _windows_and_weights(g: GroupDescriptor, q: float):
     return W, _length_weights(g, q, lengths)[0]
 
 
-def pmf(w, spec: MallowsSpec) -> float:
-    """mu_q(w), finite at q far from 1.
-
-    For q > 1 each factor is reflected as in _length_weights:
-    q^l / Z(q) = (1/q)^(l(w0) - l) / Z(1/q).
-    """
-    factors = descriptor_factors(spec.group)
-    ws = w if isinstance(w, tuple) and len(factors) > 1 else (w,)
-    out = 1.0
-    for wf, (f, q) in zip(ws, spec.factor_specs()):
-        weight, _ = _length_weights(f, q, length(wf, f))
-        out *= float(weight) / normalization_constant(f, min(q, 1.0 / q))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# tower stage tables
-
-
-@lru_cache(maxsize=None)
-def stage_candidates(kind: str, m: int):
-    """Choices when the tower fills window position m, as (a, s, contribution).
-
-    a picks the a-th smallest remaining label, s its sign, and contribution
-    is the length of the minimal coset representative realizing the choice.
-    Built directly by writing down the local window and counting inversions;
-    the closed-form twin below must agree (tests compare them).
-    """
-    signs = (1,) if kind == "A" else (1, -1)
-    out = []
-    for a in range(1, m + 1):
-        for s in signs:
-            rest = [x for x in range(1, m + 1) if x != a]
-            if kind == "D" and s < 0:
-                rest[0] = -rest[0]
-            win = tuple(rest + [s * a])
-            out.append((a, s, _window_length(kind, win)))
-    return tuple(out)
-
-
-def _stage_choices(kind: str, m: int):
-    """Closed-form (a, s, contribution) int64 arrays, same ordering as stage_candidates.
-
-    Type A offers a = 1..m, contributing m - a.  Types B and D offer each a
-    with s = 1, contributing m - a, then with s = -1, contributing m + a - 1
-    under B and m + a - 2 under D.
-    """
-    a = np.arange(1, m + 1, dtype=np.int64)
-    if kind == "A":
-        return a, np.ones(m, dtype=np.int64), m - a
-    a = np.repeat(a, 2)
-    s = np.tile(np.array([1, -1], dtype=np.int64), m)
-    return a, s, np.where(s > 0, m - a, m + a - (1 if kind == "B" else 2))
+# the tower's prefix table
 
 
 def _prefix_table(kind: str, n: int, q: float):
@@ -297,28 +241,20 @@ def _prefix_table(kind: str, n: int, q: float):
     return q > 1.0, S, np.searchsorted(S, low, side="right").astype(np.int32), pw
 
 
-def stage_distribution(kind: str, m: int, q: float) -> np.ndarray:
-    """Probabilities of the stage choices, in stage_candidates order."""
-    contrib = _stage_choices(kind, m)[2].astype(np.float64)
-    w = np.power(q, contrib - (contrib.max() if q > 1.0 else 0.0))
-    return w / w.sum()
-
-
 # ---------------------------------------------------------------------------
 # dihedral factors
 
 
-@lru_cache(maxsize=None)
-def _dihedral_elements(m: int):
-    table = _dihedral_length_table(m)
-    elems = sorted(table, key=lambda w: (table[w], w.sign, w.shift))
-    lengths = np.array([table[w] for w in elems], dtype=np.float64)
-    return tuple(elems), lengths
+def _dihedral_lengths(m: int) -> np.ndarray:
+    """Lengths of the 2m elements of I2(m) in table order: the identity, the
+    two elements of each length 1..m-1 (one alternating word starting with
+    each generator), then the longest element."""
+    return np.concatenate(([0], np.repeat(np.arange(1, m), 2), [m]))
 
 
 def _dihedral_table(g: GroupDescriptor, q: float) -> np.ndarray:
-    """Probabilities of the I2(m) elements, in _dihedral_elements order."""
-    w, _ = _length_weights(g, q, _dihedral_elements(g.rank)[1])
+    """Probabilities of the I2(m) elements, in _dihedral_lengths order."""
+    w, _ = _length_weights(g, q, _dihedral_lengths(g.rank))
     return w / w.sum()
 
 
@@ -799,7 +735,7 @@ def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
     at both generators, every other element at one, on either side.
     """
     _check_statistic(statistic)
-    lengths = _dihedral_elements(g.rank)[1].astype(np.int64)
+    lengths = _dihedral_lengths(g.rank)
     des = (lengths > 0) + (lengths == g.rank).astype(np.int64)
     return {"length": lengths, "des": des, "des_inv": des, "t": 2 * des}[statistic]
 
@@ -877,12 +813,20 @@ def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
 def normalization_enumeration_check(g, q: float) -> CheckResult:
     """Closed-form Z(q) against the brute-force sum of q^length.
 
-    The lengths are the object model's: the tower's summed contributions
-    would equal the closed form by construction.
+    The two are independent: the closed form is a product of q-integers
+    (the tower's stage sums), while the A, B and D lengths are counted by
+    inserting each magnitude into the windows of the smaller ones
+    (enumerate_windows) and the I2(m) lengths are listed, one per element.
+    A product's lengths are its factors' summed over every tuple of
+    elements.
     """
     closed = normalization_constant(g, q)
-    _check_enum_cap(g)  # on every call: the lengths below may be cached
-    w, ref = _length_weights(g, q, _object_lengths(g))
+    _check_enum_cap(g)  # on every call and on the product's order: the windows may be cached
+    lengths = 0
+    for f in descriptor_factors(g):
+        lf = _dihedral_lengths(f.rank) if f.kind == "I2" else enumerate_windows(f)[1]
+        lengths = np.add.outer(lengths, lf).ravel()
+    w, ref = _length_weights(g, q, lengths)
     brute = float(w.sum()) * q**ref
     rel = abs(brute - closed) / closed
     tol = 1e-10
@@ -894,12 +838,6 @@ def normalization_enumeration_check(g, q: float) -> CheckResult:
         tolerance=tol,
         detail={"closed_form": closed, "enumerated": brute},
     )
-
-
-@lru_cache(maxsize=1)
-def _object_lengths(g) -> tuple[int, ...]:
-    """The object model's length of every element, built once per group."""
-    return tuple(length(w, g) for w in enumerate_group(g))
 
 
 def reversal_identity_check(g, q: float, statistic: str = "t") -> CheckResult:
@@ -982,15 +920,17 @@ def pattern_probability_bound_check(
         win[p - 1] = v
     if g.kind == "D" and sum(1 for v in values if v < 0) % 2 == 1:
         win[free_pos[0] - 1] = -win[free_pos[0] - 1]
-    witness = SignedPermutation(tuple(win))
+    witness = "[" + ",".join(map(str, win)) + "]"
 
-    W, wt = _windows_and_weights(g, q)
+    W, lengths = enumerate_windows(g)
+    wt = _length_weights(g, q, lengths)[0]
     match = np.all(W[:, np.array(positions) - 1] == values, axis=1)
-    if not np.all(W[match] == win, axis=1).any():
+    row = np.flatnonzero(match & np.all(W == win, axis=1))
+    if not len(row):
         raise RuntimeError(f"witness {witness} does not match its own pattern")
     exact = float(wt[match].sum() / wt.sum())
 
-    lw = length(witness, g)
+    lw = int(lengths[row[0]])
     if g.kind == "B":
         bound = q**lw * q_even_double_factorial(n - k, q) / q_even_double_factorial(n, q)
     else:
@@ -1007,5 +947,5 @@ def pattern_probability_bound_check(
         passed=ok,
         observed=exact,
         bound=bound,
-        detail={"witness": str(witness), "witness_length": lw},
+        detail={"witness": witness, "witness_length": lw},
     )

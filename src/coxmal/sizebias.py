@@ -16,31 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coxeter import (
-    apply_left_generator,
-    apply_right_generator,
-    descent_indicator,
-    descent_number,
-    windows_descents,
-    windows_invert,
-)
+from .coxeter import windows_descents, windows_invert
 from .mallows import (
     MallowsSpec,
-    _dihedral_elements,
+    _dihedral_stat_values,
     _dihedral_table,
     _windows_and_weights,
     _windows_stat,
 )
 from .reports import CheckResult
-
-
-def star(w, i: int, side: str, g):
-    """w when it descends at s_i on that side, else w s_i (right) or s_i w (left)."""
-    if descent_indicator(w, i, g, side):
-        return w
-    if side == "right":
-        return apply_right_generator(w, i, g)
-    return apply_left_generator(w, i, g)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +51,8 @@ def coupling_descents(kind: str, W: np.ndarray):
     """Descent numbers of w, w^-1 and every starred w*, for each row of a batch.
 
     Returns (des, star_des): des[r, k] is des(w) for k = 0 and des(w^-1)
-    for k = 1; star_des[r, s, i, k] is the same for star(w, i, side) with
-    s = 0 for the right side and s = 1 for the left.
+    for k = 1; star_des[r, s, i, k] is the same for the star w* at s_i
+    with s = 0 for the right side and s = 1 for the left.
     The left star of w is the inverse of the right star of w^-1.
     star_des is int32 to halve the largest array of a Monte Carlo batch.
     The counts come from the window_stats kernel, which rejects a row
@@ -89,8 +73,8 @@ def coupling_descents(kind: str, W: np.ndarray):
 def _exact_coupling(g, q: float):
     """(probabilities, des, star_des) over every element of g under Mallows(q).
 
-    Windows go through coupling_descents; dihedral factors are read off
-    their 2m-element table, in the same layout.
+    Windows go through coupling_descents; dihedral factors come from
+    closed forms in their length list, in the same layout.
     """
     if g.kind != "I2":
         W, wt = _windows_and_weights(g, q)
@@ -100,21 +84,27 @@ def _exact_coupling(g, q: float):
 
 @lru_cache(maxsize=None)
 def _dihedral_coupling(g):
-    """(des, star_des) over the dihedral table's elements, in its order.
+    """(des, star_des) over the dihedral table's rows (_dihedral_lengths).
 
-    They do not depend on q, so they are built once per group; the arrays
+    Every element other than e and w0 descends at one generator on each
+    side.  A star leaves w at its descent and otherwise adds one to its
+    length, so every star has one descent on each side, except at w0 (two)
+    and where a row of length m - 1 steps up to w0.  Those two rows are the
+    alternating words s1 s0 ... and s0 s1 ... of m - 1 letters, in that
+    order: the first letter is the left descent, the last the right one,
+    so the right descents are s0, s1 for odd m and s1, s0 for even m.
+    The arrays do not depend on q, so they are built once per group and
     are read-only because the cache hands them to every caller.
     """
-    elems = _dihedral_elements(g.rank)[0]
-
-    def both(w):
-        return descent_number(w, g), descent_number(w, g, side="left")
-
-    des = np.array([both(w) for w in elems])
-    sides = ("right", "left")
-    star_des = np.array(
-        [[[both(star(w, i, s, g)) for i in range(2)] for s in sides] for w in elems]
-    )
+    m = g.rank
+    d = _dihedral_stat_values(g, "des")
+    des = np.stack((d, d), axis=1)
+    star_des = np.ones((2 * m, 2, 2, 2), dtype=np.int64)
+    star_des[-1] = 2
+    odd = m % 2
+    for row, right, left in ((2 * m - 3, 1 - odd, 1), (2 * m - 2, odd, 0)):
+        star_des[row, 0, 1 - right] = 2
+        star_des[row, 1, 1 - left] = 2
     des.setflags(write=False)
     star_des.setflags(write=False)
     return des, star_des

@@ -1,5 +1,4 @@
 import itertools
-from collections import deque
 
 import numpy as np
 import pytest
@@ -9,9 +8,15 @@ from hypothesis import strategies as st
 from coxmal.coxeter import (
     EnumerationCapError,
     ProductDescriptor,
+    parse_group,
+    windows_descents,
+    windows_invert,
+)
+from object_reference import (
     SignedPermutation,
     apply_left_generator,
     apply_right_generator,
+    bfs_word_lengths,
     compose,
     descent_number,
     enumerate_group,
@@ -21,10 +26,7 @@ from coxmal.coxeter import (
     is_left_descent,
     is_right_descent,
     length,
-    parse_group,
     two_sided_descent,
-    windows_descents,
-    windows_invert,
 )
 from window_reference import (
     itertools_windows,
@@ -32,22 +34,6 @@ from window_reference import (
     windows_lengths,
     windows_two_sided,
 )
-
-
-def bfs_word_lengths(g):
-    """Independent length oracle: breadth-first search on the Cayley graph
-    from the identity, using only generator application."""
-    start = identity_element(g)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for i in range(g.num_generators):
-            nxt = apply_right_generator(w, i, g)
-            if nxt not in dist:
-                dist[nxt] = dist[w] + 1
-                queue.append(nxt)
-    return dist
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "I2(7)"])

@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -22,16 +23,7 @@ import pytest
 import scipy.stats
 
 import coxmal
-from coxmal.coxeter import (
-    EnumerationCapError,
-    SignedPermutation,
-    descent_number,
-    enumerate_group,
-    enumerate_windows,
-    length,
-    parse_group,
-    two_sided_descent,
-)
+from coxmal.coxeter import EnumerationCapError, enumerate_windows, parse_group
 from coxmal.mallows import (
     _DECODE_C,
     _DECODE_FLAGS,
@@ -40,12 +32,13 @@ from coxmal.mallows import (
     _chunk_stats,
     _compile_decoder,
     _decode_lib,
+    _dihedral_lengths,
     _dihedral_stat_values,
     _dihedral_table,
+    _length_weights,
     _map_chunks,
     _prefix_table,
     _segments_in_file,
-    _stage_choices,
     _tower,
     _uniform,
     _windows_and_weights,
@@ -53,16 +46,25 @@ from coxmal.mallows import (
     normalization_constant,
     normalization_enumeration_check,
     pattern_probability_bound_check,
-    pmf,
     q_even_double_factorial,
     q_factorial,
     q_integer,
     reversal_identity_check,
     sample_statistic,
-    stage_candidates,
-    stage_distribution,
 )
 from coxmal.moments import exact_distribution, goodness_of_fit
+from object_reference import (
+    SignedPermutation,
+    descent_number,
+    dihedral_elements,
+    enumerate_group,
+    length,
+    pmf,
+    stage_candidates,
+    stage_choices,
+    stage_distribution,
+    two_sided_descent,
+)
 from window_reference import (
     chunk_windows,
     itertools_windows,
@@ -100,6 +102,56 @@ def test_normalization_closed_form(name, q):
     assert math.isclose(brute, closed, rel_tol=1e-12)
     check = normalization_enumeration_check(g, q)
     assert check.passed
+
+
+# closed-form mutants of Z: (function, text, mutated text, group whose check must fail)
+Z_MUTANTS = {
+    "i2-top-power": ("normalization_constant", "q**m", "q**(m + 1)", "I2(5)"),
+    "b-odd-factors": ("q_even_double_factorial", "q_integer(2 * i, q)", "q_integer(2 * i - 1, q)", "B3"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(Z_MUTANTS))
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_normalization_check_rejects_closed_form_mutants(monkeypatch, mutant, q):
+    """The Z check can fail: with I2's q^m taken as q^(m+1), or B's
+    [2]_q [4]_q ... [2k]_q as [1]_q [3]_q ... [2k-1]_q, it FAILs at I2(5)
+    and B3, so the listed I2(m) lengths and the inserted B lengths are not
+    read off the closed form.  A3 keeps passing under both."""
+    name, text, mutated, group = Z_MUTANTS[mutant]
+    source = inspect.getsource(getattr(coxmal.mallows, name))
+    assert source.count(text) == 1
+    namespace = {}
+    exec(source.replace(text, mutated), vars(coxmal.mallows), namespace)
+    monkeypatch.setattr(coxmal.mallows, name, namespace[name])
+    check = normalization_enumeration_check(parse_group(group), q)
+    assert check.name == "normalization-constant" and not check.passed, check.line()
+    assert check.observed > 1e-3
+    assert normalization_enumeration_check(parse_group("A3"), q).passed
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_dihedral_closed_forms_equal_the_object_model(m):
+    """I2(m)'s lengths, statistic values and table, read off the closed
+    length list, equal the object model's on its elements in the same row
+    order (by length, reflections first, then shift)."""
+    g = parse_group(f"I2({m})")
+    elements = dihedral_elements(m)
+    lengths = [length(w, g) for w in elements]
+    assert np.array_equal(_dihedral_lengths(m), lengths)
+    want = {
+        "length": lengths,
+        "des": [descent_number(w, g) for w in elements],
+        "des_inv": [descent_number(w, g, "left") for w in elements],
+        "t": [two_sided_descent(w, g) for w in elements],
+    }
+    for stat in STATS:
+        assert np.array_equal(_dihedral_stat_values(g, stat), want[stat]), stat
+    for q in (0.3, 1.0, 2.5):
+        weights = _length_weights(g, q, lengths)[0]
+        assert np.array_equal(_dihedral_table(g, q), weights / weights.sum())
+        spec = MallowsSpec.make(g, q)
+        assert np.allclose(_dihedral_table(g, q), [pmf(w, spec) for w in elements], rtol=1e-12, atol=0)
 
 
 def test_normalization_rejects_bad_q():
@@ -154,18 +206,7 @@ def test_pmf_finite_far_from_one():
 def test_stage_tables_agree(kind):
     """The enumerated stage table and its closed form must be identical."""
     for m in range(2 if kind == "D" else 1, 10):
-        closed = tuple(zip(*(x.tolist() for x in _stage_choices(kind, m))))
-        assert stage_candidates(kind, m) == closed
-
-
-def _list_contributions(kind, m):
-    """The stage contributions as tuples, built by a Python loop."""
-    out = []
-    for a in range(1, m + 1):
-        out.append((a, 1, m - a))
-        if kind != "A":
-            out.append((a, -1, m + a - (1 if kind == "B" else 2)))
-    return out
+        assert stage_candidates(kind, m) == stage_choices(kind, m)
 
 
 def _list_prefix_table(kind, n, q, pw):
@@ -210,8 +251,6 @@ def test_tower_tables_equal_the_list_build(kind, q):
     (stage_choice) its prefixes give every stage the law of
     stage_distribution, on the enumerated choices (stages up to 8) and the
     closed form (the rest).  (The name is older than the shared table.)"""
-    for m in range(2 if kind == "D" else 1, 9):
-        assert stage_candidates(kind, m) == tuple(_list_contributions(kind, m))
     qq = min(q, 1.0 / q)
     for n in (2, 3, 50, 201):
         got = _prefix_table(kind, n, q)
@@ -224,7 +263,7 @@ def test_tower_tables_equal_the_list_build(kind, q):
         for x, y in zip(got[1:3], want[1:]):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n, x.dtype)
     for m in list(range(2 if kind == "D" else 1, 9)) + [50, 201]:
-        cands = stage_candidates(kind, m) if m <= 8 else _list_contributions(kind, m)
+        cands = stage_candidates(kind, m) if m <= 8 else stage_choices(kind, m)
         want = dict(zip([c[:2] for c in cands], stage_distribution(kind, m, q).tolist()))
         got = _table_stage_law(kind, m, q)
         assert got.keys() == want.keys()
@@ -322,7 +361,7 @@ def test_stage_products_telescope_to_normalization():
         kind, n = g.kind, g.window_size
         prod = 1.0
         for m in tower_stages(kind, n):
-            prod *= sum(q ** c for c in _stage_choices(kind, m)[2].tolist())
+            prod *= sum(q**c for _, _, c in stage_choices(kind, m))
         assert math.isclose(prod, normalization_constant(g, q), rel_tol=1e-12)
 
 
@@ -791,7 +830,8 @@ def test_stage_tables_are_a_bijection_onto_the_group(name):
 
 def test_tower_enumeration_checks_the_cap_on_every_call(monkeypatch):
     """A cap lowered after the group is cached still refuses it, in the
-    window enumeration and in the object-model lengths of the Z check.
+    window enumeration and in the enumerated lengths of the Z check, and
+    the Z check refuses a product above the cap whose factors each fit.
     (The name is older than the insertion enumeration.)"""
     g = parse_group("B3")
     assert enumerate_windows(g)[0].shape == (48, 3)
@@ -805,6 +845,10 @@ def test_tower_enumeration_checks_the_cap_on_every_call(monkeypatch):
         normalization_enumeration_check(g, 2.0)
     monkeypatch.setenv("COXMAL_ENUM_CAP", "48")
     assert enumerate_windows(g)[0].shape == (48, 3)
+    monkeypatch.setenv("COXMAL_ENUM_CAP", "100")
+    assert normalization_enumeration_check(parse_group("A2"), 0.5).passed
+    with pytest.raises(EnumerationCapError, match="288 elements"):
+        normalization_enumeration_check(parse_group("B3 x A2"), 0.5)
     for name in ("I2(5)", "B3 x A2"):
         with pytest.raises(ValueError, match="not stored as windows"):
             enumerate_windows(parse_group(name))
@@ -1552,3 +1596,27 @@ def test_pattern_bound_sweep():
         for vals in ((2, 4), (-2, 4), (-4, -3)):
             check = pattern_probability_bound_check(d4, q, (2, 3), vals)
             assert check.passed, check.line()
+
+
+PATTERNS = [("B3", (1,), (1,)), ("D4", (1, 2), (-1, -2))]
+PATTERNS += [("B3", (c1,), (v1,)) for c1 in (1, 2, 3) for v1 in (-3, -1, 2)]
+PATTERNS += [("D4", (2, 3), vals) for vals in ((2, 4), (-2, 4), (-4, -3))]
+
+
+@pytest.mark.parametrize(
+    "name,positions,values",
+    PATTERNS,
+    ids=[f"{g}:{','.join(map(str, c))}={','.join(map(str, v))}" for g, c, v in PATTERNS],
+)
+def test_pattern_witness_is_the_shortest_match(name, positions, values):
+    """The witness of every pattern the tests above run, with its length,
+    is the object model's unique shortest element matching the pattern."""
+    g = parse_group(name)
+    detail = pattern_probability_bound_check(g, 0.5, positions, values).detail
+    matches = [
+        w for w in enumerate_group(g) if all(w.window[c - 1] == v for c, v in zip(positions, values))
+    ]
+    shortest = min(length(w, g) for w in matches)
+    [witness] = [w for w in matches if length(w, g) == shortest]
+    assert detail == {"witness": str(witness), "witness_length": shortest}
+    assert type(detail["witness_length"]) is int

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 import coxmal.moments
-from coxmal.coxeter import (
-    descent_number,
-    enumerate_group,
-    length,
-    parse_group,
-    two_sided_descent,
-)
-from coxmal.mallows import MallowsSpec, pmf, sample_statistic
+from coxmal.coxeter import parse_group
+from coxmal.mallows import MallowsSpec, sample_statistic
 from coxmal.moments import (
     DiscreteDistribution,
     _merge_bins,
@@ -24,6 +18,7 @@ from coxmal.moments import (
     variance_bounds_check,
     variance_bounds_two_sided,
 )
+from object_reference import descent_number, enumerate_group, length, pmf, two_sided_descent
 
 
 def bernoulli(p):

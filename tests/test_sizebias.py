@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from coxmal import sizebias
-from coxmal.coxeter import (
-    descent_number,
-    enumerate_group,
-    invert,
-    is_left_descent,
-    is_right_descent,
-    parse_group,
-    two_sided_descent,
-)
+from coxmal.coxeter import parse_group
 from coxmal.mallows import MallowsSpec
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
@@ -23,11 +15,19 @@ from coxmal.sizebias import (
     covariance_type_sums,
     generic_stein_bound,
     size_bias_law_check,
-    star,
     stein_bound_rhs,
     stein_error_terms,
 )
-
+from object_reference import (
+    descent_number,
+    dihedral_elements,
+    enumerate_group,
+    invert,
+    is_left_descent,
+    is_right_descent,
+    star,
+    two_sided_descent,
+)
 from window_reference import coupling_descents as reference_coupling_descents
 from window_reference import itertools_windows, sampled_windows
 
@@ -141,6 +141,23 @@ def test_dihedral_coupling_is_built_once_per_group():
     assert not des.flags.writeable and not star_des.flags.writeable
     assert not np.array_equal(p_half, p_two)
     assert des.shape == (10, 2) and star_des.shape == (10, 2, 2, 2)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_dihedral_coupling_equals_the_object_stars(m):
+    """I2(m)'s closed-form des and star_des equal the object model's
+    descents of every element and of its stars, row for row in the table's
+    order, at every generator and side."""
+    g = parse_group(f"I2({m})")
+
+    def both(w):
+        return descent_number(w, g), descent_number(w, g, "left")
+
+    elements = dihedral_elements(m)
+    _, des, star_des = sizebias._exact_coupling(g, 0.5)
+    assert np.array_equal(des, [both(w) for w in elements])
+    want = [[[both(star(w, i, side, g)) for i in range(2)] for side in ("right", "left")] for w in elements]
+    assert np.array_equal(star_des, want)
 
 
 def test_conditional_star_law(monkeypatch):
