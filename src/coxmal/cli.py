@@ -5,23 +5,33 @@ normal-approximation experiment on product groups), sample / exact-dist /
 moments (file dumps).  Reports are JSON, tables and distributions are CSV.
 One argparse parser reads the flags and the --config file, whose entries
 are flags written as key = value; no setting moves a check's bound.
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
-141 standard output closed by its reader (128 + SIGPIPE).
+Exit codes: 0 all checks passed, 1 at least one check failed (in verify, a
+check that raises is a failed check), 2 usage error, 141 standard output
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coxeter import EnumerationCapError, GroupDescriptor, descriptor_factors, parse_group
+from .coxeter import (
+    EnumerationCapError,
+    GroupDescriptor,
+    _check_enum_cap,
+    descriptor_factors,
+    parse_group,
+)
 from .mallows import (
     MallowsSpec,
+    normalization_constant,
     normalization_enumeration_check,
     pattern_probability_bound_check,
     reversal_identity_check,
@@ -148,63 +158,96 @@ def _parse_groups(text: str) -> list[str]:
 # verify
 
 
+def _add_checks(report: ExperimentReport, check, g, *args) -> None:
+    """Add the result, or the list of results, of check(g, *args) to the report.
+
+    A check that raises, other than at the enumeration cap, adds one FAIL
+    named after the check function, with its cell (g and the q in args[0])
+    as target, the exception as note and its traceback in detail: a
+    library defect fails verify (exit 1) without hiding the other results.
+    """
+    try:
+        results = check(g, *args)
+    except EnumerationCapError:
+        raise
+    except Exception as exc:
+        results = CheckResult(
+            name=check.__name__,
+            target=f"{g} q={args[0]:g}" if args else str(g),
+            passed=False,
+            note=f"{type(exc).__name__}: {exc}",
+            detail={"traceback": traceback.format_exc()},
+        )
+    if isinstance(results, tuple):  # covariance_type_sums: (sums, checks)
+        results = results[1]
+    for result in results if isinstance(results, list) else [results]:
+        report.add(result)
+
+
+def sampler_gof_check(g, q: float, seed: int, threads: int) -> CheckResult:
+    """Chi-square goodness of fit of 20,000 sampled t against the exact law."""
+    spec = MallowsSpec.make(g, q)
+    xs = sample_statistic(spec, "t", 20_000, seed, threads)
+    _, _, pval = goodness_of_fit(xs, exact_distribution(spec, "t"))
+    return CheckResult(
+        name="sampler-gof",
+        target=f"{spec}",
+        passed=pval > GOF_ALPHA,
+        observed=pval,
+        bound=GOF_ALPHA,
+        note="chi-square p-value must exceed the bound",
+    )
+
+
 def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport("verify", asdict(cfg))
-    groups = _parse_groups(cfg.group) if cfg.group else list(VERIFY_GROUPS)
+    names = _parse_groups(cfg.group) if cfg.group else list(VERIFY_GROUPS)
     qs = cfg.qs or list(VERIFY_QS)
-
-    for name in groups:
-        g = parse_group(name)
+    # every usage error is raised here, before any check runs; an error
+    # inside a check is that check's FAIL
+    groups = [parse_group(name) for name in names]
+    for g in groups:
         if not isinstance(g, GroupDescriptor):
             raise UsageError("verify expects irreducible groups; use clt for products")
+        _check_enum_cap(g)
         for q in qs:
-            report.add(normalization_enumeration_check(g, q))
-            report.add(mean_formula_check(g, q))
-            report.add(reversal_identity_check(g, q, "t"))
-            report.add(size_bias_law_check(g, q))
+            normalization_constant(g, q)
+
+    add = functools.partial(_add_checks, report)
+    for g in groups:
+        for q in qs:
+            add(normalization_enumeration_check, g, q)
+            add(mean_formula_check, g, q)
+            add(reversal_identity_check, g, q, "t")
+            add(size_bias_law_check, g, q)
             if g.kind in ("A", "B", "D"):
-                report.add(variance_bounds_check(g, q))
-                report.add(descent_indicator_mean_check(g, q))
-                report.add(cube_moment_bound_check(g, q))
-                report.add(tail_bound_check(g, q))
-                for c in covariance_type_sums(g, q)[1]:
-                    report.add(c)
+                add(variance_bounds_check, g, q)
+                add(descent_indicator_mean_check, g, q)
+                add(cube_moment_bound_check, g, q)
+                add(tail_bound_check, g, q)
+                add(covariance_type_sums, g, q)
         if g.kind in ("A", "B", "D"):
-            report.add(coupling_boundedness_check(g))
+            add(coupling_boundedness_check, g)
         if g.kind in ("B", "D") and g.rank >= 3:
             for q in (0.25, 0.5, 1.0):
-                report.add(pattern_probability_bound_check(g, q, (1,), (-1,)))
-                report.add(pattern_probability_bound_check(g, q, (1, 2), (2, -1)))
+                add(pattern_probability_bound_check, g, q, (1,), (-1,))
+                add(pattern_probability_bound_check, g, q, (1, 2), (2, -1))
     for name in ("B4", "D4"):
-        if name in groups:
+        if name in names:
             g = parse_group(name)
             for q in qs:
-                for c in smooth_bound_checks(g, q):
-                    report.add(c)
-                report.add(w1_bound_check(g, q))
-                report.add(w2_bound_check(g, q))
+                add(smooth_bound_checks, g, q)
+                add(w1_bound_check, g, q)
+                add(w2_bound_check, g, q)
 
     rng_seed = cfg.seed
     for name in GOF_GROUPS:
-        if name not in groups:
+        if name not in names:
             continue
         g = parse_group(name)
         for q in qs:
-            spec = MallowsSpec.make(g, q)
-            dist = exact_distribution(spec, "t")
-            xs = sample_statistic(spec, "t", 20_000, rng_seed, cfg.threads)
+            add(sampler_gof_check, g, q, rng_seed, cfg.threads)
             rng_seed += 1
-            _, _, pval = goodness_of_fit(xs, dist)
-            report.add(
-                CheckResult(
-                    name="sampler-gof",
-                    target=f"{spec}",
-                    passed=pval > GOF_ALPHA,
-                    observed=pval,
-                    bound=GOF_ALPHA,
-                    note="chi-square p-value must exceed the bound",
-                )
-            )
     return report
 
 

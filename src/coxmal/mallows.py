@@ -43,16 +43,16 @@ come from coxeter.enumerate_windows, which inserts each magnitude into the
 windows of the smaller ones, so a decode defect moves the samples but not
 the laws they are tested against.
 A third kernel, window_stats, runs the shared descent routine on window
-rows from elsewhere (the exact laws, the size-bias stars), after checking
-that each is a signed permutation.  The kernels run without the GIL, so
-sampler threads overlap.  They are compiled with the system C compiler on
-first use (about 0.15 s with gcc 12) into a per-user cache,
-$XDG_CACHE_HOME/coxmal or ~/.cache/coxmal, keyed by the source, flags,
-compiler and platform; later processes load the cached library (under
-1 ms), and rebuild one that is cut short or that the loader rejects.  A
-cache directory that cannot be written or that another user could write
-is not used: each process then compiles into a private temporary
-directory.
+rows from elsewhere (the enumerated windows of the exact laws and of the
+size-bias coupling table), after checking that each is a signed
+permutation.  The kernels run without the GIL, so sampler threads overlap.
+They are compiled with the system C compiler on first use (about 0.15 s
+with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
+~/.cache/coxmal, keyed by the source, flags, compiler and platform; later
+processes load the cached library (under 1 ms), and rebuild one that is
+cut short or that the loader rejects.  A cache directory that cannot be
+written or that another user could write is not used: each process then
+compiles into a private temporary directory.
 """
 
 from __future__ import annotations
@@ -199,12 +199,6 @@ def _length_weights(g, q: float, lengths):
     """
     ref = g.longest_length() if q > 1.0 else 0
     return np.power(q, np.asarray(lengths, dtype=np.float64) - ref), ref
-
-
-def _windows_and_weights(g: GroupDescriptor, q: float):
-    """Every window of an A, B or D group with its scaled weight (_length_weights)."""
-    W, lengths = enumerate_windows(g)
-    return W, _length_weights(g, q, lengths)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -743,9 +737,11 @@ def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
 def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     """t, des or des_inv of every row of an (rows, n) window array of type kind.
 
-    For windows from outside the sampler (the exact laws, the size-bias
-    stars): the C kernel window_stats rejects a row that is not a signed
-    permutation, then counts with the sampler's descent routine.  It
+    For windows from outside the sampler (the enumerated windows behind
+    the exact laws and the size-bias coupling table, whose stars are looked
+    up among them, not recounted): the C kernel window_stats rejects a row
+    that is not a signed permutation, then counts with the sampler's
+    descent routine.  It
     releases the GIL for the whole call; the scratch buffer belongs to this
     call, so threads share none.  Lengths are summed from tower choices
     instead.

@@ -15,7 +15,6 @@ from .mallows import (
     _dihedral_stat_values,
     _dihedral_table,
     _length_weights,
-    _windows_and_weights,
     _windows_stat,
     q_integer,
 )
@@ -314,7 +313,8 @@ def cube_moment_bound_check(g, q: float, des=None) -> CheckResult:
 def descent_indicator_mean_check(g, q: float) -> CheckResult:
     """P(des_i(w) = 1) must be exactly q/(1+q), every generator, both sides."""
     target = q / (1.0 + q)
-    W, wt = _windows_and_weights(g, q)
+    W, lengths = enumerate_windows(g)
+    wt = _length_weights(g, q, lengths)[0]
     sides = np.hstack(
         (windows_descents(g.kind, W), windows_descents(g.kind, windows_invert(W)))
     )

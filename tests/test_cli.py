@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,6 +130,77 @@ def test_verify_fails_when_a_check_fails(monkeypatch, capsys):
     assert rc == 1
     assert "FAIL reversal-t B3 q=1 " in out
     assert out.splitlines()[-1].endswith("CHECK FAILURES")
+
+
+def test_verify_turns_a_raising_check_into_a_fail(off_group_star, tmp_path, capsys):
+    """A check that raises is a FAIL named by its function, with its cell as
+    target, the exception as note and the traceback in the report; verify
+    exits 1, not 2, and the other checks' results still print."""
+    out_path = tmp_path / "report.json"
+    rc, out, err = run(["verify", "--group", "B3", "--q", "0.5", "--out", str(out_path)], capsys)
+    assert rc == 1 and err == ""
+    lines = out.splitlines()
+    assert (
+        "FAIL size_bias_law_check B3 q=0.5 (ValueError: B3: the right star of row 0"
+        " at s_0 is outside the group)"
+    ) in lines
+    assert "FAIL coupling_boundedness_check B3 (ValueError: B3: the right star" in out
+    assert any(line.startswith("PASS normalization-constant B3 q=0.5 ") for line in lines)
+    assert any(line.startswith("PASS reversal-t B3 q=0.5 ") for line in lines)
+    assert lines[-1].endswith("CHECK FAILURES")
+    failed = [r for r in json.loads(out_path.read_text())["results"] if r["passed"] is False]
+    assert {r["name"] for r in failed} == {
+        "size_bias_law_check", "covariance_type_sums", "coupling_boundedness_check"
+    }
+    assert all("in _coupling_table" in r["detail"]["traceback"] for r in failed)
+
+
+# (name, status) of every line of `coxmal verify --seed 1` on the default grid
+VERIFY_CENSUS = {
+    ("coupling-boundedness", "PASS"): 8,
+    ("covariance-reconstruction", "PASS"): 40,
+    ("covariance-type-1-bound", "PASS"): 20,
+    ("covariance-type-2-bound", "PASS"): 20,
+    ("covariance-type-3-bound", "PASS"): 20,
+    ("covariance-type-4-bound", "PASS"): 20,
+    ("covariance-type-5-bound", "PASS"): 20,
+    ("covariance-type-6-bound", "PASS"): 20,
+    ("covariance-type-bounds", "INFO"): 20,
+    ("cube-moment-bound", "PASS"): 40,
+    ("descent-indicator-mean", "PASS"): 40,
+    ("mean-formula", "PASS"): 60,
+    ("normalization-constant", "PASS"): 60,
+    ("pattern-probability-bound", "PASS"): 18,
+    ("reversal-t", "PASS"): 60,
+    ("sampler-gof", "PASS"): 20,
+    ("size-bias-law", "PASS"): 60,
+    ("smooth-gap-generic[clamp]", "PASS"): 10,
+    ("smooth-gap-generic[sin]", "PASS"): 10,
+    ("smooth-gap-generic[tanh]", "PASS"): 10,
+    ("smooth-gap-published[clamp]", "INFO"): 5,
+    ("smooth-gap-published[clamp]", "PASS"): 5,
+    ("smooth-gap-published[sin]", "INFO"): 5,
+    ("smooth-gap-published[sin]", "PASS"): 5,
+    ("smooth-gap-published[tanh]", "INFO"): 5,
+    ("smooth-gap-published[tanh]", "PASS"): 5,
+    ("tail-bounds", "PASS"): 40,
+    ("variance-bounds", "PASS"): 40,
+    ("w1-normal-bound", "INFO"): 5,
+    ("w1-normal-bound", "PASS"): 5,
+    ("w2-normal-bound", "INFO"): 10,
+}
+
+
+def test_verify_default_grid_census(capsys):
+    """The default grid runs 706 checks: 656 PASS, 50 INFO and no FAIL, in
+    these (name, status) counts.  Values are not pinned: rounding noise
+    such as 1.4e-16 may differ between CPUs."""
+    rc, out, _ = run(["verify", "--seed", "1"], capsys)
+    *lines, summary = out.splitlines()
+    assert rc == 0 and summary == "verify: 706 checks, all checks passed"
+    census = Counter((line.split()[1], line.split()[0]) for line in lines)
+    assert dict(census) == VERIFY_CENSUS
+    assert Counter(status for _, status in census.elements()) == {"PASS": 656, "INFO": 50}
 
 
 def test_verify_writes_report(tmp_path, capsys):

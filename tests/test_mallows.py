@@ -41,7 +41,6 @@ from coxmal.mallows import (
     _segments_in_file,
     _tower,
     _uniform,
-    _windows_and_weights,
     _windows_stat,
     normalization_constant,
     normalization_enumeration_check,
@@ -189,7 +188,8 @@ def test_pmf_identity_and_ratio():
 @pytest.mark.parametrize("q", [0.5, 2.0])
 def test_pmf_matches_enumerated_weights(name, q):
     g = parse_group(name)
-    W, wt = _windows_and_weights(g, q)
+    W, lengths = enumerate_windows(g)
+    wt = _length_weights(g, q, lengths)[0]
     spec = MallowsSpec.make(g, q)
     got = np.array([pmf(SignedPermutation(tuple(row)), spec) for row in W.tolist()])
     assert np.abs(got - wt / wt.sum()).max() <= 1e-14

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coxmal import sizebias
-from coxmal.coxeter import parse_group
+from coxmal.coxeter import enumerate_windows, parse_group
 from coxmal.mallows import MallowsSpec
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
@@ -29,7 +29,7 @@ from object_reference import (
     two_sided_descent,
 )
 from window_reference import coupling_descents as reference_coupling_descents
-from window_reference import itertools_windows, sampled_windows
+from window_reference import itertools_windows
 
 ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
 
@@ -70,19 +70,22 @@ def test_size_bias_law(name, q):
 
 @pytest.mark.parametrize("name", ["A4", "B4", "D4", "B6", "D6"])
 def test_coupling_kernel_matches_objects(name):
-    """des and star_des bit-equal to the numpy reference counter; per-row
-    S1..S4 and mean squared t-shift against the object stars (every row up
-    to rank 4, about 400 evenly spaced rows at rank 6)."""
+    """des and star_des of the coupling table bit-equal to the numpy
+    reference counter on the enumerated windows; per-row S1..S4 and mean
+    squared t-shift against the object stars, each element mapped to its
+    enumeration row (every row up to rank 4, about 400 evenly spaced rows
+    at rank 6)."""
     g = parse_group(name)
     n = g.num_generators
-    W = itertools_windows(g)
-    des, star_des = sizebias.coupling_descents(g.kind, W)
+    W = enumerate_windows(g)[0]
+    _, des, star_des = sizebias._exact_coupling(g, 0.5)
     want_des, want_star_des = reference_coupling_descents(g.kind, W)
-    assert des.dtype == want_des.dtype and np.array_equal(des, want_des)
+    assert np.array_equal(des, want_des)
     assert star_des.dtype == np.int32 and np.array_equal(star_des, want_star_des)
     _, S, sq = sizebias._sigma_rows(des, star_des)
+    rows = sizebias._window_rows(W)(itertools_windows(g))
     step = max(1, len(W) // 400)
-    for row, w in itertools.islice(enumerate(enumerate_group(g)), 0, None, step):
+    for row, w in itertools.islice(zip(rows, enumerate_group(g)), 0, None, step):
         dw, dv = descent_number(w, g), descent_number(invert(w), g)
         sums = [0, 0, 0, 0]
         sq_sum = 0
@@ -96,13 +99,6 @@ def test_coupling_kernel_matches_objects(name):
             sq_sum += (dw + dv - da - dai) ** 2 + (dw + dv - db - dbi) ** 2
         assert S[row].tolist() == sums
         assert sq[row] == sq_sum / (2 * n)
-
-
-def test_coupling_kernel_rejects_bad_windows():
-    W = itertools_windows(parse_group("B3"))[:4].copy()
-    W[2, 1] = W[2, 0]
-    with pytest.raises(ValueError, match="window row 2 is not a signed permutation"):
-        sizebias.coupling_descents("B", W)
 
 
 def _star_without_gen0_sign(kind, W, i):
@@ -120,8 +116,8 @@ def _star_without_gen0_sign(kind, W, i):
     ids=["no-op", "gen0-unsigned"],
 )
 @pytest.mark.parametrize("name", ["B3", "D4"])
-def test_size_bias_law_rejects_broken_star(monkeypatch, broken, name):
-    """Negative control: the law check must catch a wrong coupling kernel."""
+def test_size_bias_law_rejects_broken_star(monkeypatch, fresh_coupling_table, broken, name):
+    """Negative control: both law checks must catch a wrong star builder."""
     monkeypatch.setattr(sizebias, "_ensure_right_batch", broken)
     check = size_bias_law_check(parse_group(name), 0.5)
     assert check.passed is False
@@ -131,16 +127,21 @@ def test_size_bias_law_rejects_broken_star(monkeypatch, broken, name):
     assert cond.observed > 1e-3
 
 
-def test_dihedral_coupling_is_built_once_per_group():
-    """des and star_des of I2(m) do not depend on q: one read-only table per
-    group, with the q-dependent probabilities beside it."""
-    g = parse_group("I2(5)")
-    p_half, des, star_des = sizebias._exact_coupling(g, 0.5)
-    p_two, des_again, star_again = sizebias._exact_coupling(g, 2.0)
-    assert des is des_again and star_des is star_again
-    assert not des.flags.writeable and not star_des.flags.writeable
-    assert not np.array_equal(p_half, p_two)
-    assert des.shape == (10, 2) and star_des.shape == (10, 2, 2, 2)
+def test_coupling_table_is_built_once_per_group():
+    """des and the star rows do not depend on q: one read-only int32 table
+    per group, under windows (B3) and under closed forms (I2(5)), with the
+    q-dependent probabilities beside it."""
+    for name, order, gens in (("B3", 48, 3), ("I2(5)", 10, 2)):
+        g = parse_group(name)
+        des, rows = sizebias._coupling_table(g)
+        p_half, des_half, _ = sizebias._exact_coupling(g, 0.5)
+        p_two, des_two, _ = sizebias._exact_coupling(g, 2.0)
+        assert des_half is des and des_two is des
+        assert sizebias._coupling_table(g)[1] is rows
+        assert not des.flags.writeable and not rows.flags.writeable
+        assert des.dtype == rows.dtype == np.int32
+        assert des.shape == (order, 2) and rows.shape == (order, 2, gens)
+        assert not np.array_equal(p_half, p_two)
 
 
 @pytest.mark.parametrize("m", range(3, 13))
@@ -160,10 +161,9 @@ def test_dihedral_coupling_equals_the_object_stars(m):
     assert np.array_equal(star_des, want)
 
 
-def test_conditional_star_law(monkeypatch):
-    """law(w_i*) = law(w | descent at s_i) at every generator and side; a
-    starred window outside the group fails the check instead of crashing it,
-    and dihedral groups and products are refused."""
+def test_conditional_star_law():
+    """law(w_i*) = law(w | descent at s_i) at every generator and side;
+    dihedral groups and products are refused."""
     for name in ("A3", "B3", "D4"):
         check = conditional_star_law_check(parse_group(name), 0.7)
         assert check.passed, check.line()
@@ -172,15 +172,13 @@ def test_conditional_star_law(monkeypatch):
         with pytest.raises(ValueError):
             conditional_star_law_check(parse_group(name), 0.7)
 
-    def off_the_group(kind, W, i):
-        S = ENSURE_RIGHT_BATCH(kind, W, i)
-        S[0] = W.shape[1] + 1
-        return S
 
-    monkeypatch.setattr(sizebias, "_ensure_right_batch", off_the_group)
-    check = conditional_star_law_check(parse_group("B3"), 0.7)
-    assert check.passed is False
-    assert "outside the group" in check.note
+def test_off_group_star_raises_from_both_law_checks(off_group_star):
+    """A star outside the group is an error of the coupling, not a law:
+    both law checks raise and name the group, side, row and generator."""
+    for check in (size_bias_law_check, conditional_star_law_check):
+        with pytest.raises(ValueError, match=r"B3: the right star of row 0 at s_0 is outside the group"):
+            check(parse_group("B3"), 0.7)
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4", "D4"])
@@ -262,15 +260,6 @@ def test_stein_error_terms_exact_values():
     assert math.isclose(terms.variance_term, 0.2515432098765436, rel_tol=1e-9)
     assert math.isclose(terms.expectation_term, 0.8055555555555552, rel_tol=1e-9)
     assert terms.expectation_term <= 16.0
-
-
-def test_stein_error_terms_mc_agrees():
-    b3 = parse_group("B3")
-    exact = stein_error_terms(b3, 0.5)
-    mc = stein_error_terms(b3, 0.5, sampled_windows(b3, 0.5, 200_000, seed=17, threads=2))
-    assert abs(mc.expectation_term - exact.expectation_term) < 0.05
-    assert abs(mc.variance_term - exact.variance_term) < 0.05
-    assert mc.count == 200_000
 
 
 def test_stein_error_terms_degenerate_limit():

@@ -1,4 +1,4 @@
-"""Numpy references for the window kernels, the coupling kernel, the
+"""Numpy references for the window kernels, the size-bias stars, the
 window enumeration, the tower draw and decode, and the sampled windows.
 
 These are the array kernels the package used before the statistics moved
@@ -80,7 +80,9 @@ def windows_statistic(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
 
 
 def coupling_descents(kind: str, W: np.ndarray):
-    """(des, star_des) in the layout of sizebias.coupling_descents."""
+    """(des, star_des) in the layout of sizebias._exact_coupling, each star
+    recounted: des[r] is (des(w), des(w^-1)) and star_des[r, s, i] the same
+    for the star of w at s_i, s = 0 on the right and 1 on the left."""
     V = windows_invert(W)
     gens = W.shape[1] - (kind == "A")
     star_des = np.empty((len(W), 2, gens, 2), dtype=np.int32)
