@@ -178,8 +178,6 @@ def _add_checks(report: ExperimentReport, check, g, *args) -> None:
             note=f"{type(exc).__name__}: {exc}",
             detail={"traceback": traceback.format_exc()},
         )
-    if isinstance(results, tuple):  # covariance_type_sums: (sums, checks)
-        results = results[1]
     for result in results if isinstance(results, list) else [results]:
         report.add(result)
 
@@ -204,8 +202,9 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
     names = _parse_groups(cfg.group) if cfg.group else list(VERIFY_GROUPS)
     qs = cfg.qs or list(VERIFY_QS)
     # every usage error is raised here, before any check runs; an error
-    # inside a check is that check's FAIL
-    groups = [parse_group(name) for name in names]
+    # inside a check is that check's FAIL.  A repeated group runs once, at
+    # its first position.
+    groups = list(dict.fromkeys(parse_group(name) for name in names))
     for g in groups:
         if not isinstance(g, GroupDescriptor):
             raise UsageError("verify expects irreducible groups; use clt for products")
@@ -213,7 +212,10 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
         for q in qs:
             normalization_constant(g, q)
 
+    # sampler-gof seeds count over the GOF groups present, in GOF_GROUPS order
+    gof = [name for name in GOF_GROUPS if name in map(str, groups)]
     add = functools.partial(_add_checks, report)
+    # each group's checks run together, so its cached tables are built once
     for g in groups:
         for q in qs:
             add(normalization_enumeration_check, g, q)
@@ -232,22 +234,14 @@ def cmd_verify(cfg: ExperimentConfig) -> ExperimentReport:
             for q in (0.25, 0.5, 1.0):
                 add(pattern_probability_bound_check, g, q, (1,), (-1,))
                 add(pattern_probability_bound_check, g, q, (1, 2), (2, -1))
-    for name in ("B4", "D4"):
-        if name in names:
-            g = parse_group(name)
+        if str(g) in ("B4", "D4"):
             for q in qs:
                 add(smooth_bound_checks, g, q)
                 add(w1_bound_check, g, q)
                 add(w2_bound_check, g, q)
-
-    rng_seed = cfg.seed
-    for name in GOF_GROUPS:
-        if name not in names:
-            continue
-        g = parse_group(name)
-        for q in qs:
-            add(sampler_gof_check, g, q, rng_seed, cfg.threads)
-            rng_seed += 1
+        if str(g) in gof:
+            for k, q in enumerate(qs):
+                add(sampler_gof_check, g, q, cfg.seed + len(qs) * gof.index(str(g)) + k, cfg.threads)
     return report
 
 

@@ -38,14 +38,14 @@ sign pass writes it, and one shared routine counts the descents of both,
 so no window array is built.  A length is the sum of its tower choices'
 contributions, so sampled lengths decode nothing; at q = 1 they come from
 the same kernel on a linear table.
-The exact laws share no code with the decode: their windows and lengths
-come from coxeter.enumerate_windows, which inserts each magnitude into the
-windows of the smaller ones, so a decode defect moves the samples but not
-the laws they are tested against.
-A third kernel, window_stats, runs the shared descent routine on window
-rows from elsewhere (the enumerated windows of the exact laws and of the
-size-bias coupling table), after checking that each is a signed
-permutation.  The kernels run without the GIL, so sampler threads overlap.
+The exact laws share no code with the decode: each reads one table of
+lengths and two-sided descents per irreducible group (_group_rows), whose
+A, B and D rows are the windows of coxeter.enumerate_windows, built by
+inserting each magnitude into the windows of the smaller ones, so a decode
+defect moves the samples but not the laws they are tested against.  A
+third kernel, window_stats, counts their descents once per group with the
+shared routine, after checking that each row is a signed permutation.
+The kernels run without the GIL, so sampler threads overlap.
 They are compiled with the system C compiler on first use (about 0.15 s
 with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
 ~/.cache/coxmal, keyed by the source, flags, compiler and platform; later
@@ -244,12 +244,6 @@ def _dihedral_lengths(m: int) -> np.ndarray:
     two elements of each length 1..m-1 (one alternating word starting with
     each generator), then the longest element."""
     return np.concatenate(([0], np.repeat(np.arange(1, m), 2), [m]))
-
-
-def _dihedral_table(g: GroupDescriptor, q: float) -> np.ndarray:
-    """Probabilities of the I2(m) elements, in _dihedral_lengths order."""
-    w, _ = _length_weights(g, q, _dihedral_lengths(g.rank))
-    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -722,29 +716,14 @@ def _check_statistic(statistic: str) -> None:
         raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _dihedral_stat_values(g: GroupDescriptor, statistic: str) -> np.ndarray:
-    """Statistic values of the I2(m) elements, read off their lengths.
-
-    The identity has no descent, the longest element (length m) descends
-    at both generators, every other element at one, on either side.
-    """
-    _check_statistic(statistic)
-    lengths = _dihedral_lengths(g.rank)
-    des = (lengths > 0) + (lengths == g.rank).astype(np.int64)
-    return {"length": lengths, "des": des, "des_inv": des, "t": 2 * des}[statistic]
-
-
 def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     """t, des or des_inv of every row of an (rows, n) window array of type kind.
 
-    For windows from outside the sampler (the enumerated windows behind
-    the exact laws and the size-bias coupling table, whose stars are looked
-    up among them, not recounted): the C kernel window_stats rejects a row
-    that is not a signed permutation, then counts with the sampler's
-    descent routine.  It
-    releases the GIL for the whole call; the scratch buffer belongs to this
-    call, so threads share none.  Lengths are summed from tower choices
-    instead.
+    For the enumerated windows behind _group_rows: the C kernel
+    window_stats rejects a row that is not a signed permutation, then
+    counts with the sampler's descent routine.  It releases the GIL for the
+    whole call; the scratch buffer belongs to this call, so threads share
+    none.
     """
     if statistic not in STATISTICS[:3]:
         raise ValueError(f"unknown statistic {statistic!r} for window rows (not length)")
@@ -763,6 +742,50 @@ def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     if bad:
         raise ValueError(f"window row {bad - 1} is not a signed permutation of 1..{n}")
     return out
+
+
+def _group_rows(g: GroupDescriptor):
+    """The rows every exact law reads: read-only (order,) int64 lengths and
+    (order, 2) int32 (des(w), des(w^-1)) of an irreducible group, in
+    enumerate_windows' order under A, B and D (des counted one column at a
+    time) and _dihedral_lengths' under I2(m), where e has no descent, w0
+    descends at both generators and every other element at one, on either
+    side.  Neither depends on q, so the last group's table is kept (41 MB
+    of des at D8); the cap is checked on every call.
+    """
+    _check_enum_cap(g)
+    return _group_table(g)
+
+
+@lru_cache(maxsize=1)
+def _group_table(g: GroupDescriptor):
+    if g.kind == "I2":
+        lengths = _dihedral_lengths(g.rank)
+        d = (lengths > 0) + (lengths == g.rank).astype(np.int32)
+        des = np.stack((d, d), axis=1)
+    else:
+        W, lengths = enumerate_windows(g)
+        des = np.empty((len(W), 2), dtype=np.int32)
+        for j, statistic in enumerate(("des", "des_inv")):
+            des[:, j] = _windows_stat(g.kind, W, statistic)
+    lengths.setflags(write=False)
+    des.setflags(write=False)
+    return lengths, des
+
+
+def _row_values(lengths: np.ndarray, des: np.ndarray, statistic: str) -> np.ndarray:
+    """statistic of every row of a _group_rows table, as int64."""
+    if statistic == "length":
+        return lengths
+    if statistic == "t":
+        return des.sum(axis=1, dtype=np.int64)
+    return des[:, STATISTICS.index(statistic) - 1].astype(np.int64)
+
+
+def _row_probs(g, q: float, lengths) -> np.ndarray:
+    """Mallows(q) probabilities of rows with these lengths."""
+    w = _length_weights(g, q, lengths)[0]
+    return w / w.sum()
 
 
 def sample_statistic(
@@ -791,8 +814,8 @@ def sample_statistic(
 def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
     """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
     if g.kind == "I2":
-        vals = _dihedral_stat_values(g, statistic)
-        probs = _dihedral_table(g, q)
+        lengths, des = _group_rows(g)
+        vals, probs = _row_values(lengths, des, statistic), _row_probs(g, q, lengths)
         return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
     # built once, before the sampler threads start, and shared by every chunk;
@@ -820,8 +843,7 @@ def normalization_enumeration_check(g, q: float) -> CheckResult:
     _check_enum_cap(g)  # on every call and on the product's order: the windows may be cached
     lengths = 0
     for f in descriptor_factors(g):
-        lf = _dihedral_lengths(f.rank) if f.kind == "I2" else enumerate_windows(f)[1]
-        lengths = np.add.outer(lengths, lf).ravel()
+        lengths = np.add.outer(lengths, _group_rows(f)[0]).ravel()
     w, ref = _length_weights(g, q, lengths)
     brute = float(w.sum()) * q**ref
     rel = abs(brute - closed) / closed

@@ -12,10 +12,9 @@ from .coxeter import enumerate_windows, windows_descents, windows_invert
 from .mallows import (
     MallowsSpec,
     _check_statistic,
-    _dihedral_stat_values,
-    _dihedral_table,
+    _group_rows,
     _length_weights,
-    _windows_stat,
+    _row_values,
     q_integer,
 )
 from .reports import CheckResult
@@ -137,21 +136,17 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
     """Law of the statistic under the spec, by enumeration (plus convolution
     across product factors, all the statistics here being additive).
 
-    Windows and lengths come from coxeter.enumerate_windows, which shares
+    Each factor's rows come from mallows._group_rows: under A, B and D its
+    windows and lengths come from coxeter.enumerate_windows, which shares
     no code with the sampler's tower decode, so the sampler-gof checks can
-    see a decode defect; t, des and des_inv of the windows come from the
-    window_stats kernel.  Dihedral factors use their 2m-element table.
+    see a decode defect.  Only the weights q^length depend on q.
     """
     _check_statistic(statistic)
     out = None
     for g, q in spec.factor_specs():
-        if g.kind == "I2":
-            values, weights = _dihedral_stat_values(g, statistic), _dihedral_table(g, q)
-        else:
-            W, lengths = enumerate_windows(g)
-            weights = _length_weights(g, q, lengths)[0]
-            values = lengths if statistic == "length" else _windows_stat(g.kind, W, statistic)
-        dist = DiscreteDistribution.from_values(values, weights)
+        lengths, des = _group_rows(g)
+        weights = _length_weights(g, q, lengths)[0]
+        dist = DiscreteDistribution.from_values(_row_values(lengths, des, statistic), weights)
         out = dist if out is None else out.convolve(dist)
     out.provenance = {
         "group": str(spec.group),

@@ -8,9 +8,10 @@ rule is applied through the inverse.  Averaging the resulting t(w*) over the
 t(w) = des(w) + des(w^{-1}).
 
 The coupling is exact and does not depend on q: one table per irreducible
-group (_coupling_table) holds each row's descents and the row of every
-star, and every size-bias check reads it, with the Mallows probabilities
-of the q at hand beside it.
+group (_coupling_table) holds the row of every star, in the table order of
+mallows._group_rows, whose des gives each row's descents.  Every size-bias
+check reads both, with the Mallows probabilities of the q at hand beside
+them.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coxeter import enumerate_windows, windows_descents, windows_invert
-from .mallows import (
-    MallowsSpec,
-    _dihedral_lengths,
-    _dihedral_stat_values,
-    _length_weights,
-    _windows_stat,
-)
+from .mallows import MallowsSpec, _group_rows, _row_probs
 from .reports import CheckResult
 
 
@@ -75,25 +70,24 @@ def _window_rows(W: np.ndarray):
 
 @lru_cache(maxsize=1)
 def _coupling_table(g):
-    """(des, rows) of an irreducible group, in its table order.
+    """The star rows of an irreducible group, in its table order
+    (mallows._group_rows).
 
-    des[r] is (des(w), des(w^-1)) of row r; rows[r, s, i] is the row of the
-    star of row r at s_i, with s = 0 for the right side and s = 1 for the
-    left.  Under A, B and D the rows are enumerate_windows': each star is
-    built by _ensure_right_batch and looked up among them, and the left
-    star of w is the inverse of the right star of w^-1.  A star outside the
-    group raises ValueError.  Under I2(m) the rows are _dihedral_lengths':
+    rows[r, s, i] is the row of the star of row r at s_i, with s = 0 for
+    the right side and s = 1 for the left.  Under A, B and D the rows are
+    enumerate_windows': each star is built by _ensure_right_batch and
+    looked up among them, and the left star of w is the inverse of the
+    right star of w^-1.  A star outside the group raises ValueError.
+    Under I2(m) the rows are _dihedral_lengths':
     rows 2l - 1 and 2l are the alternating words of length l that start
     with s1 and s0; the first letter is the left descent and the last the
     right one, and a star appends or prepends s_i unless that side already
-    descends there, a word of length m being w0.  Neither array depends on
-    q, so the last group's table is kept; both are int32 and read-only
-    (330 MB of rows at D8).
+    descends there, a word of length m being w0.  rows does not depend on
+    q, so the last group's table is kept; it is int32 and read-only (330 MB
+    at D8).
     """
     if g.kind == "I2":
         m = g.rank
-        d = _dihedral_stat_values(g, "des")
-        des = np.stack((d, d), axis=1).astype(np.int32)
 
         def word(length, first):  # the row of the alternating word
             return 2 * m - 1 if length == m else 2 * length - first
@@ -109,8 +103,6 @@ def _coupling_table(g):
     else:
         W = enumerate_windows(g)[0]
         V = windows_invert(W)
-        des = np.stack([_windows_stat(g.kind, W, s) for s in ("des", "des_inv")], axis=1)
-        des = des.astype(np.int32)
         lookup = _window_rows(W)
         inverse = lookup(V)
         rows = np.empty((len(W), 2, g.num_generators), dtype=np.int32)
@@ -121,19 +113,17 @@ def _coupling_table(g):
                     r = int(np.argmax(star < 0))
                     raise ValueError(f"{g}: the {side} star of row {r} at s_{i} is outside the group")
                 rows[:, s, i] = star if s == 0 else inverse[star]
-    des.setflags(write=False)
     rows.setflags(write=False)
-    return des, rows
+    return rows
 
 
 def _exact_coupling(g, q: float):
     """(probabilities, des, star_des) over every row of g's table under
-    Mallows(q): star_des[r, s, i] is des[rows[r, s, i]] of _coupling_table,
-    so only the probabilities depend on q."""
-    lengths = _dihedral_lengths(g.rank) if g.kind == "I2" else enumerate_windows(g)[1]
-    wt = _length_weights(g, q, lengths)[0]
-    des, rows = _coupling_table(g)
-    return wt / wt.sum(), des, des[rows]
+    Mallows(q): des is _group_rows', and star_des[r, s, i] is
+    des[rows[r, s, i]] of _coupling_table, so only the probabilities depend
+    on q."""
+    lengths, des = _group_rows(g)
+    return _row_probs(g, q, lengths), des, des[_coupling_table(g)]
 
 
 def _sigma_rows(des: np.ndarray, star_des: np.ndarray):
@@ -196,20 +186,9 @@ def stein_error_terms(g, q: float) -> SteinErrorTerms:
 TYPE_MULTIPLICITIES = (2, 4, 4, 2, 2, 2)
 
 
-@dataclass
-class CovarianceTypeSums:
-    sums: tuple
-    var_total: float
-    group: str
-    q: float
-
-    @property
-    def reconstruction(self) -> float:
-        return sum(m * s for m, s in zip(TYPE_MULTIPLICITIES, self.sums))
-
-
-def covariance_type_sums(g, q: float):
-    """The six covariance blocks of Var(S1+S2+S3+S4), plus their bound checks.
+def covariance_type_sums(g, q: float) -> list[CheckResult]:
+    """Checks on the six covariance blocks of Var(S1+S2+S3+S4): that their
+    weighted sum reconstructs the variance, and the per-type bounds.
 
     Block layout over the pair grid (Sa, Sb): type 1 = (1,1); type 2 = (1,3);
     type 3 = (1,2); type 4 = (1,4); type 5 = (2,2); type 6 = (2,3); the
@@ -222,12 +201,11 @@ def covariance_type_sums(g, q: float):
     cov = (S * p[:, None]).T @ S - np.outer(means, means)
     pairs = ((0, 0), (0, 2), (0, 1), (0, 3), (1, 1), (1, 2))
     sums = tuple(float(cov[a, b]) for a, b in pairs)
-    var_total = float(cov.sum())
-    result = CovarianceTypeSums(sums=sums, var_total=var_total, group=str(g), q=q)
+    reconstruction = sum(m * s for m, s in zip(TYPE_MULTIPLICITIES, sums))
 
     checks = []
     target = f"{g} q={q:g}"
-    recon_err = abs(result.reconstruction - var_total)
+    recon_err = abs(reconstruction - float(cov.sum()))
     checks.append(
         CheckResult(
             name="covariance-reconstruction",
@@ -248,7 +226,7 @@ def covariance_type_sums(g, q: float):
             tail * (n - 1) + 1.0,
             tail * (n - 1) + 1.0,
         ]
-        for k, (s, b) in enumerate(zip(result.sums, bounds), start=1):
+        for k, (s, b) in enumerate(zip(sums, bounds), start=1):
             observed = abs(s) if k == 1 else s  # type 1 is two-sided
             checks.append(
                 CheckResult(
@@ -268,7 +246,7 @@ def covariance_type_sums(g, q: float):
                 note="type bounds are stated for B and D only",
             )
         )
-    return result, checks
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +281,8 @@ def conditional_star_law_check(g, q: float) -> CheckResult:
     at s_i.  observed is the worst TV distance.
     """
     W, lengths = enumerate_windows(g)
-    wt = _length_weights(g, q, lengths)[0]
-    p = wt / wt.sum()
-    rows = _coupling_table(g)[1]
+    p = _row_probs(g, q, lengths)
+    rows = _coupling_table(g)
     worst, at = -1.0, ""
     for s, (side, source) in enumerate((("right", W), ("left", windows_invert(W)))):
         descends = windows_descents(g.kind, source)

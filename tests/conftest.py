@@ -20,14 +20,18 @@ def pytest_unconfigure(config):
 
 @pytest.fixture
 def fresh_coupling_table():
-    """Clear the cached size-bias coupling table before and after a test
-    that patches the star builder, so that the test sees its own stars and
-    leaves no table built from them behind."""
+    """Clear the cached size-bias coupling table and group row table
+    before and after a test that patches the star builder or a kernel, so
+    that the test sees its own stars and descents and leaves no table built
+    from them behind."""
+    from coxmal.mallows import _group_table
     from coxmal.sizebias import _coupling_table
 
-    _coupling_table.cache_clear()
+    for table in (_coupling_table, _group_table):
+        table.cache_clear()
     yield
-    _coupling_table.cache_clear()
+    for table in (_coupling_table, _group_table):
+        table.cache_clear()
 
 
 @pytest.fixture

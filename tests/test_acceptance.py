@@ -198,7 +198,7 @@ def test_c07_covariance_types():
     for name in ("B3", "B4", "D4"):
         g = parse_group(name)
         for q in (0.5, 1.0):
-            _, checks = covariance_type_sums(g, q)
+            checks = covariance_type_sums(g, q)
             worst_recon = max(worst_recon, checks[0].observed)
             ok &= checks[0].observed <= 1e-8
             for c in checks[1:]:

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import coxmal.cli
+import coxmal.coxeter
 import coxmal.mallows
 import coxmal.moments
 import coxmal.normal
+import coxmal.sizebias
 from coxmal.cli import UsageError, build_config, build_parser, main, parse_args, read_config
 
 
@@ -201,6 +203,45 @@ def test_verify_default_grid_census(capsys):
     census = Counter((line.split()[1], line.split()[0]) for line in lines)
     assert dict(census) == VERIFY_CENSUS
     assert Counter(status for _, status in census.elements()) == {"PASS": 656, "INFO": 50}
+
+
+def test_verify_builds_each_group_table_once(capsys):
+    """Each group's checks run together, so the default grid builds each
+    per-group cache once: the enumeration for the 8 A, B and D groups, and
+    the row table and the star table for all 12."""
+    tables = (coxmal.coxeter._insertion_windows, coxmal.mallows._group_table,
+              coxmal.sizebias._coupling_table)
+    for table in tables:
+        table.cache_clear()
+    rc, _, _ = run(["verify", "--seed", "1"], capsys)
+    assert rc == 0
+    assert [table.cache_info().misses for table in tables] == [8, 12, 12]
+
+
+def _verify_lines(argv, capsys):
+    rc, out, _ = run(["verify", *argv], capsys)
+    assert rc == 0
+    return out.splitlines()[:-1]
+
+
+def test_verify_matches_groups_by_their_parsed_form(capsys):
+    """A group is matched by its parsed descriptor, not its text: "B 4"
+    runs B4's checks, smooth, W1 and W2 included, and "I2( 4 )" its
+    sampler-gof cell.  A repeated group runs once, and a sampler-gof seed
+    counts over the GOF groups present in GOF_GROUPS order, whatever the
+    order of the list."""
+    def cells(lines):
+        return [tuple(line.split()[:3]) for line in lines]
+
+    b4 = _verify_lines(["--group", "B4", "--q", "0.5"], capsys)
+    assert len(b4) == 30
+    assert cells(_verify_lines(["--group", "B 4", "--q", "0.5"], capsys)) == cells(b4)
+    spaced = _verify_lines(["--group", "I2( 4 )", "--q", "0.5"], capsys)
+    assert ("PASS", "sampler-gof", "I2(4)") in cells(spaced)
+    listed = _verify_lines(["--group", "A3,I2(4)", "--q", "0.5,2"], capsys)
+    reordered = _verify_lines(["--group", "I2( 4 ),A3,A 3", "--q", "0.5,2"], capsys)
+    assert sorted(reordered) == sorted(listed)
+    assert sum("sampler-gof" in line for line in listed) == 4
 
 
 def test_verify_writes_report(tmp_path, capsys):

@@ -38,6 +38,44 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the modules in sources ({file
+    name: text}) that no code reads outside their own definition;
+    __init__.py's re-exports are not reads."""
+    defined, read = set(), set()
+    for name, source in sources.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)  # set on function and class definitions only
+            if own:
+                defined.add(own)
+            read.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id != own)
+    return sorted(defined - read)
+
+
+def test_scan_sees_unread_definitions():
+    sources = {
+        "a.py": "def used():\n    pass\ndef unused():\n    used()\n"
+        "def recursive():\n    recursive()\nclass K:\n    pass\nclass L:\n    pass\nx = K\n",
+        "b.py": "from .a import L\nL()\n",
+        "__init__.py": "from .a import unused\nunused()\n",
+    }
+    assert _unread_definitions(sources) == ["recursive", "unused"]
+
+
+# the keep-rule's independent references (ROADMAP), which only tests reach
+KEPT_REFERENCES = ["conditional_star_law_check", "w1_to_normal_by_cdf"]
+
+
+def test_every_definition_is_read_in_src():
+    """Keep-rule: every top-level function and class in src/coxmal is read
+    by src/coxmal outside its own definition, apart from the listed
+    references."""
+    sources = {p.name: p.read_text() for p in pathlib.Path(coxmal.__file__).parent.glob("*.py")}
+    assert _unread_definitions(sources) == KEPT_REFERENCES
+
+
 # scipy subpackages that cost most of a second to import and that coxmal's
 # commands do not need; coxmal uses scipy.special only
 HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")

@@ -33,11 +33,12 @@ from coxmal.mallows import (
     _compile_decoder,
     _decode_lib,
     _dihedral_lengths,
-    _dihedral_stat_values,
-    _dihedral_table,
+    _group_rows,
     _length_weights,
     _map_chunks,
     _prefix_table,
+    _row_probs,
+    _row_values,
     _segments_in_file,
     _tower,
     _uniform,
@@ -144,13 +145,14 @@ def test_dihedral_closed_forms_equal_the_object_model(m):
         "des_inv": [descent_number(w, g, "left") for w in elements],
         "t": [two_sided_descent(w, g) for w in elements],
     }
+    rows = _group_rows(g)
     for stat in STATS:
-        assert np.array_equal(_dihedral_stat_values(g, stat), want[stat]), stat
+        assert np.array_equal(_row_values(*rows, stat), want[stat]), stat
     for q in (0.3, 1.0, 2.5):
         weights = _length_weights(g, q, lengths)[0]
-        assert np.array_equal(_dihedral_table(g, q), weights / weights.sum())
+        assert np.array_equal(_row_probs(g, q, rows[0]), weights / weights.sum())
         spec = MallowsSpec.make(g, q)
-        assert np.allclose(_dihedral_table(g, q), [pmf(w, spec) for w in elements], rtol=1e-12, atol=0)
+        assert np.allclose(_row_probs(g, q, rows[0]), [pmf(w, spec) for w in elements], rtol=1e-12, atol=0)
 
 
 def test_normalization_rejects_bad_q():
@@ -1048,12 +1050,13 @@ def test_dihedral_draws_keep_their_stream(monkeypatch):
     sizes = [256, 256, 256, 5]
     want = np.zeros(sum(sizes), dtype=np.int64)
     for (g, q), child in zip(spec.factor_specs(), np.random.SeedSequence(23).spawn(2)):
-        probs = _dihedral_table(g, q)
+        lengths, des = _group_rows(g)
+        probs = _row_probs(g, q, lengths)
         idx = [
             np.random.default_rng(c).choice(len(probs), size=k, p=probs)
             for k, c in zip(sizes, child.spawn(len(sizes)))
         ]
-        want += _dihedral_stat_values(g, "t")[np.concatenate(idx)]
+        want += _row_values(lengths, des, "t")[np.concatenate(idx)]
     for threads in (1, 3):
         got = sample_statistic(spec, "t", sum(sizes), seed=23, threads=threads)
         assert np.array_equal(got, want), threads

@@ -6,7 +6,7 @@ import pytest
 
 from coxmal import sizebias
 from coxmal.coxeter import enumerate_windows, parse_group
-from coxmal.mallows import MallowsSpec
+from coxmal.mallows import MallowsSpec, _group_rows
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
     TYPE_MULTIPLICITIES,
@@ -129,15 +129,16 @@ def test_size_bias_law_rejects_broken_star(monkeypatch, fresh_coupling_table, br
 
 def test_coupling_table_is_built_once_per_group():
     """des and the star rows do not depend on q: one read-only int32 table
-    per group, under windows (B3) and under closed forms (I2(5)), with the
-    q-dependent probabilities beside it."""
+    of each per group, under windows (B3) and under closed forms (I2(5)),
+    with the q-dependent probabilities beside them."""
     for name, order, gens in (("B3", 48, 3), ("I2(5)", 10, 2)):
         g = parse_group(name)
-        des, rows = sizebias._coupling_table(g)
+        rows = sizebias._coupling_table(g)
+        des = _group_rows(g)[1]
         p_half, des_half, _ = sizebias._exact_coupling(g, 0.5)
         p_two, des_two, _ = sizebias._exact_coupling(g, 2.0)
         assert des_half is des and des_two is des
-        assert sizebias._coupling_table(g)[1] is rows
+        assert sizebias._coupling_table(g) is rows
         assert not des.flags.writeable and not rows.flags.writeable
         assert des.dtype == rows.dtype == np.int32
         assert des.shape == (order, 2) and rows.shape == (order, 2, gens)
@@ -212,10 +213,10 @@ def test_left_star_shift_is_tight():
 @pytest.mark.parametrize("name,q", [("B3", 0.5), ("B4", 1.0), ("D4", 0.5), ("A3", 1.0)])
 def test_covariance_reconstruction(name, q):
     g = parse_group(name)
-    result, checks = covariance_type_sums(g, q)
+    checks = covariance_type_sums(g, q)
     recon = checks[0]
     assert recon.passed
-    assert abs(result.reconstruction - result.var_total) <= 1e-8
+    assert recon.name == "covariance-reconstruction" and recon.observed <= 1e-8
     assert len(TYPE_MULTIPLICITIES) == 6
     for c in checks[1:]:
         assert c.passed is not False, c.line()
@@ -228,10 +229,10 @@ def test_covariance_bound_values():
     """The six bound lines at B4: 63(n-1), 63(n-1), 306(n-1)+9, 594(n-1)+9,
     173(n-1)+1, 173(n-1)+1 with n = 4."""
     g = parse_group("B4")
-    _, checks = covariance_type_sums(g, 0.5)
+    checks = covariance_type_sums(g, 0.5)
     bounds = [c.bound for c in checks[1:]]
     assert bounds == [189, 189, 927, 1791, 520, 520]
-    _, checks_d = covariance_type_sums(parse_group("D4"), 0.5)
+    checks_d = covariance_type_sums(parse_group("D4"), 0.5)
     assert [c.bound for c in checks_d[1:]] == [189, 189, 927, 1791, 862, 862]
 
 
