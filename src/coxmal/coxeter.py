@@ -222,24 +222,31 @@ def _insertion_windows(g: GroupDescriptor):
 
 
 def windows_invert(W: np.ndarray) -> np.ndarray:
+    """The inverse of every row: entry v at position p of a row puts p, with
+    the sign of v, at position |v| of its inverse, all rows in one scatter
+    into the flat output."""
     count, n = W.shape
-    pos = np.arange(1, n + 1, dtype=W.dtype)
-    V = np.empty_like(W)
-    idx = np.abs(W) - 1
-    vals = np.sign(W) * pos[None, :]
-    np.put_along_axis(V, idx, vals, axis=1)
+    idx = np.abs(W)
+    idx += np.arange(-1, count * n - 1, n)[:, None]
+    vals = np.sign(W)
+    vals *= np.arange(1, n + 1, dtype=W.dtype)
+    V = np.empty(W.shape, dtype=W.dtype)
+    V.reshape(-1)[idx.reshape(-1)] = vals.reshape(-1)
     return V
 
 
 def windows_descents(kind: str, W: np.ndarray) -> np.ndarray:
-    """(rows, generators) booleans: whether each window descends at s_i on the right."""
+    """(rows, generators) booleans: whether each window descends at s_i on
+    the right.  Built as the (generators, rows) transpose, so that each
+    comparison runs down a whole column, not along an n-entry row."""
     if kind not in ("A", "B", "D"):
         raise ValueError(f"no window descents for kind {kind!r}")
     s0 = int(kind != "A")  # B and D have s_0 in front of the adjacent swaps
-    out = np.empty((len(W), W.shape[1] - 1 + s0), dtype=bool)
-    np.greater(W[:, :-1], W[:, 1:], out=out[:, s0:])
+    T = W.T
+    out = np.empty((len(T) - 1 + s0, len(W)), dtype=bool)
+    np.greater(T[:-1], T[1:], out=out[s0:])
     if kind == "B":
-        out[:, 0] = W[:, 0] < 0
+        np.less(T[0], 0, out=out[0])
     elif kind == "D":
-        out[:, 0] = W[:, 0] + W[:, 1] < 0
-    return out
+        np.less(T[0] + T[1], 0, out=out[0])
+    return out.T

@@ -38,13 +38,13 @@ sign pass writes it, and one shared routine counts the descents of both,
 so no window array is built.  A length is the sum of its tower choices'
 contributions, so sampled lengths decode nothing; at q = 1 they come from
 the same kernel on a linear table.
-The exact laws share no code with the decode: each reads one table of
-lengths and two-sided descents per irreducible group (_group_rows), whose
-A, B and D rows are the windows of coxeter.enumerate_windows, built by
-inserting each magnitude into the windows of the smaller ones, so a decode
-defect moves the samples but not the laws they are tested against.  A
-third kernel, window_stats, counts their descents once per group with the
-shared routine, after checking that each row is a signed permutation.
+The exact laws run no C code: each reads one table of lengths and
+per-generator descents per irreducible group (_group_rows), whose A, B and
+D rows are the windows of coxeter.enumerate_windows, built by inserting
+each magnitude into the windows of the smaller ones, and whose descents
+are coxeter.windows_descents of those windows and of their inverses.  So a
+draw, decode or descent-count defect in a kernel moves the samples but not
+the laws they are tested against.
 The kernels run without the GIL, so sampler threads overlap.
 They are compiled with the system C compiler on first use (about 0.15 s
 with gcc 12) into a per-user cache, $XDG_CACHE_HOME/coxmal or
@@ -80,6 +80,8 @@ from .coxeter import (
     descriptor_factors,
     enumerate_windows,
     parse_group,
+    windows_descents,
+    windows_invert,
 )
 from .reports import CheckResult
 
@@ -536,28 +538,6 @@ void uniform_rows(int64_t cnt, int64_t n, int type, int which, bitgen_t *bg,
         out[r] = row_stat(row, inv, n, type, which);
     }
 }
-
-/* Statistic which (row_stat) of each row of the row-major (cnt, n) windows
-   W of type 0, 1 or 2, after a validating build of its inverse in inv (n
-   slots).  Returns 0, or 1 + the first row that is not a signed
-   permutation of 1..n: an entry 0 or outside [-n, n], or a magnitude seen
-   twice. */
-int64_t window_stats(int64_t cnt, int64_t n, int type, int which,
-                     const int64_t *W, int64_t *inv, int64_t *out)
-{
-    for (int64_t r = 0; r < cnt; r++) {
-        const int64_t *w = W + r * n;
-        memset(inv, 0, (size_t)n * sizeof *inv);
-        for (int64_t i = 0; i < n; i++) {
-            int64_t v = w[i], a = v < 0 ? -v : v;
-            if (a < 1 || a > n || inv[a - 1])
-                return r + 1;
-            inv[a - 1] = v < 0 ? -(i + 1) : i + 1;
-        }
-        out[r] = row_stat(w, inv, n, type, which);
-    }
-    return 0;
-}
 """
 # -O1: -O2 is not measurably faster.  Pinned to one CPU, t of 1e5 B200 rows
 # took 0.61-0.71 s at -O2 against 0.63-0.66 s at -O1 (medians of 7, gcc 12),
@@ -677,8 +657,6 @@ def _decode_lib() -> ctypes.CDLL:
     lib.tower_rows.restype = ctypes.c_int64
     lib.uniform_rows.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 4
     lib.uniform_rows.restype = None
-    lib.window_stats.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
-    lib.window_stats.restype = ctypes.c_int64
     return lib
 
 
@@ -708,7 +686,7 @@ def _uniform(kind: str, n: int, cnt: int, rng, which: int, out) -> np.ndarray:
     return out
 
 
-STATISTICS = ("t", "des", "des_inv", "length")  # the kernels' `which` codes (window_stats: the first three)
+STATISTICS = ("t", "des", "des_inv", "length")  # the kernels' `which` codes
 
 
 def _check_statistic(statistic: str) -> None:
@@ -716,70 +694,59 @@ def _check_statistic(statistic: str) -> None:
         raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _windows_stat(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
-    """t, des or des_inv of every row of an (rows, n) window array of type kind.
-
-    For the enumerated windows behind _group_rows: the C kernel
-    window_stats rejects a row that is not a signed permutation, then
-    counts with the sampler's descent routine.  It releases the GIL for the
-    whole call; the scratch buffer belongs to this call, so threads share
-    none.
-    """
-    if statistic not in STATISTICS[:3]:
-        raise ValueError(f"unknown statistic {statistic!r} for window rows (not length)")
-    if kind not in ("A", "B", "D"):
-        raise ValueError(f"no window statistics for kind {kind!r}")
-    W = np.ascontiguousarray(W, dtype=np.int64)
-    if W.ndim != 2 or W.shape[1] < 2:
-        raise ValueError(f"need a (rows, n >= 2) window array, got shape {W.shape}")
-    cnt, n = W.shape
-    out = np.empty(cnt, dtype=np.int64)
-    inv = np.empty(n, dtype=np.int64)
-    bad = _decode_lib().window_stats(
-        cnt, n, "ABD".index(kind), STATISTICS.index(statistic),
-        W.ctypes.data, inv.ctypes.data, out.ctypes.data,
-    )
-    if bad:
-        raise ValueError(f"window row {bad - 1} is not a signed permutation of 1..{n}")
-    return out
-
-
 def _group_rows(g: GroupDescriptor):
     """The rows every exact law reads: read-only (order,) int64 lengths and
-    (order, 2) int32 (des(w), des(w^-1)) of an irreducible group, in
-    enumerate_windows' order under A, B and D (des counted one column at a
-    time) and _dihedral_lengths' under I2(m), where e has no descent, w0
-    descends at both generators and every other element at one, on either
-    side.  Neither depends on q, so the last group's table is kept (41 MB
-    of des at D8); the cap is checked on every call.
+    (order, 2, gens) bool desc of an irreducible group, desc[r, 0, i] true
+    where row r descends at s_i on the right and desc[r, 1, i] where it
+    does on the left.  Under A, B and D the rows are enumerate_windows',
+    and desc is windows_descents of the windows and of their inverses, a
+    fixed block of rows at a time (one whole-array inverse at D8 would
+    allocate about 1 GB of temporaries).  Under I2(m) the rows are
+    _dihedral_lengths': rows 2l - 1 and 2l are the alternating words of
+    length l that start with s1 and s0, e has no descent, w0 descends
+    everywhere, and any other word descends at its last letter on the right
+    and at its first on the left.  Neither array depends on q, so the last
+    group's are kept (83 MB of desc at D8); the cap is checked on every
+    call.  A product raises ValueError: its rows are its factors'.
     """
+    if isinstance(g, ProductDescriptor):
+        raise ValueError(f"{g} is a product; its rows are its factors'")
     _check_enum_cap(g)
     return _group_table(g)
+
+
+DESCENT_BLOCK = 1 << 14  # rows per _group_table block: 1 MB per int64 temporary at D8 (2**16 rows was slower)
 
 
 @lru_cache(maxsize=1)
 def _group_table(g: GroupDescriptor):
     if g.kind == "I2":
         lengths = _dihedral_lengths(g.rank)
-        d = (lengths > 0) + (lengths == g.rank).astype(np.int32)
-        des = np.stack((d, d), axis=1)
+        r = np.arange(1, len(lengths) - 1)
+        first = 2 * lengths[r] - r
+        desc = np.zeros((len(lengths), 2, 2), dtype=bool)
+        desc[r, 0, first ^ (1 - lengths[r] % 2)] = True
+        desc[r, 1, first] = True
+        desc[-1] = True
     else:
         W, lengths = enumerate_windows(g)
-        des = np.empty((len(W), 2), dtype=np.int32)
-        for j, statistic in enumerate(("des", "des_inv")):
-            des[:, j] = _windows_stat(g.kind, W, statistic)
+        desc = np.empty((len(W), 2, g.num_generators), dtype=bool)
+        for lo in range(0, len(W), DESCENT_BLOCK):
+            block = W[lo : lo + DESCENT_BLOCK]
+            desc[lo : lo + DESCENT_BLOCK, 0] = windows_descents(g.kind, block)
+            desc[lo : lo + DESCENT_BLOCK, 1] = windows_descents(g.kind, windows_invert(block))
     lengths.setflags(write=False)
-    des.setflags(write=False)
-    return lengths, des
+    desc.setflags(write=False)
+    return lengths, desc
 
 
-def _row_values(lengths: np.ndarray, des: np.ndarray, statistic: str) -> np.ndarray:
+def _row_values(lengths: np.ndarray, desc: np.ndarray, statistic: str) -> np.ndarray:
     """statistic of every row of a _group_rows table, as int64."""
     if statistic == "length":
         return lengths
-    if statistic == "t":
-        return des.sum(axis=1, dtype=np.int64)
-    return des[:, STATISTICS.index(statistic) - 1].astype(np.int64)
+    if statistic != "t":
+        desc = desc[:, STATISTICS.index(statistic) - 1]
+    return desc.reshape(len(desc), -1).sum(axis=1, dtype=np.int64)
 
 
 def _row_probs(g, q: float, lengths) -> np.ndarray:
@@ -814,8 +781,8 @@ def sample_statistic(
 def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
     """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
     if g.kind == "I2":
-        lengths, des = _group_rows(g)
-        vals, probs = _row_values(lengths, des, statistic), _row_probs(g, q, lengths)
+        lengths, desc = _group_rows(g)
+        vals, probs = _row_values(lengths, desc, statistic), _row_probs(g, q, lengths)
         return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
     # built once, before the sampler threads start, and shared by every chunk;

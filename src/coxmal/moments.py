@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .coxeter import enumerate_windows, windows_descents, windows_invert
 from .mallows import (
     MallowsSpec,
     _check_statistic,
@@ -144,9 +143,9 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
     _check_statistic(statistic)
     out = None
     for g, q in spec.factor_specs():
-        lengths, des = _group_rows(g)
+        lengths, desc = _group_rows(g)
         weights = _length_weights(g, q, lengths)[0]
-        dist = DiscreteDistribution.from_values(_row_values(lengths, des, statistic), weights)
+        dist = DiscreteDistribution.from_values(_row_values(lengths, desc, statistic), weights)
         out = dist if out is None else out.convolve(dist)
     out.provenance = {
         "group": str(spec.group),
@@ -306,14 +305,13 @@ def cube_moment_bound_check(g, q: float, des=None) -> CheckResult:
 
 
 def descent_indicator_mean_check(g, q: float) -> CheckResult:
-    """P(des_i(w) = 1) must be exactly q/(1+q), every generator, both sides."""
+    """P(des_i(w) = 1) must be exactly q/(1+q), every generator, both sides:
+    the Mallows mass of the rows whose desc (mallows._group_rows) descends
+    there.  A product raises ValueError."""
     target = q / (1.0 + q)
-    W, lengths = enumerate_windows(g)
+    lengths, desc = _group_rows(g)
     wt = _length_weights(g, q, lengths)[0]
-    sides = np.hstack(
-        (windows_descents(g.kind, W), windows_descents(g.kind, windows_invert(W)))
-    )
-    worst = float(np.max(np.abs(wt @ sides / wt.sum() - target)) / target)
+    worst = float(np.max(np.abs(wt @ desc.reshape(len(desc), -1) / wt.sum() - target)) / target)
     tol = 1e-10
     return CheckResult(
         name="descent-indicator-mean",

@@ -9,9 +9,12 @@ t(w) = des(w) + des(w^{-1}).
 
 The coupling is exact and does not depend on q: one table per irreducible
 group (_coupling_table) holds the row of every star, in the table order of
-mallows._group_rows, whose des gives each row's descents.  Every size-bias
-check reads both, with the Mallows probabilities of the q at hand beside
-them.
+mallows._group_rows, whose desc says at which generators each row descends
+on either side.  A row that descends at s_i on the right is its own right
+star there; any other row's is w s_i, looked up among the rows; and the
+left star of w is the inverse of the right star of w^-1.  Every size-bias
+check reads the star table and the descents, with the Mallows
+probabilities of the q at hand beside them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coxeter import enumerate_windows, windows_descents, windows_invert
+from .coxeter import enumerate_windows, windows_invert
 from .mallows import MallowsSpec, _group_rows, _row_probs
 from .reports import CheckResult
 
@@ -31,19 +34,18 @@ from .reports import CheckResult
 # the coupling table
 
 
-def _ensure_right_batch(kind: str, W: np.ndarray, i: int) -> np.ndarray:
-    """Right-ensure at generator i for every row of a window batch."""
+def _right_action(kind: str, W: np.ndarray, i: int) -> np.ndarray:
+    """w s_i for every row w of a window batch: s_i swaps positions j and
+    j + 1, j = i under A and i - 1 under B and D, whose s_0 negates the
+    first entry (B) or maps (w(1), w(2)) to (-w(2), -w(1)) (D)."""
     out = W.copy()
-    rows = np.nonzero(~windows_descents(kind, W)[:, i])[0]
-    j = i - (kind != "A")  # s_i swaps positions j and j + 1; j = -1 is B and D's s_0
+    j = i - (kind != "A")
     if j >= 0:
-        out[rows, j] = W[rows, j + 1]
-        out[rows, j + 1] = W[rows, j]
+        out[:, [j, j + 1]] = W[:, [j + 1, j]]
     elif kind == "B":
-        out[rows, 0] = -W[rows, 0]
+        out[:, 0] = -W[:, 0]
     else:
-        out[rows, 0] = -W[rows, 1]
-        out[rows, 1] = -W[rows, 0]
+        out[:, :2] = -W[:, 1::-1]
     return out
 
 
@@ -75,10 +77,11 @@ def _coupling_table(g):
 
     rows[r, s, i] is the row of the star of row r at s_i, with s = 0 for
     the right side and s = 1 for the left.  Under A, B and D the rows are
-    enumerate_windows': each star is built by _ensure_right_batch and
-    looked up among them, and the left star of w is the inverse of the
-    right star of w^-1.  A star outside the group raises ValueError.
-    Under I2(m) the rows are _dihedral_lengths':
+    enumerate_windows': a row that descends at s_i (_group_rows' desc) is
+    its own right star, any other row's is _right_action's w s_i looked up
+    among them, and the left star of row r is inverse[right[inverse[r]]],
+    the inverse of the right star of w^-1.  A star outside the group
+    raises ValueError.  Under I2(m) the rows are _dihedral_lengths':
     rows 2l - 1 and 2l are the alternating words of length l that start
     with s1 and s0; the first letter is the left descent and the last the
     right one, and a star appends or prepends s_i unless that side already
@@ -102,27 +105,30 @@ def _coupling_table(g):
                 rows[r, 1, first], rows[r, 1, 1 - first] = r, word(length + 1, 1 - first)
     else:
         W = enumerate_windows(g)[0]
-        V = windows_invert(W)
+        desc = _group_rows(g)[1]
         lookup = _window_rows(W)
-        inverse = lookup(V)
+        inverse = lookup(windows_invert(W))
         rows = np.empty((len(W), 2, g.num_generators), dtype=np.int32)
-        for s, (side, source) in enumerate((("right", W), ("left", V))):
-            for i in range(g.num_generators):
-                star = lookup(_ensure_right_batch(g.kind, source, i))
-                if (star < 0).any():
-                    r = int(np.argmax(star < 0))
-                    raise ValueError(f"{g}: the {side} star of row {r} at s_{i} is outside the group")
-                rows[:, s, i] = star if s == 0 else inverse[star]
+        for i in range(g.num_generators):
+            todo = np.flatnonzero(~desc[:, 0, i])
+            star = lookup(_right_action(g.kind, W[todo], i))
+            if (star < 0).any():
+                r = int(todo[np.argmax(star < 0)])
+                raise ValueError(f"{g}: the right star of row {r} at s_{i} is outside the group")
+            rows[:, 0, i] = np.arange(len(W))
+            rows[todo, 0, i] = star
+            rows[:, 1, i] = inverse[rows[inverse, 0, i]]
     rows.setflags(write=False)
     return rows
 
 
 def _exact_coupling(g, q: float):
     """(probabilities, des, star_des) over every row of g's table under
-    Mallows(q): des is _group_rows', and star_des[r, s, i] is
-    des[rows[r, s, i]] of _coupling_table, so only the probabilities depend
-    on q."""
-    lengths, des = _group_rows(g)
+    Mallows(q): des[r] is (des(w), des(w^-1)), int32 sums of _group_rows'
+    desc, and star_des[r, s, i] is des[rows[r, s, i]] of _coupling_table,
+    so only the probabilities depend on q."""
+    lengths, desc = _group_rows(g)
+    des = desc.sum(axis=2, dtype=np.int32)
     return _row_probs(g, q, lengths), des, des[_coupling_table(g)]
 
 
@@ -275,20 +281,19 @@ def size_bias_law_check(g, q: float) -> CheckResult:
 def conditional_star_law_check(g, q: float) -> CheckResult:
     """law(w_i*) must equal law(w | descent at s_i), every generator, both sides.
 
-    Runs on the enumerated windows (types A, B and D): the star law moves
-    each row's probability to its star's row in the coupling table, and the
-    conditional law keeps the rows whose window, or whose inverse, descends
-    at s_i.  observed is the worst TV distance.
+    The star law moves each row's probability to its star's row in the
+    coupling table, and the conditional law keeps the rows that descend at
+    s_i on that side (_group_rows' desc), under A, B, D and I2(m) alike; a
+    product raises ValueError.  observed is the worst TV distance.
     """
-    W, lengths = enumerate_windows(g)
+    lengths, desc = _group_rows(g)
     p = _row_probs(g, q, lengths)
     rows = _coupling_table(g)
     worst, at = -1.0, ""
-    for s, (side, source) in enumerate((("right", W), ("left", windows_invert(W)))):
-        descends = windows_descents(g.kind, source)
-        for i in range(descends.shape[1]):
-            star_law = np.bincount(rows[:, s, i], weights=p, minlength=len(W))
-            cond_law = np.where(descends[:, i], p, 0.0)
+    for s, side in enumerate(("right", "left")):
+        for i in range(desc.shape[2]):
+            star_law = np.bincount(rows[:, s, i], weights=p, minlength=len(p))
+            cond_law = np.where(desc[:, s, i], p, 0.0)
             cond_law /= cond_law.sum()
             tv = 0.5 * float(np.abs(star_law - cond_law).sum())
             if tv > worst:

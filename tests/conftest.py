@@ -36,15 +36,15 @@ def fresh_coupling_table():
 
 @pytest.fixture
 def off_group_star(monkeypatch, fresh_coupling_table):
-    """Patch the star builder so that row 0's star at every generator holds
-    the entry n + 1: a window outside the group."""
+    """Patch the right action so that the first row of every batch it acts
+    on goes to a window holding the entry n + 1, outside the group."""
     from coxmal import sizebias
 
-    build = sizebias._ensure_right_batch
+    act = sizebias._right_action
 
     def off_the_group(kind, W, i):
-        S = build(kind, W, i)
+        S = act(kind, W, i)
         S[0] = W.shape[1] + 1
         return S
 
-    monkeypatch.setattr(sizebias, "_ensure_right_batch", off_the_group)
+    monkeypatch.setattr(sizebias, "_right_action", off_the_group)

@@ -266,9 +266,18 @@ def enumerate_group(g):
 @lru_cache(maxsize=None)
 def dihedral_elements(m: int) -> tuple:
     """The elements of I2(m) in the row order of the package's dihedral
-    tables: by length, then reflections before rotations, then shift."""
-    table = bfs_word_lengths(GroupDescriptor("I2", m))
-    return tuple(sorted(table, key=lambda w: (table[w], w.sign, w.shift)))
+    tables: e, then for each length l = 1..m-1 the alternating word of
+    length l that starts with s1 and the one that starts with s0, then w0,
+    each built by applying the generators to e."""
+    g = GroupDescriptor("I2", m)
+
+    def word(l, first):
+        w = identity_element(g)
+        for k in range(l):
+            w = apply_right_generator(w, (first + k) % 2, g)
+        return w
+
+    return (identity_element(g), *(word(l, f) for l in range(1, m) for f in (1, 0)), word(m, 0))
 
 
 def pmf(w, spec) -> float:

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import gc
 import inspect
@@ -5,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import re
 import shlex
 import shutil
@@ -23,7 +25,7 @@ import pytest
 import scipy.stats
 
 import coxmal
-from coxmal.coxeter import EnumerationCapError, enumerate_windows, parse_group
+from coxmal.coxeter import EnumerationCapError, enumerate_windows, parse_group, windows_descents, windows_invert
 from coxmal.mallows import (
     _DECODE_C,
     _DECODE_FLAGS,
@@ -42,7 +44,6 @@ from coxmal.mallows import (
     _segments_in_file,
     _tower,
     _uniform,
-    _windows_stat,
     normalization_constant,
     normalization_enumeration_check,
     pattern_probability_bound_check,
@@ -58,6 +59,9 @@ from object_reference import (
     descent_number,
     dihedral_elements,
     enumerate_group,
+    invert,
+    is_left_descent,
+    is_right_descent,
     length,
     pmf,
     stage_candidates,
@@ -79,7 +83,7 @@ from window_reference import (
 )
 
 STATS = ("t", "des", "des_inv", "length")
-WINDOW_STATS = ("t", "des", "des_inv")  # the statistics of the window_stats kernel
+WINDOW_STATS = ("t", "des", "des_inv")  # the statistics counted on a window (not length)
 
 
 def test_q_analogues():
@@ -692,53 +696,50 @@ def test_bitgen_layout_matches_numpy():
     assert [name for name, _ in _Bitgen._fields_] == [re.search(r"\*(\w+)", f)[1] for f in want]
 
 
-@pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"])
+@pytest.mark.parametrize("name", ["A1", "A5", "B2", "B4", "D4", "D5"] + [f"I2({m})" for m in range(3, 13)])
 def test_window_stats_matches_references_on_enumerations(name):
-    """Every element: the C kernel equals the numpy references and the object
-    model bit for bit, for t, des and des_inv."""
+    """Every element: the descent table behind the exact laws equals the
+    object model in the table's row order, desc[r, 0, i] its
+    is_right_descent and desc[r, 1, i] its is_left_descent at every
+    generator, and so do the lengths and the t, des and des_inv that the
+    laws sum from desc.  (The name is older than the table: the
+    window_stats kernel it tested is gone.)"""
     g = parse_group(name)
-    W = itertools_windows(g)
-    got = {stat: _windows_stat(g.kind, W, stat) for stat in WINDOW_STATS}
-    for stat in WINDOW_STATS:
-        assert got[stat].dtype == np.int64
-        assert np.array_equal(got[stat], windows_statistic(g.kind, W, stat)), stat
-    elems = list(enumerate_group(g))
-    assert np.array_equal(got["des"], [descent_number(w, g) for w in elems])
-    assert np.array_equal(got["des_inv"], [descent_number(w, g, "left") for w in elems])
-    assert np.array_equal(got["t"], [two_sided_descent(w, g) for w in elems])
+    lengths, desc = _group_rows(g)
+    if g.kind == "I2":
+        elems = dihedral_elements(g.rank)
+    else:
+        elems = [SignedPermutation(tuple(row)) for row in enumerate_windows(g)[0].tolist()]
+    gens = range(g.num_generators)
+    want = [[[is_right_descent(w, i, g) for i in gens], [is_left_descent(w, i, g) for i in gens]] for w in elems]
+    assert desc.dtype == bool and np.array_equal(desc, want)
+    assert np.array_equal(lengths, [length(w, g) for w in elems])
+    values = {stat: _row_values(lengths, desc, stat) for stat in WINDOW_STATS}
+    assert all(v.dtype == np.int64 for v in values.values())
+    assert np.array_equal(values["des"], [descent_number(w, g) for w in elems])
+    assert np.array_equal(values["des_inv"], [descent_number(w, g, "left") for w in elems])
+    assert np.array_equal(values["t"], [two_sided_descent(w, g) for w in elems])
 
 
 @pytest.mark.parametrize("name", ["A200", "B200", "D200"])
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
 def test_window_stats_matches_references_on_samples(name, q):
+    """At rank 200, far past any enumerated group: the exact table's
+    descent rule, windows_descents of windows and of their windows_invert,
+    equals the object model's inverse and its is_right_descent on both, at
+    every generator of 64 sampled rows; on D rows B's s_0 rule differs (the
+    negative control).  (The name is older than the table: the window_stats
+    kernel it tested is gone.)"""
     g = parse_group(name)
-    W = sampled_windows(g, q, 4096, seed=11)
-    for stat in WINDOW_STATS:
-        want = windows_statistic(g.kind, W, stat)
-        assert np.array_equal(_windows_stat(g.kind, W, stat), want), stat
-        if g.kind == "D" and stat != "des_inv":
-            # negative control: the comparison sees the type-B s_0 rule
-            assert not np.array_equal(_windows_stat("B", W, stat), want), stat
-
-
-def test_window_stats_rejects_bad_windows():
-    W = itertools_windows(parse_group("B3"))[:10].copy()
-    for bad in (0, 4, -4):
-        V = W.copy()
-        V[7, 1] = bad
-        for stat in WINDOW_STATS:
-            with pytest.raises(ValueError, match="row 7"):
-                _windows_stat("B", V, stat)
-    V = W.copy()
-    V[5] = (1, -1, 2)  # magnitude 1 twice
-    with pytest.raises(ValueError, match="row 5"):
-        _windows_stat("B", V, "des")
-    with pytest.raises(ValueError, match="unknown statistic"):
-        _windows_stat("B", W, "foo")
-    with pytest.raises(ValueError, match="unknown statistic 'length'"):
-        _windows_stat("B", W, "length")
-    with pytest.raises(ValueError):
-        _windows_stat("I2", W, "t")
+    W = sampled_windows(g, q, 64, seed=11)
+    elems = [SignedPermutation(tuple(row)) for row in W.tolist()]
+    V = windows_invert(W)
+    assert np.array_equal(V, [invert(w).window for w in elems])
+    gens = range(g.num_generators)
+    want = [[[is_right_descent(v, i, g) for i in gens] for v in (w, invert(w))] for w in elems]
+    assert np.array_equal(np.stack((windows_descents(g.kind, W), windows_descents(g.kind, V)), axis=1), want)
+    if g.kind == "D":
+        assert not np.array_equal(windows_descents("B", W), [right for right, _ in want])
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "D"])
@@ -751,8 +752,8 @@ def test_fused_rows_equal_window_stats(kind, n, q):
     searchsorted per stage on the prefix table and the reference decode
     (reference_choices, reference_decode), after which the generator is
     where rng.random leaves it; uniform_rows for t, des and des_inv at
-    q = 1.  t, des and des_inv also equal window_stats on the same
-    windows, and lengths the windows' counted lengths."""
+    q = 1.  t, des and des_inv also equal the reference counts on the
+    same windows, and lengths the windows' counted lengths."""
     cnt, seed = 300, 1000 * n + ord(kind)
     stages = len(tower_stages(kind, n))
     W = chunk_windows(kind, n, q, cnt, np.random.default_rng(seed))
@@ -760,9 +761,7 @@ def test_fused_rows_equal_window_stats(kind, n, q):
     for which, stat in enumerate(WINDOW_STATS):
         rng = np.random.default_rng(seed)
         got = _chunk_stats(kind, n, table, cnt, rng, which)
-        want = _windows_stat(kind, W, stat)
-        assert got.dtype == np.int64 and np.array_equal(got, want), stat
-        assert np.array_equal(got, windows_statistic(kind, W, stat)), stat
+        assert got.dtype == np.int64 and np.array_equal(got, windows_statistic(kind, W, stat)), stat
         if q != 1.0:
             ref = np.random.default_rng(seed)
             ref.random((cnt, stages))
@@ -926,7 +925,8 @@ def test_sampled_lengths_skip_the_decode(monkeypatch):
         raise AssertionError("decoded windows for sampled lengths")
 
     monkeypatch.setattr(coxmal.mallows, "_uniform", no_windows)
-    monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "windows_descents", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "windows_invert", no_windows)
     for name, q in cases:
         g = parse_group(name)
         kind, n = g.kind, g.window_size
@@ -952,7 +952,8 @@ def test_sampled_statistics_build_no_windows(monkeypatch):
     def no_windows(*args, **kwargs):
         raise AssertionError("built a window array for a sampled statistic")
 
-    monkeypatch.setattr(coxmal.mallows, "_windows_stat", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "windows_descents", no_windows)
+    monkeypatch.setattr(coxmal.mallows, "windows_invert", no_windows)
     for (g, q, stat), w in zip(cases, want):
         got = sample_statistic(MallowsSpec.make(g, q), stat, 600, seed=5, threads=2)
         assert np.array_equal(got, w), (g, q, stat)
@@ -1070,7 +1071,7 @@ def test_unknown_statistic_is_rejected_before_any_windows(monkeypatch):
     monkeypatch.setattr(coxmal.mallows, "_chunk_stats", no_windows)
     monkeypatch.setattr(coxmal.mallows, "_prefix_table", no_windows)
     monkeypatch.setattr(coxmal.mallows, "enumerate_windows", no_windows)
-    monkeypatch.setattr(coxmal.moments, "enumerate_windows", no_windows)
+    monkeypatch.setattr(coxmal.moments, "_group_rows", no_windows)
     for group in ("B200", "I2(5)", "B4 x I2(5)"):
         with pytest.raises(ValueError, match="unknown statistic 'foo'"):
             sample_statistic(MallowsSpec.make(group, 0.5), "foo", 50_000, seed=1)
@@ -1435,14 +1436,21 @@ def test_tower_law_check_rejects_flipped_pop_signs(monkeypatch, tmp_path, q):
     assert p < 1e-3, p
 
 
-# text patches of tower_rows's draw, each rejected by the t law check at
+# text patches of the sampler kernels, each rejected by the t law check at
 # verify's GOF groups and 20,000 draws (p = 0 to double precision, or below
-# 1e-160, at seed 7)
+# 1e-160, at seed 7).  The descent patches (row_descents) reach the samples
+# only: the exact laws count descents in numpy.
 DRAW_MUTANTS = {
     # the stage search takes the next choice
     "next-choice": ("k = k < M ? k : M - 1;", "k = k + 1 < M ? k + 1 : M - 1;", ("A3", "B3", "D4"), 0.5),
     # D's light half weighs q'^m instead of q'^(m - 1)
     "d-light-weight": ("double w = pw[m - 1];", "double w = pw[m];", ("D4",), 0.5),
+    # B's s_0 descent dropped
+    "b-s0-dropped": ("type == 1 ? w[0] < 0", "type == 1 ? 0", ("B3",), 0.5),
+    # D's s_0 test reversed
+    "d-s0-reversed": ("type == 2 ? w[0] + w[1] < 0", "type == 2 ? w[0] + w[1] > 0", ("D4",), 0.5),
+    # des_inv counted on w instead of its inverse
+    "des-inv-on-w": ("row_descents(inv, n, type)", "row_descents(w, n, type)", ("A3", "B3", "D4"), 0.5),
 }
 
 
@@ -1472,15 +1480,46 @@ def test_tower_law_check_rejects_a_dropped_reflection(monkeypatch):
         assert goodness_of_fit(xs, exact_distribution(spec, "t"))[2] < 1e-3, name
 
 
+def _uncalled_kernels(c_source: str, sources: dict[str, str]) -> list[str]:
+    """The functions that c_source exports (not its static helpers) and that
+    no Python module in sources ({file name: text}) calls outside
+    _decode_lib, where their argtypes are declared."""
+    exported = [name for _, name, _ in re.findall(r"^(\w+) (\w+)\(([^)]*)\)", c_source, re.M)]
+    called = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if getattr(node, "name", None) != "_decode_lib":
+                called.update(
+                    n.func.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                )
+    return [name for name in exported if name not in called]
+
+
+def test_kernel_scan_sees_uncalled_kernels():
+    c_source = (
+        "static int64_t helper(int64_t x)\n{\n}\nint64_t used(int64_t n,\n    int *p)\n{\n}\n"
+        "void declared_only(int x)\n{\n}\nvoid unread(void)\n{\n}\n"
+    )
+    sources = {
+        "a.py": "def _decode_lib():\n    lib.declared_only.argtypes = ()\n    lib.declared_only(1)\n"
+        "def run():\n    _decode_lib().used(3)\n",
+        "b.py": "lib.unread\n",
+    }
+    assert _uncalled_kernels(c_source, sources) == ["declared_only", "unread"]
+
+
 def test_kernel_argtypes_match_their_c_prototypes():
     """_decode_lib declares the ctypes signature of each exported kernel by
     hand, and a mismatch passes arguments wrongly without an error: each
     must follow its prototype in _DECODE_C, with int64_t as c_int64, int as
-    c_int, any pointer as c_void_p and void as None."""
+    c_int, any pointer as c_void_p and void as None.  Every exported kernel
+    must also be called in src outside _decode_lib, so a dead one fails."""
     ctype = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "void": None}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _DECODE_C, re.M)
-    names = ["tower_rows", "uniform_rows", "window_stats"]
-    assert [name for _, name, _ in exported] == names  # static helpers excluded
+    assert exported
+    sources = {p.name: p.read_text() for p in pathlib.Path(coxmal.__file__).parent.glob("*.py")}
+    assert _uncalled_kernels(_DECODE_C, sources) == []
     lib = _decode_lib()
     for ret, name, params in exported:
         args = [ctypes.c_void_p if "*" in p else ctype[p.split()[0]] for p in params.split(",")]

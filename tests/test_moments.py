@@ -195,10 +195,13 @@ def test_cube_moment_bound():
 
 
 def test_descent_indicator_mean():
-    for name in ("A3", "B3", "D4"):
+    """Dihedral groups included; products are refused."""
+    for name in ("A3", "B3", "D4", "I2(5)"):
         for q in (0.5, 1.0, 3.0):
             c = descent_indicator_mean_check(parse_group(name), q)
             assert c.passed, c.line()
+    with pytest.raises(ValueError):
+        descent_indicator_mean_check(parse_group("B3 x A2"), 0.5)
 
 
 def test_empirical_distribution_matches_exact():

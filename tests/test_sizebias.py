@@ -31,7 +31,7 @@ from object_reference import (
 from window_reference import coupling_descents as reference_coupling_descents
 from window_reference import itertools_windows
 
-ENSURE_RIGHT_BATCH = sizebias._ensure_right_batch
+RIGHT_ACTION = sizebias._right_action
 
 
 def test_ensure_descent_idempotent():
@@ -102,11 +102,10 @@ def test_coupling_kernel_matches_objects(name):
 
 
 def _star_without_gen0_sign(kind, W, i):
-    """The batch star with the sign flip of generator 0 dropped (B and D)."""
-    S = ENSURE_RIGHT_BATCH(kind, W, i)
+    """The right action with the sign flip of generator 0 dropped (B and D)."""
+    S = RIGHT_ACTION(kind, W, i)
     if i == 0 and kind != "A":
-        moved = (S != W).any(axis=1)
-        S[moved, : 1 if kind == "B" else 2] *= -1
+        S[:, : 1 if kind == "B" else 2] *= -1
     return S
 
 
@@ -117,8 +116,8 @@ def _star_without_gen0_sign(kind, W, i):
 )
 @pytest.mark.parametrize("name", ["B3", "D4"])
 def test_size_bias_law_rejects_broken_star(monkeypatch, fresh_coupling_table, broken, name):
-    """Negative control: both law checks must catch a wrong star builder."""
-    monkeypatch.setattr(sizebias, "_ensure_right_batch", broken)
+    """Negative control: both law checks must catch a wrong right action."""
+    monkeypatch.setattr(sizebias, "_right_action", broken)
     check = size_bias_law_check(parse_group(name), 0.5)
     assert check.passed is False
     assert check.observed > 1e-3
@@ -128,50 +127,52 @@ def test_size_bias_law_rejects_broken_star(monkeypatch, fresh_coupling_table, br
 
 
 def test_coupling_table_is_built_once_per_group():
-    """des and the star rows do not depend on q: one read-only int32 table
-    of each per group, under windows (B3) and under closed forms (I2(5)),
-    with the q-dependent probabilities beside them."""
+    """desc and the star rows do not depend on q: one read-only table of
+    each per group, bool desc and int32 rows, under windows (B3) and under
+    closed forms (I2(5)), with the q-dependent probabilities and the int32
+    descent counts of desc beside them."""
     for name, order, gens in (("B3", 48, 3), ("I2(5)", 10, 2)):
         g = parse_group(name)
         rows = sizebias._coupling_table(g)
-        des = _group_rows(g)[1]
+        desc = _group_rows(g)[1]
         p_half, des_half, _ = sizebias._exact_coupling(g, 0.5)
         p_two, des_two, _ = sizebias._exact_coupling(g, 2.0)
-        assert des_half is des and des_two is des
-        assert sizebias._coupling_table(g) is rows
-        assert not des.flags.writeable and not rows.flags.writeable
-        assert des.dtype == rows.dtype == np.int32
-        assert des.shape == (order, 2) and rows.shape == (order, 2, gens)
+        assert _group_rows(g)[1] is desc and sizebias._coupling_table(g) is rows
+        assert not desc.flags.writeable and not rows.flags.writeable
+        assert desc.dtype == bool and rows.dtype == des_half.dtype == np.int32
+        assert desc.shape == rows.shape == (order, 2, gens)
+        assert np.array_equal(des_half, desc.sum(axis=2)) and np.array_equal(des_two, des_half)
         assert not np.array_equal(p_half, p_two)
 
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_dihedral_coupling_equals_the_object_stars(m):
-    """I2(m)'s closed-form des and star_des equal the object model's
-    descents of every element and of its stars, row for row in the table's
-    order, at every generator and side."""
+    """I2(m)'s closed-form star rows equal the rows of the object model's
+    stars of every element, and des and star_des their descents, row for
+    row in the table's order, at every generator and side."""
     g = parse_group(f"I2({m})")
 
     def both(w):
         return descent_number(w, g), descent_number(w, g, "left")
 
     elements = dihedral_elements(m)
+    row = {w: r for r, w in enumerate(elements)}
+    stars = [[[star(w, i, side, g) for i in range(2)] for side in ("right", "left")] for w in elements]
+    assert np.array_equal(sizebias._coupling_table(g), [[[row[w] for w in side] for side in s] for s in stars])
     _, des, star_des = sizebias._exact_coupling(g, 0.5)
     assert np.array_equal(des, [both(w) for w in elements])
-    want = [[[both(star(w, i, side, g)) for i in range(2)] for side in ("right", "left")] for w in elements]
-    assert np.array_equal(star_des, want)
+    assert np.array_equal(star_des, [[[both(w) for w in side] for side in s] for s in stars])
 
 
 def test_conditional_star_law():
-    """law(w_i*) = law(w | descent at s_i) at every generator and side;
-    dihedral groups and products are refused."""
-    for name in ("A3", "B3", "D4"):
+    """law(w_i*) = law(w | descent at s_i) at every generator and side,
+    dihedral groups included; products are refused."""
+    for name in ("A3", "B3", "D4", "I2(5)"):
         check = conditional_star_law_check(parse_group(name), 0.7)
         assert check.passed, check.line()
         assert check.observed <= 1e-12 and check.note.startswith("worst i=")
-    for name in ("I2(5)", "B3 x A2"):
-        with pytest.raises(ValueError):
-            conditional_star_law_check(parse_group(name), 0.7)
+    with pytest.raises(ValueError):
+        conditional_star_law_check(parse_group("B3 x A2"), 0.7)
 
 
 def test_off_group_star_raises_from_both_law_checks(off_group_star):

@@ -1,10 +1,11 @@
 """Numpy references for the window kernels, the size-bias stars, the
 window enumeration, the tower draw and decode, and the sampled windows.
 
-These are the array kernels the package used before the statistics moved
-into C, an itertools enumeration of the group, a tower draw and decode in
-numpy, and the seeded windows whose statistics the sampler returns; the
-tests keep them to check the package bit for bit.
+These are the array kernels the package used before the sampled
+statistics moved into C, the size-bias stars built by the star rule on a
+whole window batch and recounted, an itertools enumeration of the group, a
+tower draw and decode in numpy, and the seeded windows whose statistics
+the sampler returns; the tests keep them to check the package bit for bit.
 """
 
 import itertools
@@ -14,7 +15,6 @@ import numpy as np
 
 from coxmal.coxeter import ProductDescriptor, _check_enum_cap, windows_descents, windows_invert
 from coxmal.mallows import _map_chunks, _prefix_table
-from coxmal.sizebias import _ensure_right_batch
 
 
 def itertools_windows(g) -> np.ndarray:
@@ -79,6 +79,24 @@ def windows_statistic(kind: str, W: np.ndarray, statistic: str) -> np.ndarray:
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def ensure_right(kind: str, W: np.ndarray, i: int) -> np.ndarray:
+    """The right star at generator i of every row of a window batch: the row
+    itself where it descends at s_i (windows_descents), else the row with
+    s_i applied to its positions."""
+    out = W.copy()
+    rows = np.nonzero(~windows_descents(kind, W)[:, i])[0]
+    j = i - (kind != "A")  # s_i swaps positions j and j + 1; j = -1 is B and D's s_0
+    if j >= 0:
+        out[rows, j] = W[rows, j + 1]
+        out[rows, j + 1] = W[rows, j]
+    elif kind == "B":
+        out[rows, 0] = -W[rows, 0]
+    else:
+        out[rows, 0] = -W[rows, 1]
+        out[rows, 1] = -W[rows, 0]
+    return out
+
+
 def coupling_descents(kind: str, W: np.ndarray):
     """(des, star_des) in the layout of sizebias._exact_coupling, each star
     recounted: des[r] is (des(w), des(w^-1)) and star_des[r, s, i] the same
@@ -88,7 +106,7 @@ def coupling_descents(kind: str, W: np.ndarray):
     star_des = np.empty((len(W), 2, gens, 2), dtype=np.int32)
     for i in range(gens):
         for s, source in enumerate((W, V)):
-            S = _ensure_right_batch(kind, source, i)
+            S = ensure_right(kind, source, i)
             star_des[:, s, i, s] = windows_descent_counts(kind, S)
             star_des[:, s, i, 1 - s] = windows_descent_counts(kind, windows_invert(S))
     des = np.stack((windows_descent_counts(kind, W), windows_descent_counts(kind, V)), axis=1)
