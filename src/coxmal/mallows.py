@@ -695,19 +695,20 @@ def _check_statistic(statistic: str) -> None:
 
 
 def _group_rows(g: GroupDescriptor):
-    """The rows every exact law reads: read-only (order,) int64 lengths and
-    (order, 2, gens) bool desc of an irreducible group, desc[r, 0, i] true
-    where row r descends at s_i on the right and desc[r, 1, i] where it
-    does on the left.  Under A, B and D the rows are enumerate_windows',
-    and desc is windows_descents of the windows and of their inverses, a
-    fixed block of rows at a time (one whole-array inverse at D8 would
-    allocate about 1 GB of temporaries).  Under I2(m) the rows are
-    _dihedral_lengths': rows 2l - 1 and 2l are the alternating words of
-    length l that start with s1 and s0, e has no descent, w0 descends
-    everywhere, and any other word descends at its last letter on the right
-    and at its first on the left.  Neither array depends on q, so the last
-    group's are kept (83 MB of desc at D8); the cap is checked on every
-    call.  A product raises ValueError: its rows are its factors'.
+    """The rows every exact law reads: read-only (order,) int64 lengths,
+    (order, 2, gens) bool desc and (order, 2) uint8 des of an irreducible
+    group, desc[r, s, i] true where row r descends at s_i on the right (s =
+    0) or left (s = 1) and des[r, s] their count.  Under A, B and D the rows
+    are enumerate_windows', and desc and des come from windows_descents of
+    the windows and of their inverses, a fixed block of rows at a time (one
+    whole-array inverse at D8 would allocate about 1 GB of temporaries).
+    Under I2(m) the rows are _dihedral_lengths': rows 2l - 1 and 2l are the
+    alternating words of length l that start with s1 and s0, e has no
+    descent, w0 descends everywhere, and any other word descends at its last
+    letter on the right and at its first on the left.  No array depends on
+    q, so the last group's are kept (93 MB of desc and des at D8); the cap
+    is checked on every call.  A product raises ValueError: its rows are its
+    factors'.
     """
     if isinstance(g, ProductDescriptor):
         raise ValueError(f"{g} is a product; its rows are its factors'")
@@ -728,25 +729,29 @@ def _group_table(g: GroupDescriptor):
         desc[r, 0, first ^ (1 - lengths[r] % 2)] = True
         desc[r, 1, first] = True
         desc[-1] = True
+        des = desc.sum(axis=2, dtype=np.uint8)
     else:
         W, lengths = enumerate_windows(g)
         desc = np.empty((len(W), 2, g.num_generators), dtype=bool)
+        des = np.empty((len(W), 2), dtype=np.uint8)
         for lo in range(0, len(W), DESCENT_BLOCK):
             block = W[lo : lo + DESCENT_BLOCK]
-            desc[lo : lo + DESCENT_BLOCK, 0] = windows_descents(g.kind, block)
-            desc[lo : lo + DESCENT_BLOCK, 1] = windows_descents(g.kind, windows_invert(block))
-    lengths.setflags(write=False)
-    desc.setflags(write=False)
-    return lengths, desc
+            for s, side in enumerate((block, windows_invert(block))):
+                d = windows_descents(g.kind, side)  # a transposed view: its columns are contiguous
+                desc[lo : lo + DESCENT_BLOCK, s] = d
+                des[lo : lo + DESCENT_BLOCK, s] = d.sum(axis=1, dtype=np.uint8)
+    for table in (lengths, desc, des):
+        table.setflags(write=False)
+    return lengths, desc, des
 
 
-def _row_values(lengths: np.ndarray, desc: np.ndarray, statistic: str) -> np.ndarray:
+def _row_values(lengths: np.ndarray, des: np.ndarray, statistic: str) -> np.ndarray:
     """statistic of every row of a _group_rows table, as int64."""
     if statistic == "length":
         return lengths
-    if statistic != "t":
-        desc = desc[:, STATISTICS.index(statistic) - 1]
-    return desc.reshape(len(desc), -1).sum(axis=1, dtype=np.int64)
+    if statistic == "t":
+        return np.add(des[:, 0], des[:, 1], dtype=np.int64)
+    return des[:, STATISTICS.index(statistic) - 1].astype(np.int64)
 
 
 def _row_probs(g, q: float, lengths) -> np.ndarray:
@@ -781,8 +786,8 @@ def sample_statistic(
 def _statistic_draw(g: GroupDescriptor, q: float, statistic: str):
     """The draw(cnt, rng) of _map_chunks that returns cnt values of statistic."""
     if g.kind == "I2":
-        lengths, desc = _group_rows(g)
-        vals, probs = _row_values(lengths, desc, statistic), _row_probs(g, q, lengths)
+        lengths, _, des = _group_rows(g)
+        vals, probs = _row_values(lengths, des, statistic), _row_probs(g, q, lengths)
         return lambda cnt, rng: vals[rng.choice(len(probs), size=cnt, p=probs)]
     kind, n = g.kind, g.window_size
     # built once, before the sampler threads start, and shared by every chunk;

@@ -143,9 +143,9 @@ def exact_distribution(spec: MallowsSpec, statistic: str = "t") -> DiscreteDistr
     _check_statistic(statistic)
     out = None
     for g, q in spec.factor_specs():
-        lengths, desc = _group_rows(g)
+        lengths, _, des = _group_rows(g)
         weights = _length_weights(g, q, lengths)[0]
-        dist = DiscreteDistribution.from_values(_row_values(lengths, desc, statistic), weights)
+        dist = DiscreteDistribution.from_values(_row_values(lengths, des, statistic), weights)
         out = dist if out is None else out.convolve(dist)
     out.provenance = {
         "group": str(spec.group),
@@ -309,7 +309,7 @@ def descent_indicator_mean_check(g, q: float) -> CheckResult:
     the Mallows mass of the rows whose desc (mallows._group_rows) descends
     there.  A product raises ValueError."""
     target = q / (1.0 + q)
-    lengths, desc = _group_rows(g)
+    lengths, desc, _ = _group_rows(g)
     wt = _length_weights(g, q, lengths)[0]
     worst = float(np.max(np.abs(wt @ desc.reshape(len(desc), -1) / wt.sum() - target)) / target)
     tol = 1e-10

@@ -13,8 +13,7 @@ mallows._group_rows, whose desc says at which generators each row descends
 on either side.  A row that descends at s_i on the right is its own right
 star there; any other row's is w s_i, looked up among the rows; and the
 left star of w is the inverse of the right star of w^-1.  Every size-bias
-check reads the star table and the descents, with the Mallows
-probabilities of the q at hand beside them.
+check reads sums over those stars, weighed by the Mallows weights of its q.
 """
 
 from __future__ import annotations
@@ -22,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .coxeter import enumerate_windows, windows_invert
-from .mallows import MallowsSpec, _group_rows, _row_probs
+from .mallows import MallowsSpec, _group_rows, _length_weights, _row_probs
 from .reports import CheckResult
 
 
@@ -70,9 +70,18 @@ def _window_rows(W: np.ndarray):
     return rows
 
 
+class CouplingTable(NamedTuple):
+    rows: np.ndarray  # (order, 2, gens) int32: the row of each star
+    t: np.ndarray  # (order,) int16: des + des_inv
+    S: np.ndarray  # (order, 4) int16: S1..S4, S[r, 2k + s] the sum of des[r, k] - des*[k] on side s
+    sq: np.ndarray  # (order,) int32: (t - t*)^2 summed over the 2n choices
+    star_counts: np.ndarray  # (l(w0) + 1, 2 gens + 1) int64: (row of length l, choice) pairs with t* = v
+    shifts: tuple  # the largest |des(w) - des(w*)| over right stars, over left stars, and |t - t*|
+
+
 @lru_cache(maxsize=1)
-def _coupling_table(g):
-    """The star rows of an irreducible group, in its table order
+def _coupling_table(g) -> CouplingTable:
+    """The coupling of an irreducible group, in its table order
     (mallows._group_rows).
 
     rows[r, s, i] is the row of the star of row r at s_i, with s = 0 for
@@ -85,10 +94,13 @@ def _coupling_table(g):
     rows 2l - 1 and 2l are the alternating words of length l that start
     with s1 and s0; the first letter is the left descent and the last the
     right one, and a star appends or prepends s_i unless that side already
-    descends there, a word of length m being w0.  rows does not depend on
-    q, so the last group's table is kept; it is int32 and read-only (330 MB
-    at D8).
+    descends there, a word of length m being w0.
+
+    The other columns sum _group_rows' des over the stars, one (side,
+    generator) column of rows at a time.  Nothing depends on q, so the last
+    group's table is kept, read-only (rows 330 MB and S 41 MB at D8).
     """
+    lengths, desc, des = _group_rows(g)
     if g.kind == "I2":
         m = g.rank
 
@@ -105,7 +117,6 @@ def _coupling_table(g):
                 rows[r, 1, first], rows[r, 1, 1 - first] = r, word(length + 1, 1 - first)
     else:
         W = enumerate_windows(g)[0]
-        desc = _group_rows(g)[1]
         lookup = _window_rows(W)
         inverse = lookup(windows_invert(W))
         rows = np.empty((len(W), 2, g.num_generators), dtype=np.int32)
@@ -118,32 +129,22 @@ def _coupling_table(g):
             rows[:, 0, i] = np.arange(len(W))
             rows[todo, 0, i] = star
             rows[:, 1, i] = inverse[rows[inverse, 0, i]]
-    rows.setflags(write=False)
-    return rows
-
-
-def _exact_coupling(g, q: float):
-    """(probabilities, des, star_des) over every row of g's table under
-    Mallows(q): des[r] is (des(w), des(w^-1)), int32 sums of _group_rows'
-    desc, and star_des[r, s, i] is des[rows[r, s, i]] of _coupling_table,
-    so only the probabilities depend on q."""
-    lengths, desc = _group_rows(g)
-    des = desc.sum(axis=2, dtype=np.int32)
-    return _row_probs(g, q, lengths), des, des[_coupling_table(g)]
-
-
-def _sigma_rows(des: np.ndarray, star_des: np.ndarray):
-    """Per-row t, S = (S1, S2, S3, S4) and the mean of (t - t*)^2 over the 2n choices.
-
-    S1..S4 are the four generator sums of des - des*: right-starred
-    descents seen from w, left-starred seen from w, and both seen from the
-    inverse.
-    """
-    t = des.sum(axis=1)
-    per_side = (des[:, None, None, :] - star_des).sum(axis=2)  # (rows, side, k)
-    S = per_side.transpose(0, 2, 1).reshape(len(des), 4)
-    sq = ((t[:, None, None] - star_des.sum(axis=3)) ** 2).mean(axis=(1, 2))
-    return t, S, sq
+    t, width = np.add(des[:, 0], des[:, 1], dtype=np.int16), 2 * g.num_generators + 1
+    S = np.zeros((len(des), 2, 2), dtype=np.int16)  # S[r, k, s]
+    sq = np.zeros(len(des), dtype=np.int32)
+    star_counts = np.zeros((g.longest_length() + 1) * width, dtype=np.int64)
+    shifts = [0, 0, 0]
+    for s, i in np.ndindex(2, g.num_generators):
+        gap = np.subtract(des, des[rows[:, s, i]], dtype=np.int16)
+        t_gap = gap[:, 0] + gap[:, 1]
+        S[:, :, s] += gap
+        sq += t_gap * t_gap
+        star_counts += np.bincount(lengths * width + t - t_gap, minlength=len(star_counts))
+        shifts[s] = max(shifts[s], int(np.abs(gap[:, 0]).max()))
+        shifts[2] = max(shifts[2], int(np.abs(t_gap).max()))
+    for column in (rows, t, S, sq, star_counts):
+        column.setflags(write=False)
+    return CouplingTable(rows, t, S.reshape(-1, 4), sq, star_counts.reshape(-1, width), tuple(shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +173,13 @@ def stein_error_terms(g, q: float) -> SteinErrorTerms:
     probabilities.
     """
     nn = 2 * g.num_generators
-    p, des, star_des = _exact_coupling(g, q)
-    t, S, sq = _sigma_rows(des, star_des)
-    diff = S.sum(axis=1)
+    p, table = _row_probs(g, q, _group_rows(g)[0]), _coupling_table(g)
+    t, diff = table.t, table.S.sum(axis=1)
     m1 = float(p @ diff)
     mu = float(p @ t)
     return SteinErrorTerms(
         variance_term=max((float(p @ diff**2) - m1 * m1) / nn**2, 0.0),
-        expectation_term=float(p @ sq),
+        expectation_term=float(p @ (table.sq / nn)),
         mu=mu,
         sigma=math.sqrt(float(p @ t**2) - mu * mu),
     )
@@ -201,8 +201,7 @@ def covariance_type_sums(g, q: float) -> list[CheckResult]:
     multiplicities (2,4,4,2,2,2) account for symmetry and for the matching
     blocks obtained by swapping w with its inverse.
     """
-    p, des, star_des = _exact_coupling(g, q)
-    _, S, _ = _sigma_rows(des, star_des)
+    p, S = _row_probs(g, q, _group_rows(g)[0]), _coupling_table(g).S
     means = p @ S
     cov = (S * p[:, None]).T @ S - np.outer(means, means)
     pairs = ((0, 0), (0, 2), (0, 1), (0, 3), (1, 1), (1, 2))
@@ -263,9 +262,9 @@ def size_bias_law_check(g, q: float) -> CheckResult:
     """law(t(w*)) over the (w, i, side) randomization vs the size-bias law."""
     from .moments import DiscreteDistribution, exact_distribution
 
-    p, _, star_des = _exact_coupling(g, q)
-    t_star = star_des.sum(axis=3)
-    coupled = DiscreteDistribution.from_values(t_star.ravel(), np.repeat(p, t_star[0].size))
+    counts = _coupling_table(g).star_counts
+    mass = _length_weights(g, q, np.arange(len(counts)))[0] @ counts
+    coupled = DiscreteDistribution(np.arange(counts.shape[1]), mass / mass.sum())
     base = exact_distribution(MallowsSpec.make(g, q), "t")
     tv = coupled.tv_distance(base.size_bias())
     tol = 1e-12
@@ -286,9 +285,9 @@ def conditional_star_law_check(g, q: float) -> CheckResult:
     s_i on that side (_group_rows' desc), under A, B, D and I2(m) alike; a
     product raises ValueError.  observed is the worst TV distance.
     """
-    lengths, desc = _group_rows(g)
+    lengths, desc, _ = _group_rows(g)
     p = _row_probs(g, q, lengths)
-    rows = _coupling_table(g)
+    rows = _coupling_table(g).rows
     worst, at = -1.0, ""
     for s, side in enumerate(("right", "left")):
         for i in range(desc.shape[2]):
@@ -317,14 +316,7 @@ def coupling_boundedness_check(g) -> CheckResult:
 
     observed is the largest used fraction of the three bounds, against 1.
     """
-    _, des, star_des = _exact_coupling(g, 1.0)
-    des_shift = np.abs(des[:, None, None, 0] - star_des[..., 0])
-    t_shift = np.abs(des.sum(axis=1)[:, None, None] - star_des.sum(axis=3))
-    shifts = {
-        "max_right_des_shift": int(des_shift[:, 0].max()),
-        "max_left_des_shift": int(des_shift[:, 1].max()),
-        "max_t_shift": int(t_shift.max()),
-    }
+    shifts = dict(zip(COUPLING_SHIFT_BOUNDS, _coupling_table(g).shifts))
     used = {k: shifts[k] / b for k, b in COUPLING_SHIFT_BOUNDS.items()}
     worst = max(used, key=used.get)
     return CheckResult(

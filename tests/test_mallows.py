@@ -149,14 +149,14 @@ def test_dihedral_closed_forms_equal_the_object_model(m):
         "des_inv": [descent_number(w, g, "left") for w in elements],
         "t": [two_sided_descent(w, g) for w in elements],
     }
-    rows = _group_rows(g)
+    row_lengths, _, des = _group_rows(g)
     for stat in STATS:
-        assert np.array_equal(_row_values(*rows, stat), want[stat]), stat
+        assert np.array_equal(_row_values(row_lengths, des, stat), want[stat]), stat
     for q in (0.3, 1.0, 2.5):
         weights = _length_weights(g, q, lengths)[0]
-        assert np.array_equal(_row_probs(g, q, rows[0]), weights / weights.sum())
+        assert np.array_equal(_row_probs(g, q, row_lengths), weights / weights.sum())
         spec = MallowsSpec.make(g, q)
-        assert np.allclose(_row_probs(g, q, rows[0]), [pmf(w, spec) for w in elements], rtol=1e-12, atol=0)
+        assert np.allclose(_row_probs(g, q, row_lengths), [pmf(w, spec) for w in elements], rtol=1e-12, atol=0)
 
 
 def test_normalization_rejects_bad_q():
@@ -701,11 +701,11 @@ def test_window_stats_matches_references_on_enumerations(name):
     """Every element: the descent table behind the exact laws equals the
     object model in the table's row order, desc[r, 0, i] its
     is_right_descent and desc[r, 1, i] its is_left_descent at every
-    generator, and so do the lengths and the t, des and des_inv that the
-    laws sum from desc.  (The name is older than the table: the
-    window_stats kernel it tested is gone.)"""
+    generator, des[r] its count on each side, and so do the lengths and
+    the t, des and des_inv that the laws read from des.  (The name is
+    older than the table: the window_stats kernel it tested is gone.)"""
     g = parse_group(name)
-    lengths, desc = _group_rows(g)
+    lengths, desc, des = _group_rows(g)
     if g.kind == "I2":
         elems = dihedral_elements(g.rank)
     else:
@@ -713,8 +713,9 @@ def test_window_stats_matches_references_on_enumerations(name):
     gens = range(g.num_generators)
     want = [[[is_right_descent(w, i, g) for i in gens], [is_left_descent(w, i, g) for i in gens]] for w in elems]
     assert desc.dtype == bool and np.array_equal(desc, want)
+    assert des.dtype == np.uint8 and np.array_equal(des, np.sum(want, axis=2))
     assert np.array_equal(lengths, [length(w, g) for w in elems])
-    values = {stat: _row_values(lengths, desc, stat) for stat in WINDOW_STATS}
+    values = {stat: _row_values(lengths, des, stat) for stat in WINDOW_STATS}
     assert all(v.dtype == np.int64 for v in values.values())
     assert np.array_equal(values["des"], [descent_number(w, g) for w in elems])
     assert np.array_equal(values["des_inv"], [descent_number(w, g, "left") for w in elems])
@@ -1051,7 +1052,7 @@ def test_dihedral_draws_keep_their_stream(monkeypatch):
     sizes = [256, 256, 256, 5]
     want = np.zeros(sum(sizes), dtype=np.int64)
     for (g, q), child in zip(spec.factor_specs(), np.random.SeedSequence(23).spawn(2)):
-        lengths, des = _group_rows(g)
+        lengths, _, des = _group_rows(g)
         probs = _row_probs(g, q, lengths)
         idx = [
             np.random.default_rng(c).choice(len(probs), size=k, p=probs)

@@ -1,12 +1,14 @@
 import itertools
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from coxmal import sizebias
 from coxmal.coxeter import enumerate_windows, parse_group
-from coxmal.mallows import MallowsSpec, _group_rows
+from coxmal.mallows import MallowsSpec, _group_rows, _row_probs
 from coxmal.moments import exact_distribution
 from coxmal.sizebias import (
     TYPE_MULTIPLICITIES,
@@ -68,21 +70,59 @@ def test_size_bias_law(name, q):
     assert check.observed <= 1e-12
 
 
+@pytest.mark.parametrize("name,q", [("D7", 1.0), ("A7", 2.0)])
+def test_size_bias_law_is_exact_to_rounding(name, q):
+    """The coupled law sums at most l(w0) + 1 weighted counts per value,
+    so it meets the size-bias law to rounding also where a sum over every
+    (row, choice) pair strayed by 1e-13 to 1e-12."""
+    check = size_bias_law_check(parse_group(name), q)
+    assert check.passed and check.observed <= 1e-14, check.line()
+
+
+def _coupling_columns(lengths, des, star_des):
+    """t, S, sq, star_counts and shifts of the coupling table, reduced from
+    per-star descents in the layout of window_reference.coupling_descents."""
+    t, t_star = des.sum(axis=1), star_des.sum(axis=3)
+    S = (des[:, None, None, :] - star_des).sum(axis=2).transpose(0, 2, 1).reshape(len(des), 4)
+    sq = ((t[:, None, None] - t_star) ** 2).sum(axis=(1, 2))
+    star_counts = np.zeros((lengths.max() + 1, des.shape[1] * star_des.shape[2] + 1), dtype=np.int64)
+    np.add.at(star_counts, (np.broadcast_to(lengths[:, None, None], t_star.shape), t_star), 1)
+    des_shift = np.abs(des[:, None, None, 0] - star_des[..., 0])
+    t_shift = np.abs(t[:, None, None] - t_star)
+    return t, S, sq, star_counts, (des_shift[:, 0].max(), des_shift[:, 1].max(), t_shift.max())
+
+
+def _assert_table_reduces(g, star_des):
+    """The coupling table's columns bit-equal to _coupling_columns of star_des."""
+    lengths, _, des = _group_rows(g)
+    table = sizebias._coupling_table(g)
+    t, S, sq, star_counts, shifts = _coupling_columns(lengths, des.astype(np.int64), star_des)
+    assert np.array_equal(table.t, t) and np.array_equal(table.S, S) and np.array_equal(table.sq, sq)
+    assert np.array_equal(table.star_counts, star_counts) and table.shifts == shifts
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5"])
+def test_coupling_columns_equal_the_reference_reductions(name):
+    """Every column of the coupling table equals the reduction of the
+    reference's recounted per-star descents."""
+    g = parse_group(name)
+    _assert_table_reduces(g, reference_coupling_descents(g.kind, enumerate_windows(g)[0])[1])
+
+
 @pytest.mark.parametrize("name", ["A4", "B4", "D4", "B6", "D6"])
 def test_coupling_kernel_matches_objects(name):
-    """des and star_des of the coupling table bit-equal to the numpy
-    reference counter on the enumerated windows; per-row S1..S4 and mean
+    """des and the stars' des of the coupling table bit-equal to the numpy
+    reference counter on the enumerated windows; per-row S1..S4 and summed
     squared t-shift against the object stars, each element mapped to its
     enumeration row (every row up to rank 4, about 400 evenly spaced rows
     at rank 6)."""
     g = parse_group(name)
     n = g.num_generators
     W = enumerate_windows(g)[0]
-    _, des, star_des = sizebias._exact_coupling(g, 0.5)
+    des = _group_rows(g)[2]
+    table = sizebias._coupling_table(g)
     want_des, want_star_des = reference_coupling_descents(g.kind, W)
-    assert np.array_equal(des, want_des)
-    assert star_des.dtype == np.int32 and np.array_equal(star_des, want_star_des)
-    _, S, sq = sizebias._sigma_rows(des, star_des)
+    assert np.array_equal(des, want_des) and np.array_equal(des[table.rows], want_star_des)
     rows = sizebias._window_rows(W)(itertools_windows(g))
     step = max(1, len(W) // 400)
     for row, w in itertools.islice(zip(rows, enumerate_group(g)), 0, None, step):
@@ -97,8 +137,8 @@ def test_coupling_kernel_matches_objects(name):
             for k, d in enumerate((dw - da, dw - db, dv - dai, dv - dbi)):
                 sums[k] += d
             sq_sum += (dw + dv - da - dai) ** 2 + (dw + dv - db - dbi) ** 2
-        assert S[row].tolist() == sums
-        assert sq[row] == sq_sum / (2 * n)
+        assert table.S[row].tolist() == sums
+        assert table.sq[row] == sq_sum
 
 
 def _star_without_gen0_sign(kind, W, i):
@@ -127,29 +167,35 @@ def test_size_bias_law_rejects_broken_star(monkeypatch, fresh_coupling_table, br
 
 
 def test_coupling_table_is_built_once_per_group():
-    """desc and the star rows do not depend on q: one read-only table of
-    each per group, bool desc and int32 rows, under windows (B3) and under
-    closed forms (I2(5)), with the q-dependent probabilities and the int32
-    descent counts of desc beside them."""
+    """desc, des and the coupling do not depend on q: one read-only table
+    of each per group, bool desc, uint8 des, int32 rows, int16 t and S and
+    int32 sq, under windows (B3) and under closed forms (I2(5)); the checks at
+    two q read them without building another."""
     for name, order, gens in (("B3", 48, 3), ("I2(5)", 10, 2)):
         g = parse_group(name)
-        rows = sizebias._coupling_table(g)
-        desc = _group_rows(g)[1]
-        p_half, des_half, _ = sizebias._exact_coupling(g, 0.5)
-        p_two, des_two, _ = sizebias._exact_coupling(g, 2.0)
-        assert _group_rows(g)[1] is desc and sizebias._coupling_table(g) is rows
-        assert not desc.flags.writeable and not rows.flags.writeable
-        assert desc.dtype == bool and rows.dtype == des_half.dtype == np.int32
-        assert desc.shape == rows.shape == (order, 2, gens)
-        assert np.array_equal(des_half, desc.sum(axis=2)) and np.array_equal(des_two, des_half)
-        assert not np.array_equal(p_half, p_two)
+        table = sizebias._coupling_table(g)
+        lengths, desc, des = _group_rows(g)
+        for q in (0.5, 2.0):
+            assert size_bias_law_check(g, q).passed and conditional_star_law_check(g, q).passed
+            stein_error_terms(g, q)
+        assert coupling_boundedness_check(g).passed
+        assert _group_rows(g)[1] is desc and sizebias._coupling_table(g) is table
+        for a in (lengths, desc, des, *table[:5]):
+            assert not a.flags.writeable
+        assert (desc.dtype, des.dtype, table.rows.dtype) == (bool, np.uint8, np.int32)
+        assert (table.t.dtype, table.S.dtype, table.sq.dtype) == (np.int16, np.int16, np.int32)
+        assert desc.shape == table.rows.shape == (order, 2, gens)
+        assert table.S.shape == (order, 4) and table.t.shape == table.sq.shape == (order,)
+        assert table.star_counts.shape == (g.longest_length() + 1, 2 * gens + 1)
+        assert table.star_counts.sum() == 2 * gens * order
 
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_dihedral_coupling_equals_the_object_stars(m):
     """I2(m)'s closed-form star rows equal the rows of the object model's
-    stars of every element, and des and star_des their descents, row for
-    row in the table's order, at every generator and side."""
+    stars of every element, row for row in the table's order, at every
+    generator and side, and the table's other columns the reductions of
+    the stars' descents."""
     g = parse_group(f"I2({m})")
 
     def both(w):
@@ -158,10 +204,30 @@ def test_dihedral_coupling_equals_the_object_stars(m):
     elements = dihedral_elements(m)
     row = {w: r for r, w in enumerate(elements)}
     stars = [[[star(w, i, side, g) for i in range(2)] for side in ("right", "left")] for w in elements]
-    assert np.array_equal(sizebias._coupling_table(g), [[[row[w] for w in side] for side in s] for s in stars])
-    _, des, star_des = sizebias._exact_coupling(g, 0.5)
-    assert np.array_equal(des, [both(w) for w in elements])
-    assert np.array_equal(star_des, [[[both(w) for w in side] for side in s] for s in stars])
+    want_rows = [[[row[w] for w in side] for side in s] for s in stars]
+    assert np.array_equal(sizebias._coupling_table(g).rows, want_rows)
+    assert np.array_equal(_group_rows(g)[2], [both(w) for w in elements])
+    _assert_table_reduces(g, np.array([[[both(w) for w in side] for side in s] for s in stars]))
+
+
+def test_coupling_checks_allocate_no_per_choice_array_at_a_second_q():
+    """With B6's tables built, each coupling check at another q peaks under
+    tracemalloc at 96 bytes per row or less: the probabilities and a few
+    per-row columns, and no array with an entry per (row, choice)."""
+    g = parse_group("B6")
+    order = len(_group_rows(g)[0])
+    checks = (size_bias_law_check, covariance_type_sums, stein_error_terms)
+    for check in checks:
+        check(g, 0.5)
+    coupling_boundedness_check(g)
+    for call in [partial(check, g, 2.0) for check in checks] + [partial(coupling_boundedness_check, g)]:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * order, f"{call.func.__name__}: {peak / order:.0f} B per row"
 
 
 def test_conditional_star_law():
@@ -242,8 +308,9 @@ def test_type1_covariance_vanishes_far_apart():
     covariance; B5 is the smallest B where such pairs exist.  B's graph is a
     path, so the distance between s_i and s_j is |i - j|."""
     g = parse_group("B5")
-    p, des, star_des = sizebias._exact_coupling(g, 0.5)
-    D = des[:, :1] - star_des[:, 0, :, 0]
+    lengths, _, des = _group_rows(g)
+    p, des = _row_probs(g, 0.5, lengths), des.astype(np.int64)
+    D = des[:, :1] - des[sizebias._coupling_table(g).rows[:, 0], 0]
     centered = D - p @ D
     cov = (centered * p[:, None]).T @ centered
     dist = np.abs(np.subtract.outer(np.arange(5), np.arange(5)))

@@ -98,9 +98,9 @@ def ensure_right(kind: str, W: np.ndarray, i: int) -> np.ndarray:
 
 
 def coupling_descents(kind: str, W: np.ndarray):
-    """(des, star_des) in the layout of sizebias._exact_coupling, each star
-    recounted: des[r] is (des(w), des(w^-1)) and star_des[r, s, i] the same
-    for the star of w at s_i, s = 0 on the right and 1 on the left."""
+    """(des, star_des), each star's descents recounted from its window:
+    des[r] is (des(w), des(w^-1)) and star_des[r, s, i] the same for the
+    star of w at s_i, s = 0 on the right and 1 on the left."""
     V = windows_invert(W)
     gens = W.shape[1] - (kind == "A")
     star_des = np.empty((len(W), 2, gens, 2), dtype=np.int32)
